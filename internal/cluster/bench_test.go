@@ -16,7 +16,7 @@ import (
 func BenchmarkSelectDL(b *testing.B) {
 	p, deltas := buildProfile(b, []int{1, 16, 4, 64, 2, 32, 8, 128}, 600)
 	for b.Loop() {
-		if _, err := SelectDL(p, deltas, 4, geom.Default(), DLOptions{Steps: 75}); err != nil {
+		if _, err := SelectDL(p, deltas, 4, geom.Default(), DLOptions{Steps: 75}, Guarded); err != nil {
 			b.Fatal(err)
 		}
 	}

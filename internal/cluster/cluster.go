@@ -143,21 +143,27 @@ func replaySample(m mapping.Mapping, samples [][]uint32, g geom.Geometry) float6
 	return dev.Stats().LastFinish
 }
 
-// DisableGuard turns off the replay-based do-no-harm guard so selections
-// always use the raw BFRV-derived mapping. It exists solely for the
-// ablation experiments that quantify the guard's value; leave it false
-// in real use. Not synchronized — set it before running selections.
-var DisableGuard bool
+// Guard says whether a selector applies the replay-based do-no-harm
+// guard (see chooseMapping). Unguarded always uses the raw BFRV-derived
+// mapping; it exists solely for the ablation that quantifies the
+// guard's value.
+type Guard bool
+
+// The two guard settings.
+const (
+	Guarded   Guard = true
+	Unguarded Guard = false
+)
 
 // chooseMapping derives the bit-shuffle mapping for a cluster from its
-// mean BFRV, but keeps the boot-time identity mapping unless the
-// candidate is measurably faster on a replay of the observed traffic —
-// flip statistics are first-order and can be fooled by correlated bits,
-// and software is free to select any mapping, including the default
-// (do-no-harm guard).
-func chooseMapping(mean mapping.BFRV, samples [][]uint32, g geom.Geometry, name string) *mapping.Shuffle {
+// mean BFRV, but (when guarded) keeps the boot-time identity mapping
+// unless the candidate is measurably faster on a replay of the observed
+// traffic — flip statistics are first-order and can be fooled by
+// correlated bits, and software is free to select any mapping,
+// including the default (do-no-harm guard).
+func chooseMapping(mean mapping.BFRV, samples [][]uint32, g geom.Geometry, guard Guard, name string) *mapping.Shuffle {
 	candidate := mapping.FromBFRV(mean, g, name)
-	if DisableGuard {
+	if guard == Unguarded {
 		return candidate
 	}
 	ident := mapping.IdentityShuffle()
@@ -179,7 +185,7 @@ func chooseMapping(mean mapping.BFRV, samples [][]uint32, g geom.Geometry, name 
 
 // buildSelection converts per-cluster mean BFRVs into mappings and
 // builds the VID lookup tables. samples is parallel to vids.
-func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, samples [][]uint32, assign []int, g geom.Geometry) Selection {
+func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, samples [][]uint32, assign []int, g geom.Geometry, guard Guard) Selection {
 	sel := Selection{
 		Method:     method,
 		K:          k,
@@ -210,7 +216,7 @@ func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, sampl
 	parallel.Map(live, func(_ int, c int) (struct{}, error) {
 		mean := sums[c]
 		mean.Scale(1 / float64(counts[c]))
-		chosen[c] = chooseMapping(mean, memberSamples[c], g, fmt.Sprintf("%s-c%d", method, c))
+		chosen[c] = chooseMapping(mean, memberSamples[c], g, guard, fmt.Sprintf("%s-c%d", method, c))
 		return struct{}{}, nil
 	})
 	// Deduplicate clusters that resolve to the same permutation: the
@@ -241,7 +247,7 @@ func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, sampl
 
 // SelectKMeans clusters the major variables' BFRVs into at most k
 // groups and derives one mapping per group.
-func SelectKMeans(p profile.Profile, k int, g geom.Geometry) (Selection, error) {
+func SelectKMeans(p profile.Profile, k int, g geom.Geometry, guard Guard) (Selection, error) {
 	start := wallclock.Now()
 	vecs, vids := p.BFRVs()
 	if len(vecs) == 0 {
@@ -255,7 +261,7 @@ func SelectKMeans(p profile.Profile, k int, g geom.Geometry) (Selection, error) 
 	if err != nil {
 		return Selection{}, err
 	}
-	sel := buildSelection("KMeans", len(res.Centroids), vids, vecs, p.MajorSamples(), res.Assignment, g)
+	sel := buildSelection("KMeans", len(res.Centroids), vids, vecs, p.MajorSamples(), res.Assignment, g, guard)
 	sel.ProfilingTime = wallclock.Since(start)
 	return sel, nil
 }
@@ -277,7 +283,7 @@ func SelectKMeansAuto(p profile.Profile, maxK int, g geom.Geometry) (Selection, 
 	if err != nil {
 		return Selection{}, err
 	}
-	sel := buildSelection("KMeans-auto", k, vids, vecs, p.MajorSamples(), res.Assignment, g)
+	sel := buildSelection("KMeans-auto", k, vids, vecs, p.MajorSamples(), res.Assignment, g, Guarded)
 	sel.ProfilingTime = wallclock.Since(start)
 	return sel, nil
 }
@@ -325,7 +331,7 @@ func (o DLOptions) withDefaults() DLOptions {
 // VID) delta trace train the embedding autoencoder under the joint
 // objective; per-variable embeddings (mean over the windows the variable
 // dominates) are clustered; cluster mean BFRVs pick the mappings.
-func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geometry, opts DLOptions) (Selection, error) {
+func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geometry, opts DLOptions, guard Guard) (Selection, error) {
 	start := wallclock.Now()
 	opts = opts.withDefaults()
 	vecs, vids := p.BFRVs()
@@ -433,7 +439,7 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 	if err != nil {
 		return Selection{}, err
 	}
-	sel := buildSelection("DL-KMeans", len(res.Centroids), vids, vecs, p.MajorSamples(), res.Assignment, g)
+	sel := buildSelection("DL-KMeans", len(res.Centroids), vids, vecs, p.MajorSamples(), res.Assignment, g, guard)
 	sel.ProfilingTime = wallclock.Since(start)
 	return sel, nil
 }
@@ -441,7 +447,7 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 // SelectSingle derives one mapping for the whole application from the
 // reference-weighted mean of the major variables' BFRVs — the SDM+BSM
 // configuration's per-application selection.
-func SelectSingle(p profile.Profile, g geom.Geometry) (Selection, error) {
+func SelectSingle(p profile.Profile, g geom.Geometry, guard Guard) (Selection, error) {
 	start := wallclock.Now()
 	majors := p.Majors()
 	if len(majors) == 0 {
@@ -463,7 +469,7 @@ func SelectSingle(p profile.Profile, g geom.Geometry) (Selection, error) {
 	for _, v := range majors {
 		samples = append(samples, v.Sample)
 	}
-	m := chooseMapping(mean, samples, g, "BSM-app")
+	m := chooseMapping(mean, samples, g, guard, "BSM-app")
 	sel := Selection{
 		Method:          "Single",
 		K:               1,

@@ -38,7 +38,7 @@ func TestSelectKMeansGroupsEqualStrides(t *testing.T) {
 	// Variables 0,2 stride 1; variables 1,3 stride 16. k=2 must pair
 	// them and give both members of a pair the same mapping.
 	p, _ := buildProfile(t, []int{1, 16, 1, 16}, 400)
-	sel, err := SelectKMeans(p, 2, geom.Default())
+	sel, err := SelectKMeans(p, 2, geom.Default(), Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSelectKMeansGroupsEqualStrides(t *testing.T) {
 
 func TestSelectedMappingSpreadsItsStride(t *testing.T) {
 	p, _ := buildProfile(t, []int{16}, 800)
-	sel, err := SelectKMeans(p, 1, geom.Default())
+	sel, err := SelectKMeans(p, 1, geom.Default(), Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +79,14 @@ func TestSelectedMappingSpreadsItsStride(t *testing.T) {
 
 func TestSelectKMeansEmptyProfile(t *testing.T) {
 	p := profile.Profile{App: "empty"}
-	if _, err := SelectKMeans(p, 2, geom.Default()); err == nil {
+	if _, err := SelectKMeans(p, 2, geom.Default(), Guarded); err == nil {
 		t.Fatal("empty profile accepted")
 	}
 }
 
 func TestSelectSingle(t *testing.T) {
 	p, _ := buildProfile(t, []int{1, 16}, 400)
-	sel, err := SelectSingle(p, geom.Default())
+	sel, err := SelectSingle(p, geom.Default(), Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSelectSingle(t *testing.T) {
 
 func TestSelectDLSeparatesStrides(t *testing.T) {
 	p, deltas := buildProfile(t, []int{1, 16}, 600)
-	sel, err := SelectDL(p, deltas, 2, geom.Default(), DLOptions{Steps: 200, Seed: 2})
+	sel, err := SelectDL(p, deltas, 2, geom.Default(), DLOptions{Steps: 200, Seed: 2}, Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSelectDLSeparatesStrides(t *testing.T) {
 
 func TestSelectDLRejectsShortTrace(t *testing.T) {
 	p, _ := buildProfile(t, []int{1}, 300)
-	if _, err := SelectDL(p, nil, 2, geom.Default(), DLOptions{}); err == nil {
+	if _, err := SelectDL(p, nil, 2, geom.Default(), DLOptions{}, Guarded); err == nil {
 		t.Fatal("empty delta trace accepted")
 	}
 }
@@ -122,11 +122,11 @@ func TestSelectDLRejectsShortTrace(t *testing.T) {
 func TestDLCostsMoreThanKMeans(t *testing.T) {
 	// Fig 13's shape: the DL selector is much slower than plain K-Means.
 	p, deltas := buildProfile(t, []int{1, 4, 16, 64}, 500)
-	km, err := SelectKMeans(p, 4, geom.Default())
+	km, err := SelectKMeans(p, 4, geom.Default(), Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := SelectDL(p, deltas, 4, geom.Default(), DLOptions{Steps: 200})
+	dl, err := SelectDL(p, deltas, 4, geom.Default(), DLOptions{Steps: 200}, Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestDLCostsMoreThanKMeans(t *testing.T) {
 
 func TestQualityImprovesWithMoreClusters(t *testing.T) {
 	p, _ := buildProfile(t, []int{1, 2, 8, 32, 64, 128}, 300)
-	one, err := SelectKMeans(p, 1, geom.Default())
+	one, err := SelectKMeans(p, 1, geom.Default(), Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	six, err := SelectKMeans(p, 6, geom.Default())
+	six, err := SelectKMeans(p, 6, geom.Default(), Guarded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestChooseMappingBitIdenticalAcrossJobs(t *testing.T) {
 	run := func(jobs int) []int {
 		prev := parallel.SetJobs(jobs)
 		defer parallel.SetJobs(prev)
-		return chooseMapping(mean, samples, g, "test").Perm()
+		return chooseMapping(mean, samples, g, Guarded, "test").Perm()
 	}
 	serial := run(1)
 	for _, jobs := range []int{2, 8} {
@@ -101,7 +101,7 @@ func TestSelectDLBitIdenticalAcrossJobs(t *testing.T) {
 	run := func(jobs int) Selection {
 		prev := parallel.SetJobs(jobs)
 		defer parallel.SetJobs(prev)
-		sel, err := SelectDL(p, deltas, 3, geom.Default(), DLOptions{Steps: 40, MaxWindows: 32})
+		sel, err := SelectDL(p, deltas, 3, geom.Default(), DLOptions{Steps: 40, MaxWindows: 32}, Guarded)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/amu"
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/cmt"
 	"repro/internal/cpu"
 	"repro/internal/geom"
@@ -182,47 +181,33 @@ func AblGuard(s Scale) (*Report, error) {
 		func() workload.Workload { return apps.NewKMeansApp(opts) },
 	}
 	eng := cpu.AcceleratorConfig(4)
-	// The guarded runs (baseline + guarded selection per kernel) are
-	// independent and fan out. The raw runs flip the package-level
-	// cluster.DisableGuard switch, so that toggle happens outside any
-	// parallel region: all raw cells run in a second fan-out bracketed by
-	// the flag writes.
+	// Per kernel: the baseline, the guarded selection, and the raw one.
+	// The guard is a per-run option, so all cells fan out together.
 	type guardCell struct {
-		mk   func() workload.Workload
-		kind system.Kind
+		mk      func() workload.Workload
+		kind    system.Kind
+		noGuard bool
 	}
 	var specs []guardCell
 	for _, mk := range builders {
 		specs = append(specs,
-			guardCell{mk, system.BSDM},
-			guardCell{mk, system.SDMBSMML})
+			guardCell{mk, system.BSDM, false},
+			guardCell{mk, system.SDMBSMML, false},
+			guardCell{mk, system.SDMBSMML, true})
 	}
-	runCells := func(cells []guardCell) ([]system.Result, error) {
-		return parallel.Map(cells, func(_ int, c guardCell) (system.Result, error) {
-			o := system.Options{Kind: c.kind, Engine: eng}
-			if c.kind == system.SDMBSMML {
-				o.Clusters = 4
-			}
-			return system.Run(c.mk(), o)
-		})
-	}
-	guardedRes, err := runCells(specs)
+	res, err := parallel.Map(specs, func(_ int, c guardCell) (system.Result, error) {
+		o := system.Options{Kind: c.kind, Engine: eng, NoGuard: c.noGuard}
+		if c.kind == system.SDMBSMML {
+			o.Clusters = 4
+		}
+		return system.Run(c.mk(), o)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var rawSpecs []guardCell
-	for _, mk := range builders {
-		rawSpecs = append(rawSpecs, guardCell{mk, system.SDMBSMML})
-	}
-	cluster.DisableGuard = true
-	rawRes, errRaw := runCells(rawSpecs)
-	cluster.DisableGuard = false
-	if errRaw != nil {
-		return nil, errRaw
-	}
 	var guarded, raw []float64
 	for i, mk := range builders {
-		base, on, off := guardedRes[2*i], guardedRes[2*i+1], rawRes[i]
+		base, on, off := res[3*i], res[3*i+1], res[3*i+2]
 		gOn := on.SpeedupOver(base)
 		gOff := off.SpeedupOver(base)
 		r.Table.Add(mk().Name(), gOn, gOff)

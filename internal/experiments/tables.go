@@ -118,7 +118,7 @@ func Fig13(s Scale) (*Report, error) {
 			return row, err
 		}
 		for _, k := range []int{4, 32} {
-			sel, err := cluster.SelectKMeans(prof, k, geom.Default())
+			sel, err := cluster.SelectKMeans(prof, k, geom.Default(), cluster.Guarded)
 			if err != nil {
 				return row, err
 			}
@@ -126,7 +126,7 @@ func Fig13(s Scale) (*Report, error) {
 			row.times = append(row.times, float64(sel.ProfilingTime.Microseconds())/1000)
 		}
 		for _, k := range []int{4, 32} {
-			sel, err := cluster.SelectDL(prof, col.Deltas(), k, geom.Default(), dl)
+			sel, err := cluster.SelectDL(prof, col.Deltas(), k, geom.Default(), dl, cluster.Guarded)
 			if err != nil {
 				return row, err
 			}

@@ -78,6 +78,26 @@ func TestChooseKBitIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestSilhouettePanicReachesCaller: a fault inside a parallel span is
+// not swallowed. An out-of-range assignment panics in whichever worker
+// scores a point, and the caller sees that panic at every worker count
+// instead of a score computed from empty slots.
+func TestSilhouettePanicReachesCaller(t *testing.T) {
+	pts := genPoints(40, 3, 5)
+	assign := make([]int, len(pts))
+	assign[len(assign)-1] = 7 // k is 2
+	for _, jobs := range []int{1, 4} {
+		panicked := withJobs(jobs, func() (p bool) {
+			defer func() { p = recover() != nil }()
+			Silhouette(pts, assign, 2)
+			return false
+		})
+		if !panicked {
+			t.Fatalf("jobs=%d: the panic was swallowed", jobs)
+		}
+	}
+}
+
 // TestAssignmentKernelZeroAlloc pins the assignment inner loop —
 // dist2 plus the nearest-centroid scan — to zero allocations.
 func TestAssignmentKernelZeroAlloc(t *testing.T) {

@@ -7,14 +7,18 @@
 // The package exposes one primitive, Map: an ordered fan-out over a
 // slice. Results come back indexed exactly like the inputs, failures
 // never abort the remaining items (partial results survive in stable
-// order), and the worker budget defaults to GOMAXPROCS — overridable
+// order), a panicking item panics on the calling goroutine exactly as in
+// a serial loop (never from a worker, where nothing could recover it),
+// and the worker budget defaults to GOMAXPROCS — overridable
 // process-wide with SetJobs (the cmd drivers' -jobs flag) or per call
 // with MapN.
 package parallel
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -64,9 +68,11 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 // MapN is Map with an explicit worker budget. Every item is attempted
 // even when earlier items fail: the result slice always has len(items)
 // entries, holding the zero R at failed indices, and the returned error
-// joins the per-item errors in index order. jobs <= 1 (or a single
-// item) runs fully serially on the calling goroutine, which the
-// determinism tests use as the reference execution.
+// joins the per-item errors in index order. A panic is not an error: it
+// reaches the calling goroutine at any worker count (see firstPanic), so
+// containing it is the caller's choice. jobs <= 1 (or a single item) runs
+// fully serially on the calling goroutine, which the determinism tests
+// use as the reference execution.
 func MapN[T, R any](jobs int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	return MapNWorker(jobs, items, func(_, i int, item T) (R, error) { return fn(i, item) })
 }
@@ -107,6 +113,7 @@ func MapNWorker[T, R any](jobs int, items []T, fn func(worker, i int, item T) (R
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var failed firstPanic
 	wg.Add(jobs)
 	for w := 0; w < jobs; w++ {
 		go func(w int) {
@@ -116,12 +123,54 @@ func MapNWorker[T, R any](jobs int, items []T, fn func(worker, i int, item T) (R
 				if i >= len(items) {
 					return
 				}
-				out[i], errs[i] = fn(w, i, items[i])
+				failed.run(i, func() { out[i], errs[i] = fn(w, i, items[i]) })
 			}
 		}(w)
 	}
 	wg.Wait()
+	if failed.p != nil {
+		panic(failed.p)
+	}
 	return out, errors.Join(errs...)
+}
+
+// firstPanic keeps the lowest-index panic of a fan-out. A panic must not
+// unwind a worker goroutine — nothing above it could recover it, so the
+// process would die — and it must not be turned into an error either,
+// because callers that cannot fail ignore the error and would carry on
+// with a hole in their slots. Instead each worker catches it here, the
+// remaining items run, and MapNWorker re-raises it on the calling
+// goroutine: the caller sees the panic of the same item a serial loop
+// would have stopped at, whatever the worker count.
+type firstPanic struct {
+	mu sync.Mutex
+	p  *itemPanic
+}
+
+// itemPanic is the re-raised value: the item, its panic value, and the
+// worker's stack at the panic.
+type itemPanic struct {
+	item  int
+	value any
+	stack []byte
+}
+
+func (p *itemPanic) Error() string {
+	return fmt.Sprintf("parallel: item %d panicked: %v\n%s", p.item, p.value, p.stack)
+}
+
+// run calls fn for item i, keeping its panic if it is the lowest so far.
+func (f *firstPanic) run(i int, fn func()) {
+	defer func() {
+		if v := recover(); v != nil {
+			f.mu.Lock()
+			if f.p == nil || i < f.p.item {
+				f.p = &itemPanic{item: i, value: v, stack: debug.Stack()}
+			}
+			f.mu.Unlock()
+		}
+	}()
+	fn()
 }
 
 // Do runs the thunks with at most Jobs() concurrent workers, returning

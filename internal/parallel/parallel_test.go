@@ -54,6 +54,28 @@ func TestMapPartialResultsOnError(t *testing.T) {
 	}
 }
 
+// TestMapReraisesPanicOnCaller: a panicking item is not turned into an
+// error. Its panic reaches the calling goroutine at any worker count,
+// and with several panicking items it is the lowest index, the one a
+// serial loop stops at.
+func TestMapReraisesPanicOnCaller(t *testing.T) {
+	for _, jobs := range []int{1, 3} {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			MapN(jobs, []int{0, 1, 2, 3}, func(_ int, v int) (int, error) {
+				if v == 1 || v == 3 {
+					panic(fmt.Sprintf("bad cell %d", v))
+				}
+				return v, nil
+			})
+			return nil
+		}()
+		if got == nil || !strings.Contains(fmt.Sprint(got), "bad cell 1") {
+			t.Fatalf("jobs=%d: recovered %v, want item 1's panic on the caller", jobs, got)
+		}
+	}
+}
+
 func TestMapBoundedConcurrency(t *testing.T) {
 	const jobs = 3
 	var cur, peak atomic.Int64

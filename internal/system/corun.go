@@ -23,14 +23,16 @@ import (
 // §6.2's cluster-budget discussion).
 //
 // Per-application profiling and selection run exactly as in Run; the
-// Clusters option is the per-application budget.
-func CoRun(ws []workload.Workload, opts Options) (Result, error) {
+// Clusters option is the per-application budget. A panic fails the
+// co-run with an error, as in Run.
+func CoRun(ws []workload.Workload, opts Options) (res Result, err error) {
+	defer containPanic(&err)
 	o := opts.withDefaults()
 	names := make([]string, len(ws))
 	for i, w := range ws {
 		names[i] = w.Name()
 	}
-	res := Result{Config: o.Kind.String(), Workload: "corun(" + strings.Join(names, "+") + ")"}
+	res = Result{Config: o.Kind.String(), Workload: "corun(" + strings.Join(names, "+") + ")"}
 	if len(ws) == 0 {
 		return res, fmt.Errorf("system: co-run of zero workloads")
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/parallel"
 	"repro/internal/workload"
@@ -100,9 +99,7 @@ func TestAblationEntryPointsDeterministicUnderParallelism(t *testing.T) {
 			return []Result{r}, err
 		}},
 		{"guard-disabled", func() ([]Result, error) {
-			cluster.DisableGuard = true
-			defer func() { cluster.DisableGuard = false }()
-			r, err := Run(strideWorkload([]int{1, 64}), Options{Kind: SDMBSM, Clusters: 2})
+			r, err := Run(strideWorkload([]int{1, 64}), Options{Kind: SDMBSM, Clusters: 2, NoGuard: true})
 			return []Result{r}, err
 		}},
 		{"mshr-variants", func() ([]Result, error) {
@@ -219,5 +216,63 @@ func TestCompareNamesFailingConfig(t *testing.T) {
 	}
 	if res[0].Config != "BS+DM" || res[2].Config != "BS+HM" {
 		t.Fatalf("stable order violated: %s, %s", res[0].Config, res[2].Config)
+	}
+}
+
+// panicky panics in Streams for one seed, so a test can fail exactly the
+// profiling pass (ProfileSeed) or the evaluation pass (EvalSeed). The
+// seed is shared with clones through the pointer.
+type panicky struct {
+	workload.Workload
+	seed *int64
+}
+
+func (p *panicky) TapeKey() string { return p.Workload.(workload.TapeKeyer).TapeKey() }
+func (p *panicky) Clone() workload.Workload {
+	return &panicky{workload.Clone(p.Workload), p.seed}
+}
+func (p *panicky) Streams(seed int64) []cpu.Stream {
+	if seed == *p.seed {
+		panic("synthetic stream failure")
+	}
+	return p.Workload.Streams(seed)
+}
+
+// TestPanickingCellIsContained pins failure containment: a cell that
+// panics fails with an error while the other cells keep their results,
+// and the failure is not memoized — once the cause is gone, the same
+// profiling pass runs and succeeds.
+func TestPanickingCellIsContained(t *testing.T) {
+	obsFreshProcess()
+	defer obsFreshProcess()
+	seed := int64(1) // the default ProfileSeed
+	w := &panicky{strideWorkload([]int{1, 32}), &seed}
+
+	res, err := Compare(w, Options{}, []Kind{BSDM, SDMBSM})
+	if err == nil || !strings.Contains(err.Error(), "SDM+BSM") || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want SDM+BSM's profiling panic as an error", err)
+	}
+	if res[0].Run.External == 0 {
+		t.Fatal("the healthy BS+DM cell lost its result")
+	}
+
+	seed = 0
+	if r, err := Run(w, Options{Kind: SDMBSM}); err != nil || r.Run.External == 0 {
+		t.Fatalf("rerun after the fault cleared: %v (a failed pass was cached)", err)
+	}
+
+	// A panic outside any memo (the evaluation pass) is contained by Run,
+	// with the same outcome serially and on the worker pool. The first
+	// Compare recorded this tape; drop it so the evaluation pass
+	// generates its streams again.
+	seed = 2 // the default EvalSeed
+	for _, jobs := range []int{1, 4} {
+		obsFreshProcess()
+		prev := parallel.SetJobs(jobs)
+		_, err := Compare(w, Options{}, []Kind{BSDM, BSHM})
+		parallel.SetJobs(prev)
+		if err == nil || !strings.Contains(err.Error(), "BS+HM") || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("jobs=%d: err = %v, want the evaluation panic as an error", jobs, err)
+		}
 	}
 }

@@ -5,8 +5,9 @@ import (
 )
 
 // The system package's obs registrations: whole-run counters flushed
-// from the per-run result structs after each evaluation pass, plus the
-// cache-effectiveness counters selcache.go/profcache.go maintain. The
+// from the per-run result structs after each evaluation pass (the
+// cache-effectiveness counters live with their memos in selcache.go and
+// profcache.go). The
 // flush-at-end shape is deliberate — the simulation hot loops already
 // aggregate everything into hbm.Stats / cpu.Result / cmt counters, so
 // obs costs nothing per simulated access and the //sdam:noalloc pins
@@ -16,10 +17,6 @@ var (
 	statRuns      = obs.NewCounter("system.runs", "runs", "evaluation passes completed")
 	statCoRuns    = obs.NewCounter("system.coruns", "runs", "co-run evaluation passes completed")
 	statProfPass  = obs.NewCounter("system.profile_passes", "passes", "fresh (uncached) offline profiling passes")
-	statProfHits  = obs.NewCounter("profile.cache_hits", "hits", "profiling passes served from the process-wide cache")
-	statProfMiss  = obs.NewCounter("profile.cache_misses", "misses", "profiling passes that had to run fresh")
-	statSelHits   = obs.NewCounter("select.cache_hits", "hits", "mapping selections served from the process-wide cache")
-	statSelMiss   = obs.NewCounter("select.cache_misses", "misses", "mapping selections computed fresh")
 	statEngRefs   = obs.NewCounter("engine.refs", "refs", "memory references executed by the engine")
 	statEngExt    = obs.NewCounter("engine.external", "refs", "LLC misses issued to the memory system")
 	statEngHits   = obs.NewCounter("engine.cache_hits", "refs", "references satisfied by the modeled cache")

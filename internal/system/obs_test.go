@@ -37,8 +37,8 @@ func resetObsState(t *testing.T) {
 // cannot be drained deterministically), which is why hbm.pool_news is
 // registered Host() and excluded from deterministic snapshots.
 func obsFreshProcess() {
-	resetSelectionCache()
-	resetProfileCache()
+	selections.Reset()
+	profiles.Reset()
 	tape.ResetCache()
 	obs.Reset()
 }

@@ -1,10 +1,10 @@
 package system
 
 import (
-	"sync"
-
 	"repro/internal/cpu"
 	"repro/internal/geom"
+	"repro/internal/memo"
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -32,23 +32,20 @@ type profKey struct {
 	hbmScale float64
 }
 
-// profEntry is one singleflight slot, mirroring selEntry.
-type profEntry struct {
-	once sync.Once
+// profPass is one memoized profiling pass.
+type profPass struct {
 	prof profile.Profile
 	col  *trace.Collector
-	err  error
 }
 
-var profCache sync.Map // profKey → *profEntry
-
-// resetProfileCache drops every memoized profiling pass (tests).
-func resetProfileCache() {
-	profCache.Range(func(k, _ any) bool {
-		profCache.Delete(k)
-		return true
-	})
-}
+// profiles is unbudgeted, like the selection cache: a sweep holds one
+// pass per distinct workload and seed, and the collector caps each
+// pass's delta trace.
+var profiles = memo.New[profKey, profPass](memo.Config[profPass]{
+	Name:   "profile",
+	Hits:   obs.NewCounter("profile.cache_hits", "hits", "profiling passes served from the process-wide cache"),
+	Misses: obs.NewCounter("profile.cache_misses", "misses", "profiling passes that had to run fresh"),
+})
 
 // cachedProfile returns the profiling pass for (w, o), running it at
 // most once per process per content key. o must already have defaults
@@ -65,17 +62,9 @@ func cachedProfile(w workload.Workload, o Options) (profile.Profile, *trace.Coll
 		geom:     o.Geometry,
 		hbmScale: o.HBMScale,
 	}
-	e, _ := profCache.LoadOrStore(key, &profEntry{})
-	entry := e.(*profEntry)
-	computed := false
-	entry.once.Do(func() {
-		computed = true
-		entry.prof, entry.col, entry.err = profileFresh(w, o)
+	p, err := profiles.Do(key, func() (profPass, error) {
+		prof, col, err := profileFresh(w, o)
+		return profPass{prof, col}, err
 	})
-	if computed {
-		statProfMiss.Add(1)
-	} else {
-		statProfHits.Add(1)
-	}
-	return entry.prof, entry.col, entry.err
+	return p.prof, p.col, err
 }

@@ -2,10 +2,10 @@ package system
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -19,8 +19,8 @@ import (
 // the selector and its tuning, the geometry, the profile bytes, and (for
 // the DL selector) the delta trace bytes — so a hit returns exactly what
 // a fresh computation would, and anything that could change the result
-// (a different profiling interleaving, an ablation's guard toggle)
-// changes the key instead of going stale.
+// (a different profiling interleaving, the guard ablation) changes the
+// key instead of going stale.
 
 // selKey identifies one selection computation by content.
 type selKey struct {
@@ -28,28 +28,18 @@ type selKey struct {
 	clusters int
 	geom     geom.Geometry
 	dl       cluster.DLOptions
-	guard    bool // cluster.DisableGuard at computation time
+	noGuard  bool
 	profFP   uint64
 	deltaFP  uint64
 }
 
-// selEntry is one singleflight slot: the first arrival computes, every
-// other caller of the same key waits on the Once and shares the result.
-type selEntry struct {
-	once sync.Once
-	sel  *cluster.Selection
-	err  error
-}
-
-var selCache sync.Map // selKey → *selEntry
-
-// resetSelectionCache drops every memoized selection (tests).
-func resetSelectionCache() {
-	selCache.Range(func(k, _ any) bool {
-		selCache.Delete(k)
-		return true
-	})
-}
+// selections is unbudgeted: a Selection is a few maps of shared
+// mapping pointers, and a sweep has at most a few hundred distinct keys.
+var selections = memo.New[selKey, *cluster.Selection](memo.Config[*cluster.Selection]{
+	Name:   "select",
+	Hits:   obs.NewCounter("select.cache_hits", "hits", "mapping selections served from the process-wide cache"),
+	Misses: obs.NewCounter("select.cache_misses", "misses", "mapping selections computed fresh"),
+})
 
 // cachedSelection returns the selection for o.Kind on the given profile
 // and delta trace, computing it at most once per process per content
@@ -60,40 +50,28 @@ func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample
 		kind:     o.Kind,
 		clusters: o.Clusters,
 		geom:     o.Geometry,
-		guard:    cluster.DisableGuard,
+		noGuard:  o.NoGuard,
 		profFP:   prof.Fingerprint(),
 	}
 	if o.Kind == SDMBSMDL {
 		key.dl = o.DL
 		key.deltaFP = profile.FingerprintDeltas(deltas)
 	}
-	e, _ := selCache.LoadOrStore(key, &selEntry{})
-	entry := e.(*selEntry)
-	computed := false
-	entry.once.Do(func() {
-		computed = true
+	return selections.Do(key, func() (*cluster.Selection, error) {
 		defer obs.Span2("select", o.Kind.String()).End()
+		guard := cluster.Guard(!o.NoGuard)
 		var s cluster.Selection
 		var err error
 		switch o.Kind {
 		case SDMBSM:
-			s, err = cluster.SelectSingle(prof, o.Geometry)
+			s, err = cluster.SelectSingle(prof, o.Geometry, guard)
 		case SDMBSMML:
-			s, err = cluster.SelectKMeans(prof, o.Clusters, o.Geometry)
+			s, err = cluster.SelectKMeans(prof, o.Clusters, o.Geometry, guard)
 		case SDMBSMDL:
-			s, err = cluster.SelectDL(prof, deltas, o.Clusters, o.Geometry, o.DL)
+			s, err = cluster.SelectDL(prof, deltas, o.Clusters, o.Geometry, o.DL, guard)
 		default:
 			err = fmt.Errorf("system: %s selects no per-variable mapping", o.Kind)
 		}
-		entry.sel, entry.err = &s, err
+		return &s, err
 	})
-	// A caller whose once.Do ran the computation is the miss; everyone
-	// else — including waiters that blocked on that first computation —
-	// was served by the cache.
-	if computed {
-		statSelMiss.Add(1)
-	} else {
-		statSelHits.Add(1)
-	}
-	return entry.sel, entry.err
 }

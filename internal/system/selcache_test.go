@@ -17,7 +17,7 @@ import (
 // trainer's step counter is the observable: zero additional training
 // steps on the second pass.
 func TestSelectionCacheSkipsRetraining(t *testing.T) {
-	resetSelectionCache()
+	selections.Reset()
 	mk := func() workload.Workload { return apps.NewKMeansApp(apps.Options{MaxRefs: 6_000}) }
 	opts := Options{
 		Clusters: 3,
@@ -55,7 +55,7 @@ func TestSelectionCacheSkipsRetraining(t *testing.T) {
 // misses the cache: a different cluster budget must retrain rather than
 // reuse the previous selection.
 func TestSelectionCacheKeyDiscriminates(t *testing.T) {
-	resetSelectionCache()
+	selections.Reset()
 	mk := func() workload.Workload { return apps.NewKMeansApp(apps.Options{MaxRefs: 6_000}) }
 	dl := cluster.DLOptions{SeqLen: 8, Steps: 24, MaxWindows: 16}
 

@@ -19,6 +19,7 @@ package system
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/amu"
@@ -96,6 +97,9 @@ type Options struct {
 	Geometry geom.Geometry
 	// DL tunes the DL selector's training budget.
 	DL cluster.DLOptions
+	// NoGuard turns off the selectors' do-no-harm guard, so every
+	// cluster uses its raw BFRV-derived mapping (the guard ablation).
+	NoGuard bool
 }
 
 func (o Options) withDefaults() Options {
@@ -214,10 +218,13 @@ func profileFresh(w workload.Workload, o Options) (profile.Profile, *trace.Colle
 	return profile.FromCollector(w.Name(), col), col, nil
 }
 
-// Run executes one workload under one configuration.
-func Run(w workload.Workload, opts Options) (Result, error) {
+// Run executes one workload under one configuration. A panic anywhere
+// in the run (the workload, the engine, a selector) fails it with an
+// error like any other failed run; see containPanic.
+func Run(w workload.Workload, opts Options) (res Result, err error) {
+	defer containPanic(&err)
 	o := opts.withDefaults()
-	res := Result{Config: o.Kind.String(), Workload: w.Name()}
+	res = Result{Config: o.Kind.String(), Workload: w.Name()}
 
 	// Offline profiling + mapping selection where the config needs it.
 	var sel *cluster.Selection
@@ -225,7 +232,6 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 	var globalMapping mapping.Mapping
 	if o.Kind.NeedsProfiling() {
 		var col *trace.Collector
-		var err error
 		prof, col, err = Profile(w, o)
 		if err != nil {
 			return res, err
@@ -296,6 +302,17 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// containPanic turns a panic in the run that defers it into the run's
+// error, so a failing sweep cell reports like any other failed cell (an
+// error and a partial Result) instead of unwinding through the fan-out
+// that runs it. Deferred first, it runs after the run's own cleanup has
+// returned the pooled device.
+func containPanic(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("system: run panicked: %v\n%s", p, debug.Stack())
+	}
 }
 
 // installSelection writes the selection's mappings into the kernel's CMT

@@ -1,10 +1,10 @@
 package tape
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/wallclock"
 	"repro/internal/workload"
@@ -12,15 +12,17 @@ import (
 
 // The process-wide tape cache. A sweep's cells arrive keyed by
 // {workload.TapeKey, seed}; the first arrival generates the streams
-// live and records them, everyone else blocks until the tape is sealed
-// into the map and then replays it read-only. Results are bit-identical
-// either way — replay emits the recorded sequence, and the recording
-// cell's engine consumed exactly that sequence — so bit-identity at any
-// -jobs count is preserved by construction.
+// live and records them, everyone else waits for the recording and then
+// replays it read-only. Results are bit-identical either way — replay
+// emits the recorded sequence, and the recording cell's engine consumed
+// exactly that sequence — so bit-identity at any -jobs count is
+// preserved by construction.
 //
-// The cache is bounded: once maxCacheBytes of columns are retained, new
-// keys build and run live without caching (a safety valve for unbounded
-// sweeps over distinct workloads; every built-in sweep fits comfortably).
+// The cache is a memo.Memo: a failed or panicking recording is not
+// retained (the cell runs live), and once the retained columns reach
+// maxCacheBytes new keys run live without recording (a safety valve for
+// unbounded sweeps over distinct workloads; every built-in sweep fits
+// comfortably).
 
 // maxCacheBytes bounds the total retained column bytes.
 const maxCacheBytes = 256 << 20
@@ -31,40 +33,34 @@ type cacheKey struct {
 	seed int64
 }
 
-// cacheEntry is one singleflight slot: done closes when tape (or err)
-// is set; waiters block on it.
-type cacheEntry struct {
-	done chan struct{}
-	tape *Tape
-	err  error
-}
-
+// The obs mirrors of the cache counters. All increments are per-cell or
+// per-build (cold), so mirroring them inline costs one no-op call while
+// metrics are off.
 var (
-	cache      sync.Map // cacheKey → *cacheEntry
-	cacheBytes atomic.Int64
-
-	statBuilds  atomic.Int64
-	statHits    atomic.Int64
-	statLive    atomic.Int64
-	statBuildNs atomic.Int64
-)
-
-// The obs mirrors of the cache counters. All increments below are
-// per-cell or per-build (cold), so mirroring them inline costs one
-// no-op call while metrics are off.
-var (
-	obsBuilds  = obs.NewCounter("tape.builds", "tapes", "reference tapes recorded")
-	obsHits    = obs.NewCounter("tape.hits", "cells", "cells served a shared tape they did not build")
 	obsLive    = obs.NewCounter("tape.live", "cells", "cells that generated streams live, bypassing the cache")
 	obsBuildNs = obs.NewCounter("tape.build_ns", "ns", "host time spent recording tapes")
-	obsBytes   = obs.NewGauge("tape.bytes", "bytes", "high-water retained tape column footprint")
+)
+
+var (
+	cache = memo.New[cacheKey, *Tape](memo.Config[*Tape]{
+		Name:   "tape",
+		Budget: maxCacheBytes,
+		Size:   func(t *Tape) int64 { return int64(t.Bytes()) },
+		Hits:   obs.NewCounter("tape.hits", "cells", "cells served a shared tape they did not build"),
+		Misses: obs.NewCounter("tape.builds", "tapes", "reference tapes recorded"),
+		Bytes:  obs.NewGauge("tape.bytes", "bytes", "high-water retained tape column footprint"),
+	})
+
+	statLive    atomic.Int64
+	statBuildNs atomic.Int64
 )
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	// Builds counts tapes recorded; Hits counts cells served a shared
-	// tape they did not build; Live counts cells that bypassed the cache
-	// (no TapeKey, incompatible layout, or byte budget exhausted).
+	// tape they did not build; Live counts cells that ran without a tape
+	// (no TapeKey, incompatible layout, byte budget reached, or a failed
+	// recording).
 	Builds, Hits, Live int64
 	// BuildNs is the cumulative host time spent recording tapes — the
 	// "tape build" half of the sdambench schema-3 split.
@@ -75,25 +71,20 @@ type Stats struct {
 
 // CacheStats returns a snapshot of the process-wide cache counters.
 func CacheStats() Stats {
+	s := cache.Stats()
 	return Stats{
-		Builds:  statBuilds.Load(),
-		Hits:    statHits.Load(),
+		Builds:  s.Misses,
+		Hits:    s.Hits,
 		Live:    statLive.Load(),
 		BuildNs: statBuildNs.Load(),
-		Bytes:   cacheBytes.Load(),
+		Bytes:   s.Bytes,
 	}
 }
 
-// ResetCache drops every cached tape and zeroes the counters (tests and
-// memory-sensitive callers).
+// ResetCache drops every cached tape and zeroes the counters. It must
+// not run while a cell is recording; tests call it between runs.
 func ResetCache() {
-	cache.Range(func(k, _ any) bool {
-		cache.Delete(k)
-		return true
-	})
-	cacheBytes.Store(0)
-	statBuilds.Store(0)
-	statHits.Store(0)
+	cache.Reset()
 	statLive.Store(0)
 	statBuildNs.Store(0)
 }
@@ -105,16 +96,13 @@ func ResetCache() {
 // cannot be replayed under — falls back to live generation, emitting
 // the identical sequence either way.
 func StreamsFor(w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
-	k, ok := w.(workload.TapeKeyer)
-	if !ok {
-		statLive.Add(1)
-		obsLive.Add(1)
-		return w.Streams(seed)
-	}
-	t := tapeFor(cacheKey{key: k.TapeKey(), seed: seed}, w, seed, lay)
-	if t != nil {
-		if ss, err := t.Streams(lay); err == nil {
-			return ss
+	if k, ok := w.(workload.TapeKeyer); ok {
+		key := cacheKey{key: k.TapeKey(), seed: seed}
+		t, err := cache.Do(key, func() (*Tape, error) { return record(key, w, seed, lay), nil })
+		if err == nil {
+			if ss, err := t.Streams(lay); err == nil {
+				return ss
+			}
 		}
 	}
 	statLive.Add(1)
@@ -122,58 +110,14 @@ func StreamsFor(w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
 	return w.Streams(seed)
 }
 
-// tapeFor returns the shared tape for key, recording it on first
-// arrival, or nil when the cache declined (budget) or the build failed.
-func tapeFor(key cacheKey, w workload.Workload, seed int64, lay *Layout) *Tape {
-	for {
-		if e, ok := cache.Load(key); ok {
-			entry := e.(*cacheEntry)
-			<-entry.done
-			if entry.err != nil {
-				// The builder failed; its entry is already deleted, so a
-				// retry below may rebuild. This cell just runs live.
-				return nil
-			}
-			statHits.Add(1)
-			obsHits.Add(1)
-			return entry.tape
-		}
-		if cacheBytes.Load() >= maxCacheBytes {
-			return nil
-		}
-		entry := &cacheEntry{done: make(chan struct{})}
-		if _, raced := cache.LoadOrStore(key, entry); raced {
-			continue // someone else claimed the slot; wait on theirs
-		}
-		func() {
-			defer func() {
-				if entry.tape == nil && entry.err == nil {
-					entry.err = errBuildPanic
-				}
-				if entry.err != nil {
-					cache.Delete(key)
-				}
-				close(entry.done)
-			}()
-			sp := obs.Span2("tape", key.key)
-			start := wallclock.Now()
-			t := Record(w.Streams(seed), *lay)
-			sp.End()
-			buildNs := wallclock.Since(start).Nanoseconds()
-			statBuildNs.Add(buildNs)
-			statBuilds.Add(1)
-			obsBuildNs.Add(buildNs)
-			obsBuilds.Add(1)
-			obsBytes.SetMax(cacheBytes.Add(int64(t.Bytes())))
-			entry.tape = t
-		}()
-		return entry.tape
-	}
+// record drains w's live streams into a tape, timing the build.
+func record(key cacheKey, w workload.Workload, seed int64, lay *Layout) *Tape {
+	sp := obs.Span2("tape", key.key)
+	start := wallclock.Now()
+	t := Record(w.Streams(seed), *lay)
+	sp.End()
+	buildNs := wallclock.Since(start).Nanoseconds()
+	statBuildNs.Add(buildNs)
+	obsBuildNs.Add(buildNs)
+	return t
 }
-
-// errBuildPanic marks an entry whose builder unwound without a result.
-var errBuildPanic = panicError{}
-
-type panicError struct{}
-
-func (panicError) Error() string { return "tape: recording did not complete" }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/system"
+	"repro/internal/tape"
 	"repro/internal/workload"
 )
 
@@ -108,6 +109,30 @@ func TestReplayPreservesReferenceCount(t *testing.T) {
 	}
 	if res.Run.Writes == 0 {
 		t.Fatal("write flags lost in the trace")
+	}
+}
+
+// TestReplaySharesOneTape: cells replaying the same trace share one
+// reference tape through its content-hash TapeKey, and a trace with
+// different contents gets a different key.
+func TestReplaySharesOneTape(t *testing.T) {
+	tape.ResetCache()
+	defer tape.ResetCache()
+	f := record(t)
+	if _, err := system.Compare(f.Workload(), system.Options{}, []system.Kind{system.BSDM, system.BSHM}); err != nil {
+		t.Fatal(err)
+	}
+	if s := tape.CacheStats(); s.Builds != 1 || s.Hits != 1 || s.Live != 0 {
+		t.Fatalf("tape stats = %+v, want 1 build shared by both cells", s)
+	}
+	key := func(f *File) string { return f.Workload().(workload.TapeKeyer).TapeKey() }
+	g := record(t)
+	if key(f) != key(g) {
+		t.Fatal("equal traces have different keys")
+	}
+	g.Threads[0][0].Off += 64
+	if key(f) == key(g) {
+		t.Fatal("a changed reference kept the key")
 	}
 }
 

@@ -104,7 +104,8 @@ func Clone(w Workload) Workload {
 // base addresses, which is exactly the invariant the reference-tape
 // cache (internal/tape) needs to share one recording across sweep
 // cells. Workloads whose streams depend on anything else (e.g. external
-// file contents) must not implement the interface.
+// file contents) must fold it into the key — a replayed trace file keys
+// on a hash of its contents — or not implement the interface.
 type TapeKeyer interface {
 	TapeKey() string
 }

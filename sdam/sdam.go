@@ -269,7 +269,7 @@ func LoadProfile(r io.Reader) (Profile, error) { return profile.Load(r) }
 // SelectKMeans clusters the profile's major variables with K-Means and
 // derives one mapping per cluster (the fast selector).
 func SelectKMeans(p Profile, k int) (Selection, error) {
-	return cluster.SelectKMeans(p, k, geom.Default())
+	return cluster.SelectKMeans(p, k, geom.Default(), cluster.Guarded)
 }
 
 // SelectKMeansAuto is SelectKMeans with the cluster count chosen
@@ -282,7 +282,7 @@ func SelectKMeansAuto(p Profile, maxK int) (Selection, error) {
 // autoencoder trained with a joint reconstruction+clustering loss (the
 // slow, higher-quality selector).
 func SelectDL(p Profile, deltas DeltaTrace, k int, opts DLOptions) (Selection, error) {
-	return cluster.SelectDL(p, deltas, k, geom.Default(), opts)
+	return cluster.SelectDL(p, deltas, k, geom.Default(), opts, cluster.Guarded)
 }
 
 // Experiments lists every paper table/figure regenerator (fig1…fig15,
