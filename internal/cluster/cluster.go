@@ -292,17 +292,19 @@ func SelectKMeansAuto(p profile.Profile, maxK int, g geom.Geometry) (Selection, 
 // defaults; the paper's full-size settings are in nn.PaperConfig and
 // Table 2.
 type DLOptions struct {
-	SeqLen     int // window length over the delta trace; paper: 32
-	Steps      int // training-sequence presentations; paper: 500k
+	SeqLen int // window length over the delta trace; paper: 32
+	// Steps counts training-sequence presentations (paper: 500k),
+	// consumed dlBatch at a time: ceil(Steps/dlBatch) optimizer steps.
+	Steps      int
 	MaxWindows int // cap on training windows
 	Seed       int64
-	// Batch is the mini-batch size: Steps presentations are consumed
-	// ceil(Steps/Batch) optimizer steps at a time, with the per-sequence
-	// gradients computed concurrently and reduced in fixed slot order
-	// (bit-identical at any -jobs count). Default 4; set 1 for the
-	// classic one-sequence-per-step loop.
-	Batch int
 }
+
+// dlBatch is the DL selector's mini-batch: the per-sequence gradients
+// of one optimizer step are computed as one four-lane lockstep tile (or
+// several concurrent tiles) and reduced in fixed slot order, so the
+// result is bit-identical at any -jobs count.
+const dlBatch = 4
 
 func (o DLOptions) withDefaults() DLOptions {
 	if o.SeqLen <= 0 {
@@ -320,9 +322,6 @@ func (o DLOptions) withDefaults() DLOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Batch <= 0 {
-		o.Batch = 4
 	}
 	return o
 }
@@ -345,7 +344,10 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 	// Slice the delta trace into non-overlapping windows, tagging each
 	// with its modal VID.
 	numVIDs := 0
-	for _, d := range deltas {
+	for i, d := range deltas {
+		if d.VID < 0 {
+			return Selection{}, fmt.Errorf("cluster: delta %d has negative VID %d", i, d.VID)
+		}
 		if d.VID >= numVIDs {
 			numVIDs = d.VID + 1
 		}
@@ -387,8 +389,8 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 	if err != nil {
 		return Selection{}, err
 	}
-	optSteps := (opts.Steps + opts.Batch - 1) / opts.Batch
-	report, err := model.TrainJoint(seqs, nn.TrainOptions{Steps: optSteps, K: k, Seed: opts.Seed, Batch: opts.Batch})
+	optSteps := (opts.Steps + dlBatch - 1) / dlBatch
+	report, err := model.TrainJoint(seqs, nn.TrainOptions{Steps: optSteps, K: k, Seed: opts.Seed, Batch: dlBatch})
 	spTrain.End()
 	if err != nil {
 		return Selection{}, err

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -116,6 +117,18 @@ func TestSelectDLRejectsShortTrace(t *testing.T) {
 	p, _ := buildProfile(t, []int{1}, 300)
 	if _, err := SelectDL(p, nil, 2, geom.Default(), DLOptions{}, Guarded); err == nil {
 		t.Fatal("empty delta trace accepted")
+	}
+}
+
+// TestSelectDLRejectsNegativeVID pins that a caller-built delta trace
+// with a negative VID is an error, not a panic inside the trainer.
+func TestSelectDLRejectsNegativeVID(t *testing.T) {
+	p, deltas := buildProfile(t, []int{1, 16}, 300)
+	deltas = append([]trace.DeltaSample(nil), deltas...)
+	deltas[7].VID = -1
+	_, err := SelectDL(p, deltas, 2, geom.Default(), DLOptions{Steps: 8, MaxWindows: 8}, Guarded)
+	if err == nil || !strings.Contains(err.Error(), "negative VID") {
+		t.Fatalf("err = %v, want a negative-VID error", err)
 	}
 }
 

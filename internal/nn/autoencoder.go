@@ -13,14 +13,14 @@ import (
 	"repro/internal/parallel"
 )
 
-// trainSteps counts sequence-gradient evaluations (stepIn calls)
-// process-wide. The selection cache's tests read it to prove a cached
-// selection performed zero additional training work.
+// trainSteps counts sequence-gradient evaluations (one per batch slot
+// per laneTile.run) process-wide. The selection cache's tests read it
+// to prove a cached selection performed zero additional training work.
 var trainSteps atomic.Uint64
 
 // obsTrainSteps mirrors trainSteps into the obs registry — the
 // "selection cache hit ⇒ zero optimizer steps" counter equality. The
-// call sites are //sdam:noalloc (stepIn, laneTile.run); obs fast paths
+// call site is //sdam:noalloc (laneTile.run); obs fast paths
 // allocate nothing and the noalloc analyzer knows they are allowed.
 var obsTrainSteps = obs.NewCounter("nn.train_steps", "steps", "per-sequence forward/backward training evaluations")
 
@@ -121,26 +121,18 @@ func (m *Autoencoder) shadow() *Autoencoder {
 // EmbeddingDim returns the dimensionality of learned embeddings.
 func (m *Autoencoder) EmbeddingDim() int { return m.cfg.Hidden }
 
-// forward caches everything a backward pass needs. Its slices alias the
-// owning stepScratch and are valid until that scratch's next use.
-type fwd struct {
-	bitVecs  [][]float64
-	embs     [][]float64 // concatenated Δ/VID embeddings per step
-	encState *StackState
-	h        []float64 // final encoder hidden = sequence embedding
-	decState *StackState
-	decOuts  [][]float64
-	logits   [][]float64
-	probs    [][]float64
-}
-
-// stepScratch is the reusable workspace of one training/embedding
-// worker: every buffer a forward and backward pass needs, allocated
-// once and rewritten per call, so the steady-state step performs zero
-// allocations. Each concurrent worker (or batch slot) owns its own.
+// stepScratch is the reusable workspace of one batch slot or embedding
+// lane: every buffer a forward and backward pass needs, allocated once
+// and rewritten per call, so the steady-state step performs zero
+// allocations. The forward-pass fields alias the backing buffers and
+// are valid until the scratch's next use.
 type stepScratch struct {
-	fwd
 	maxT int
+
+	// Forward pass of the current sequence.
+	bitVecs [][]float64 // Δ bit vectors, the reconstruction targets
+	h       []float64   // final encoder hidden = sequence embedding
+	probs   [][]float64 // reconstructed bit probabilities
 
 	bitsAll   [][]float64
 	embsAll   [][]float64
@@ -200,170 +192,33 @@ func (m *Autoencoder) embedInputs(sc *stepScratch, s Sequence) [][]float64 {
 	E := m.cfg.EmbDim
 	T := len(s.Deltas)
 	sc.ensure(m, T)
-	f := &sc.fwd
-	f.bitVecs = sc.bitsAll[:T]
-	f.embs = sc.embsAll[:T]
+	sc.bitVecs = sc.bitsAll[:T]
+	embs := sc.embsAll[:T]
 	for t, d := range s.Deltas {
-		bits := f.bitVecs[t]
+		bits := sc.bitVecs[t]
 		for b := 0; b < m.cfg.DeltaBits; b++ {
 			bits[b] = float64(d >> b & 1)
 		}
-		cat := f.embs[t]
+		cat := embs[t]
 		m.deltaEmb.ForwardIn(cat[:E], bits)
 		vid := s.VIDs[t] % m.cfg.NumVIDs
 		copy(cat[E:], m.vidEmb.W[vid*E:(vid+1)*E])
 	}
-	return f.embs
+	return embs
 }
 
-// encodeIn runs the encoder half only — all an embedding needs; the
-// decoder never feeds back into h, so skipping it is bit-identical.
-// The returned vector aliases the scratch.
-func (m *Autoencoder) encodeIn(sc *stepScratch, s Sequence) []float64 {
-	embs := m.embedInputs(sc, s)
-	encOuts := m.enc.ForwardIn(sc.enc, embs)
-	sc.h = encOuts[len(encOuts)-1]
-	return sc.h
-}
-
-// forwardIn runs the full forward pass through the scratch.
-func (m *Autoencoder) forwardIn(sc *stepScratch, s Sequence) *fwd {
-	T := len(s.Deltas)
-	f := &sc.fwd
-	embs := m.embedInputs(sc, s)
-	f.encState = sc.enc
-	encOuts := m.enc.ForwardIn(sc.enc, embs)
-	f.h = encOuts[len(encOuts)-1]
-
-	// The decoder receives the embedding at every step (conditioning by
-	// repetition, the standard seq2seq autoencoder trick).
-	decIn := sc.decIn[:T]
-	for t := range decIn {
-		decIn[t] = f.h
-	}
-	f.decState = sc.dec
-	f.decOuts = m.dec.ForwardIn(sc.dec, decIn)
-	f.logits = sc.logitsAll[:T]
-	f.probs = sc.probsAll[:T]
-	for t, hOut := range f.decOuts {
-		m.out.ForwardIn(f.logits[t], hOut)
-		p := f.probs[t]
-		for j, z := range f.logits[t] {
-			p[j] = sigmoid(z)
-		}
-	}
-	return f
-}
-
-// forward is forwardIn through a fresh workspace, for callers (tests,
-// gradient checks) that want an independent cache per call.
-func (m *Autoencoder) forward(s Sequence) *fwd {
-	sc := m.newScratch(len(s.Deltas))
-	return m.forwardIn(sc, s)
-}
-
-// reconLoss returns the Eq. 3 L1 reconstruction loss of a cached
+// reconLoss returns the Eq. 3 L1 reconstruction loss of the scratch's
 // forward pass, averaged per bit.
-func (f *fwd) reconLoss() float64 {
+func (sc *stepScratch) reconLoss() float64 {
 	var loss float64
 	var n int
-	for t, p := range f.probs {
+	for t, p := range sc.probs {
 		for j := range p {
-			loss += math.Abs(p[j] - f.bitVecs[t][j])
+			loss += math.Abs(p[j] - sc.bitVecs[t][j])
 			n++
 		}
 	}
-	if n == 0 {
-		return 0
-	}
 	return loss / float64(n)
-}
-
-// Embed returns the learned embedding of a sequence (inference only).
-func (m *Autoencoder) Embed(s Sequence) []float64 {
-	if len(s.Deltas) == 0 {
-		return make([]float64, m.cfg.Hidden)
-	}
-	sc := m.newScratch(len(s.Deltas))
-	h := m.encodeIn(sc, s)
-	out := make([]float64, len(h))
-	copy(out, h)
-	return out
-}
-
-// stepIn runs one training example through the scratch: forward, loss,
-// backward. centroid may be nil (pure reconstruction); otherwise the
-// joint objective L = L_reconstruct + λ·‖h − μ‖² from §6.2 step 2
-// applies. Gradients accumulate into m's params (the master model when
-// serial, a shadow slot when batched). Steady state allocates nothing.
-//
-//sdam:noalloc
-func (m *Autoencoder) stepIn(sc *stepScratch, s Sequence, centroid []float64, lambda float64) float64 {
-	trainSteps.Add(1)
-	obsTrainSteps.Add(1)
-	f := m.forwardIn(sc, s)
-	T := len(s.Deltas)
-	nBits := float64(T * m.cfg.DeltaBits)
-
-	// Output layer backward: d|p-y|/dz = sign(p-y)·p·(1-p).
-	dDecOuts := sc.dDecOuts[:T]
-	dLogit := sc.dLogit
-	for t := range f.probs {
-		for j, p := range f.probs[t] {
-			sign := 1.0
-			if p < f.bitVecs[t][j] {
-				sign = -1
-			}
-			dLogit[j] = sign * p * (1 - p) / nBits
-		}
-		m.out.BackwardIn(dDecOuts[t], f.decOuts[t], dLogit)
-	}
-	dDecIn := f.decState.Backward(dDecOuts)
-
-	// The embedding h received gradient from every decoder step plus,
-	// under the joint objective, the clustering pull 2λ(h−μ).
-	dh := sc.dh
-	for j := range dh {
-		dh[j] = 0
-	}
-	for _, d := range dDecIn {
-		for j, g := range d {
-			dh[j] += g
-		}
-	}
-	loss := f.reconLoss()
-	if centroid != nil {
-		var cl float64
-		for j := range f.h {
-			diff := f.h[j] - centroid[j]
-			dh[j] += lambda * 2 * diff
-			cl += diff * diff
-		}
-		loss += lambda * cl
-	}
-
-	dEncOuts := sc.dEncOuts[:T]
-	for t := range dEncOuts {
-		dEncOuts[t] = nil
-	}
-	dEncOuts[T-1] = dh
-	dEmb := f.encState.Backward(dEncOuts)
-
-	// Embedding backward: split the concatenated gradient.
-	E := m.cfg.EmbDim
-	for t, d := range dEmb {
-		m.deltaEmb.BackwardIn(nil, f.bitVecs[t], d[:E])
-		vid := s.VIDs[t] % m.cfg.NumVIDs
-		for j := 0; j < E; j++ {
-			m.vidEmb.Grad[vid*E+j] += d[E+j]
-		}
-	}
-	return loss
-}
-
-// step is stepIn through a fresh workspace (tests, gradient checks).
-func (m *Autoencoder) step(s Sequence, centroid []float64, lambda float64) float64 {
-	return m.stepIn(m.newScratch(len(s.Deltas)), s, centroid, lambda)
 }
 
 // TrainReport summarizes a training run.
@@ -389,18 +244,18 @@ type TrainOptions struct {
 	K        int     // clusters; required for the joint phase
 	Reassign int     // recompute K-Means every this many joint steps; default 50
 	Seed     int64
-	// Batch is the number of sequences per optimizer step; default 1
-	// (the classic stochastic loop). With Batch > 1 the per-sequence
-	// gradients are computed concurrently into per-slot buffers and
-	// reduced in slot order — the mean batch gradient is bit-identical
-	// at any worker count because the reduction order is fixed.
+	// Batch is the number of sequences per optimizer step; default 1.
+	// Each sequence's gradient is computed into its own slot's buffers
+	// and the slots are reduced in slot order, so the mean batch
+	// gradient is bit-identical at any worker count.
 	Batch int
 }
 
 // trainer owns the per-slot shadows and scratches of one TrainJoint
 // run. Slot b's gradient always accumulates in slot b's buffers no
-// matter which worker computes it, so the reduction order — slot 0
-// first, then 1, ... — is independent of scheduling.
+// matter which worker or lane tile computes it, so the reduction order
+// — slot 0 first, then 1, ... — is independent of scheduling. Batch 1
+// is the same machinery with one slot in a one-lane tile.
 type trainer struct {
 	master  *Autoencoder
 	slots   []*Autoencoder
@@ -414,15 +269,7 @@ type trainer struct {
 }
 
 func newTrainer(m *Autoencoder, batch, maxT int) *trainer {
-	tr := &trainer{master: m, maxT: maxT, losses: make([]float64, batch)}
-	if batch == 1 {
-		// Serial fast path: gradients accumulate directly into the
-		// master, exactly the classic loop.
-		tr.slots = []*Autoencoder{m}
-		tr.scr = []*stepScratch{m.newScratch(maxT)}
-		return tr
-	}
-	tr.mParams = m.Params()
+	tr := &trainer{master: m, maxT: maxT, losses: make([]float64, batch), mParams: m.Params()}
 	for b := 0; b < batch; b++ {
 		sh := m.shadow()
 		tr.slots = append(tr.slots, sh)
@@ -444,24 +291,14 @@ func newTrainer(m *Autoencoder, batch, maxT int) *trainer {
 }
 
 // step runs one optimizer step's gradient computation over the batch
-// indices idx, leaving the summed (mean, for Batch > 1) gradient in the
-// master's params and returning the mean loss. centroids/assign supply
-// the joint-phase clustering pull; nil means reconstruction only.
+// indices idx (one per slot), leaving the mean gradient in the master's
+// params and returning the mean loss. centroids/assign supply the
+// joint-phase clustering pull; nil means reconstruction only.
 func (tr *trainer) step(seqs []Sequence, idx []int, centroids [][]float64, assign []int, lambda float64) float64 {
-	centroidOf := func(i int) []float64 {
-		if centroids == nil {
-			return nil
-		}
-		return centroids[assign[i]]
-	}
-	if len(idx) == 1 {
-		return tr.master.stepIn(tr.scr[0], seqs[idx[0]], centroidOf(idx[0]), lambda)
-	}
-	// Lockstep lane tiles replace the per-sequence fan-out: each tile
-	// advances its slots through the network together, streaming every
-	// weight row once across its lanes (lockstep.go). Tiles run
-	// concurrently when there is more than one; each batch slot still
-	// owns its shadow model and scratch.
+	// Each lockstep lane tile advances its slots through the network
+	// together, streaming every weight row once across its lanes
+	// (lockstep.go). Tiles run concurrently when there is more than one;
+	// each batch slot owns its shadow model and scratch.
 	if len(tr.tiles) == 1 {
 		tr.tiles[0].run(seqs, idx, centroids, assign, lambda)
 	} else {
@@ -535,11 +372,24 @@ func (tr *trainer) embedAll(seqs []Sequence) [][]float64 {
 // Every stage runs on the parallel worker pool with bit-identical
 // results at any -jobs count: per-sequence gradients reduce in fixed
 // slot order before each parameter update, and embedding sweeps write
-// disjoint output slots. With Batch == 1 the loop degenerates to the
-// classic serial recipe.
+// disjoint output slots. Every sequence must be non-empty, carry a VID
+// per delta, and have no negative VID.
 func (m *Autoencoder) TrainJoint(seqs []Sequence, opts TrainOptions) (TrainReport, error) {
 	if len(seqs) == 0 {
 		return TrainReport{}, fmt.Errorf("nn: no training sequences")
+	}
+	for i, s := range seqs {
+		if len(s.Deltas) == 0 {
+			return TrainReport{}, fmt.Errorf("nn: training sequence %d is empty", i)
+		}
+		if len(s.VIDs) < len(s.Deltas) {
+			return TrainReport{}, fmt.Errorf("nn: training sequence %d has %d VIDs for %d deltas", i, len(s.VIDs), len(s.Deltas))
+		}
+		for t, vid := range s.VIDs[:len(s.Deltas)] {
+			if vid < 0 {
+				return TrainReport{}, fmt.Errorf("nn: training sequence %d has negative VID %d at step %d", i, vid, t)
+			}
+		}
 	}
 	if opts.Steps <= 0 {
 		opts.Steps = 400

@@ -3,10 +3,61 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/kmeans"
 )
+
+// stepOne runs seq through one Batch-1 training step of a fresh
+// trainer, accumulating its gradient into m's params, and returns the
+// step's loss: the reconstruction loss plus, with a centroid, the
+// joint clustering term λ·‖h − μ‖².
+func stepOne(m *Autoencoder, seq Sequence, centroid []float64, lambda float64) float64 {
+	var centroids [][]float64
+	if centroid != nil {
+		centroids = [][]float64{centroid}
+	}
+	tr := newTrainer(m, 1, len(seq.Deltas))
+	return tr.step([]Sequence{seq}, []int{0}, centroids, []int{0}, lambda)
+}
+
+// embed returns the learned embedding of every sequence.
+func embed(m *Autoencoder, seqs []Sequence) [][]float64 {
+	maxT := 1
+	for _, s := range seqs {
+		maxT = max(maxT, len(s.Deltas))
+	}
+	return newTrainer(m, 1, maxT).embedAll(seqs)
+}
+
+// gradCheck compares every stride-th analytic gradient of m's params,
+// as stepOne leaves them, with central differences of stepOne's loss.
+func gradCheck(t *testing.T, m *Autoencoder, seq Sequence, centroid []float64, lambda float64, stride int) int {
+	t.Helper()
+	for _, p := range m.Params() {
+		p.ZeroGrad()
+	}
+	stepOne(m, seq, centroid, lambda)
+	var analytic [][]float64
+	for _, p := range m.Params() {
+		analytic = append(analytic, append([]float64(nil), p.Grad...))
+	}
+	// Every loss evaluation accumulates more gradient into the params;
+	// the comparison reads the snapshot above.
+	loss := func() float64 { return stepOne(m, seq, centroid, lambda) }
+	checked := 0
+	for pi, p := range m.Params() {
+		for i := 0; i < len(p.W); i += stride {
+			want := numericGrad(&p.W[i], loss)
+			if math.Abs(analytic[pi][i]-want) > 1e-5 {
+				t.Fatalf("%s[%d]: analytic %.8f numeric %.8f", p.Name, i, analytic[pi][i], want)
+			}
+			checked++
+		}
+	}
+	return checked
+}
 
 // synthSequences builds sequences from two very different access
 // patterns: variable 0 streams (delta 1), variable 1 strides by 16
@@ -51,28 +102,16 @@ func TestNewAutoencoderValidation(t *testing.T) {
 	}
 }
 
-func TestEmbedZeroSequence(t *testing.T) {
-	m, _ := NewAutoencoder(smallConfig())
-	e := m.Embed(Sequence{})
-	if len(e) != m.EmbeddingDim() {
-		t.Fatalf("embed dim = %d", len(e))
-	}
-	for _, v := range e {
-		if v != 0 {
-			t.Fatal("empty sequence embedding not zero")
-		}
-	}
-}
-
 func TestReconstructionLossDecreases(t *testing.T) {
 	m, _ := NewAutoencoder(smallConfig())
 	seqs := synthSequences(16, 8)
 	opt := NewAdam(m.Params(), 0.01)
 	r := rand.New(rand.NewSource(1))
+	tr := newTrainer(m, 1, 8)
 	var first, last float64
 	const steps = 150
 	for i := 0; i < steps; i++ {
-		loss := m.step(seqs[r.Intn(len(seqs))], nil, 0)
+		loss := tr.step(seqs, []int{r.Intn(len(seqs))}, nil, nil, 0)
 		if i == 0 {
 			first = loss
 		}
@@ -115,10 +154,25 @@ func TestTrainJointSeparatesPatterns(t *testing.T) {
 	}
 }
 
+// TestTrainJointErrors pins that malformed training input is an error,
+// not a panic inside the trainer.
 func TestTrainJointErrors(t *testing.T) {
-	m, _ := NewAutoencoder(smallConfig())
-	if _, err := m.TrainJoint(nil, TrainOptions{}); err == nil {
-		t.Fatal("empty training set accepted")
+	good := Sequence{Deltas: []uint32{1, 2}, VIDs: []int{0, 1}}
+	for _, tc := range []struct {
+		name string
+		seqs []Sequence
+		want string
+	}{
+		{"no sequences", nil, "no training sequences"},
+		{"empty sequence", []Sequence{good, {}}, "sequence 1 is empty"},
+		{"short VIDs", []Sequence{good, {Deltas: []uint32{1, 2}, VIDs: []int{0}}}, "1 VIDs for 2 deltas"},
+		{"negative VID", []Sequence{good, {Deltas: []uint32{1, 2}, VIDs: []int{0, -3}}}, "negative VID -3"},
+	} {
+		m, _ := NewAutoencoder(smallConfig())
+		_, err := m.TrainJoint(tc.seqs, TrainOptions{Steps: 4, K: 1})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -131,10 +185,7 @@ func TestEmbeddingsClusterableByKMeans(t *testing.T) {
 	if _, err := m.TrainJoint(seqs, TrainOptions{Steps: 120, K: 2, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	var embs [][]float64
-	for _, s := range seqs {
-		embs = append(embs, m.Embed(s))
-	}
+	embs := embed(m, seqs)
 	k1, _ := kmeans.Cluster(embs, 1, kmeans.Options{})
 	k2, _ := kmeans.Cluster(embs, 2, kmeans.Options{})
 	if k2.Loss >= k1.Loss {
@@ -144,9 +195,9 @@ func TestEmbeddingsClusterableByKMeans(t *testing.T) {
 
 func TestEmbedDeterministic(t *testing.T) {
 	m, _ := NewAutoencoder(smallConfig())
-	s := synthSequences(2, 8)[0]
-	a := m.Embed(s)
-	b := m.Embed(s)
+	seqs := synthSequences(2, 8)[:1]
+	a := embed(m, seqs)[0]
+	b := embed(m, seqs)[0]
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Embed not deterministic")
@@ -164,33 +215,7 @@ func TestAutoencoderFullModelGradCheck(t *testing.T) {
 	}
 	seq := Sequence{Deltas: []uint32{1, 3, 2}, VIDs: []int{0, 1, 0}}
 	centroid := []float64{0.1, -0.2, 0.3, 0}
-	const lambda = 0.05
-
-	loss := func() float64 {
-		f := m.forward(seq)
-		l := f.reconLoss()
-		for j := range f.h {
-			d := f.h[j] - centroid[j]
-			l += lambda * d * d
-		}
-		return l
-	}
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
-	m.step(seq, centroid, lambda)
-
-	checked := 0
-	for _, p := range m.Params() {
-		for i := 0; i < len(p.W); i += 5 { // sample weights
-			want := numericGrad(&p.W[i], loss)
-			if math.Abs(p.Grad[i]-want) > 1e-5 {
-				t.Fatalf("%s[%d]: analytic %.8f numeric %.8f", p.Name, i, p.Grad[i], want)
-			}
-			checked++
-		}
-	}
-	if checked < 30 {
+	if checked := gradCheck(t, m, seq, centroid, 0.05, 5); checked < 30 {
 		t.Fatalf("only %d weights checked", checked)
 	}
 }
@@ -211,19 +236,7 @@ func TestStackedModelGradCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := Sequence{Deltas: []uint32{1, 2}, VIDs: []int{0, 1}}
-	loss := func() float64 { return m.forward(seq).reconLoss() }
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
-	m.step(seq, nil, 0)
-	for _, p := range m.Params() {
-		for i := 0; i < len(p.W); i += 7 {
-			want := numericGrad(&p.W[i], loss)
-			if math.Abs(p.Grad[i]-want) > 1e-5 {
-				t.Fatalf("%s[%d]: analytic %.8f numeric %.8f", p.Name, i, p.Grad[i], want)
-			}
-		}
-	}
+	gradCheck(t, m, seq, nil, 0, 7)
 }
 
 func TestStackedTrainingConverges(t *testing.T) {

@@ -1,22 +1,22 @@
 package nn
 
-// Lockstep lane-fused training (DESIGN.md §14). Instead of fanning each
-// batch slot out as an independent per-sequence pass that re-streams the
-// full weight matrices, a lane tile advances up to laneWidth slots
-// through the network together, timestep by timestep: every Wx/Wh
-// weight row is loaded once per timestep and feeds all lanes'
-// independent fused-multiply-add chains (f64.Axpy4 / f64.GradDot4).
-// That multiplies the arithmetic intensity of the memory-bound GEMV
-// loops by the lane count and converts unused batch parallelism into
-// instruction-level parallelism.
+// Lockstep lane-fused training (DESIGN.md §14), the package's only LSTM
+// forward/backward implementation. A lane tile advances up to laneWidth
+// batch slots through the network together, timestep by timestep:
+// every Wx/Wh weight row is loaded once per timestep and feeds all
+// lanes' independent fused-multiply-add chains (f64.Axpy4 /
+// f64.GradDot4). That multiplies the arithmetic intensity of the
+// memory-bound GEMV loops by the lane count and converts batch
+// parallelism into instruction-level parallelism. A batch of one is a
+// one-lane tile.
 //
 // Exactness: fusion only interleaves *independent* per-lane operation
 // chains. Each lane keeps its own pre-activation, gate, gradient, and
 // accumulator buffers, and within a lane every element still receives
-// its contributions in exactly the scalar path's order (ascending i,
-// with the load-bearing xi == 0 / g == 0 skips applied per lane). Each
-// output element has one serial owner, so results are bit-identical to
-// the shadow-model fan-out at any lane count, batch size, or -jobs
+// its contributions in exactly the scalar order (ascending i, with the
+// load-bearing xi == 0 / g == 0 skips applied per lane). Each output
+// element has one serial owner, so every lane is bit-identical to the
+// scalar referee in ref_test.go at any lane count, batch size, or -jobs
 // setting. Ragged sequence lengths are handled by per-lane activity
 // masks: a lane simply stops participating past its own T.
 
@@ -78,7 +78,8 @@ func axpyN(ds *[laneWidth][]float64, row []float64, as *[laneWidth]float64, m in
 
 // laneLSTMForward runs up to laneWidth lanes of one LSTM layer in
 // lockstep. All lanes share the layer's weights (l); each lane's state
-// carries its own scratch, so per-lane math is exactly ForwardIn's.
+// carries its own scratch, so per-lane math is exactly the scalar
+// referee's (refLSTMForwardIn in ref_test.go).
 func laneLSTMForward(l *LSTM, sts []*LSTMState, xss [][][]float64) {
 	H := l.Hidden
 	n := len(sts)
@@ -95,7 +96,7 @@ func laneLSTMForward(l *LSTM, sts []*LSTMState, xss [][][]float64) {
 		h[k], c[k] = sts[k].h0, sts[k].c0
 	}
 	for t := 0; t < maxT; t++ {
-		// Per-lane pre-activation init, with ForwardIn's dedup: a lane
+		// Per-lane pre-activation init, with the xw dedup: a lane
 		// whose input row aliases its previous step's row (the decoder's
 		// conditioning-by-repetition) replays the snapshotted B + x·Wx.
 		var fresh [laneWidth]bool
@@ -319,7 +320,7 @@ func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 			gradDotN(&grads, l0.Wx.W[lo:hi], &gs, &xis, &dsts, m)
 		}
 		// Wh rows: dhNext was consumed into dh above, so it can be
-		// overwritten in place, exactly as in the scalar Backward.
+		// overwritten in place, exactly as in the scalar referee.
 		for i := 0; i < H; i++ {
 			lo, hi := i*4*H, (i+1)*4*H
 			m := 0
@@ -415,9 +416,11 @@ type laneTile struct {
 }
 
 // run computes the gradients of the tile's slots for one optimizer
-// step, the lockstep replacement for per-slot stepIn calls: encoder
-// and decoder sweeps are lane-fused, the small output/embedding layers
-// run per lane. Per-slot losses land in tr.losses.
+// step: encoder and decoder sweeps are lane-fused, the small
+// output/embedding layers run per lane. Per-slot losses land in
+// tr.losses. Steady state allocates nothing.
+//
+//sdam:noalloc
 func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assign []int, lambda float64) {
 	tr := ti.tr
 	n := ti.hi - ti.lo
@@ -431,7 +434,6 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		sc := tr.scr[b]
 		ti.xss[k] = tr.slots[b].embedInputs(sc, seqs[idx[b]])
 		ti.sstates[k] = sc.enc
-		sc.fwd.encState = sc.enc
 	}
 	ti.lsc.stackForward(tr.master.enc, ti.sstates[:n], ti.xss[:n])
 
@@ -440,14 +442,13 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 	for k := 0; k < n; k++ {
 		sc := tr.scr[ti.lo+k]
 		outs := ti.lsc.cur[k]
-		sc.fwd.h = outs[len(outs)-1]
+		sc.h = outs[len(outs)-1]
 		decIn := sc.decIn[:len(outs)]
 		for t := range decIn {
-			decIn[t] = sc.fwd.h
+			decIn[t] = sc.h
 		}
 		ti.xss[k] = decIn
 		ti.sstates[k] = sc.dec
-		sc.fwd.decState = sc.dec
 	}
 	ti.lsc.stackForward(tr.master.dec, ti.sstates[:n], ti.xss[:n])
 
@@ -460,22 +461,20 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		s := seqs[idx[b]]
 		sc := tr.scr[b]
 		slot := tr.slots[b]
-		f := &sc.fwd
-		f.decOuts = ti.lsc.cur[k]
 		T := len(s.Deltas)
 		nBits := float64(T * slot.cfg.DeltaBits)
-		f.logits = sc.logitsAll[:T]
-		f.probs = sc.probsAll[:T]
+		sc.probs = sc.probsAll[:T]
 		dDecOuts := sc.dDecOuts[:T]
 		dLogit := sc.dLogit
-		for t, hOut := range f.decOuts {
-			slot.out.ForwardIn(f.logits[t], hOut)
-			p := f.probs[t]
-			bits := f.bitVecs[t]
-			for j, z := range f.logits[t] {
+		for t, hOut := range ti.lsc.cur[k] {
+			logits := sc.logitsAll[t]
+			slot.out.ForwardIn(logits, hOut)
+			p := sc.probs[t]
+			bits := sc.bitVecs[t]
+			for j, z := range logits {
 				pv := sigmoid(z)
 				p[j] = pv
-				// d|p-y|/dz = sign(p-y)·p·(1-p), as in stepIn.
+				// d|p-y|/dz = sign(p-y)·p·(1-p).
 				sign := 1.0
 				if pv < bits[j] {
 					sign = -1
@@ -494,7 +493,6 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		b := ti.lo + k
 		i := idx[b]
 		sc := tr.scr[b]
-		f := &sc.fwd
 		T := len(seqs[i].Deltas)
 		dh := sc.dh
 		for j := range dh {
@@ -503,12 +501,12 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		for _, d := range ti.lsc.cur[k] {
 			f64.Add(dh, d)
 		}
-		loss := f.reconLoss()
+		loss := sc.reconLoss()
 		if centroids != nil {
 			centroid := centroids[assign[i]]
 			var cl float64
-			for j := range f.h {
-				diff := f.h[j] - centroid[j]
+			for j := range sc.h {
+				diff := sc.h[j] - centroid[j]
 				dh[j] += lambda * 2 * diff
 				cl += diff * diff
 			}
@@ -533,7 +531,7 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		sc := tr.scr[b]
 		slot := tr.slots[b]
 		for t, d := range ti.lsc.cur[k] {
-			slot.deltaEmb.BackwardIn(nil, sc.fwd.bitVecs[t], d[:E])
+			slot.deltaEmb.BackwardIn(nil, sc.bitVecs[t], d[:E])
 			vid := s.VIDs[t] % slot.cfg.NumVIDs
 			f64.Add(slot.vidEmb.Grad[vid*E:(vid+1)*E], d[E:])
 		}
@@ -548,7 +546,6 @@ type embedTile struct {
 	lsc     laneScratch
 	sstates [laneWidth]*StackState
 	xss     [laneWidth][][]float64
-	lanes   [laneWidth]int
 }
 
 func newEmbedTile(m *Autoencoder, maxT int) *embedTile {
@@ -559,27 +556,17 @@ func newEmbedTile(m *Autoencoder, maxT int) *embedTile {
 	return et
 }
 
-// run embeds sequences [lo, hi) of seqs into their rows of out. Empty
-// sequences keep their zero rows, exactly as the per-sequence sweep.
+// run embeds sequences [lo, hi) of seqs into their rows of out.
 func (et *embedTile) run(m *Autoencoder, seqs []Sequence, lo, hi int, out [][]float64) {
-	n := 0
-	for i := lo; i < hi; i++ {
-		s := seqs[i]
-		if len(s.Deltas) == 0 {
-			continue
-		}
-		sc := et.scr[n]
-		et.xss[n] = m.embedInputs(sc, s)
-		et.sstates[n] = sc.enc
-		et.lanes[n] = i
-		n++
-	}
-	if n == 0 {
-		return
+	n := hi - lo
+	for k := 0; k < n; k++ {
+		sc := et.scr[k]
+		et.xss[k] = m.embedInputs(sc, seqs[lo+k])
+		et.sstates[k] = sc.enc
 	}
 	et.lsc.stackForward(m.enc, et.sstates[:n], et.xss[:n])
 	for k := 0; k < n; k++ {
 		outs := et.lsc.cur[k]
-		copy(out[et.lanes[k]], outs[len(outs)-1])
+		copy(out[lo+k], outs[len(outs)-1])
 	}
 }

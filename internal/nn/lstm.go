@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"repro/internal/f64"
 )
 
 // LSTM is a single-layer LSTM processing sequences step by step with
@@ -95,8 +93,8 @@ func (s *Stack) shadow() *Stack {
 
 // StackState caches one forward pass through all layers. A state is
 // reusable scratch: allocate once with NewState, then run any number of
-// ForwardIn/Backward cycles through it without further allocation (the
-// returned slices alias the state and are valid until its next use).
+// lockstep forward/backward cycles (lockstep.go) through it without
+// further allocation.
 type StackState struct {
 	states []*LSTMState
 }
@@ -109,34 +107,6 @@ func (s *Stack) NewState(maxT int) *StackState {
 		st.states = append(st.states, l.NewState(maxT))
 	}
 	return st
-}
-
-// Forward runs the stack over a sequence, returning the cached state and
-// the top layer's per-step hidden vectors. It allocates a fresh state;
-// hot paths reuse one via NewState + ForwardIn.
-func (s *Stack) Forward(xs [][]float64) (*StackState, [][]float64) {
-	st := s.NewState(len(xs))
-	return st, s.ForwardIn(st, xs)
-}
-
-// ForwardIn runs the stack through reusable scratch, returning the top
-// layer's per-step hidden vectors (aliased into st; treat as read-only).
-func (s *Stack) ForwardIn(st *StackState, xs [][]float64) [][]float64 {
-	cur := xs
-	for k, l := range s.layers {
-		cur = l.ForwardIn(st.states[k], cur)
-	}
-	return cur
-}
-
-// Backward propagates top-layer hidden gradients down the stack and
-// returns the input gradients (aliased into the state's scratch).
-func (st *StackState) Backward(dH [][]float64) [][]float64 {
-	cur := dH
-	for k := len(st.states) - 1; k >= 0; k-- {
-		cur = st.states[k].Backward(cur)
-	}
-	return cur
 }
 
 // LSTMState is the cached forward pass over one sequence plus the
@@ -154,23 +124,23 @@ type LSTMState struct {
 	xw    []float64 // B + x·Wx of the last distinct input row
 
 	// Backward scratch, fully rewritten per call.
-	dxs              [][]float64
-	dh, dPre, dc     []float64
-	dhNext, dcNext   []float64
-	gateBuf, dxBuf   []float64 // backing arrays for steps[i]/dxs
+	dxs            [][]float64
+	dh, dPre, dc   []float64
+	dhNext, dcNext []float64
+	gateBuf, dxBuf []float64 // backing arrays for steps[i]/dxs
 }
 
 // NewState allocates reusable scratch for sequences up to maxT steps.
 func (l *LSTM) NewState(maxT int) *LSTMState {
 	st := &LSTMState{
-		lstm: l,
-		h0:   make([]float64, l.Hidden),
-		c0:   make([]float64, l.Hidden),
-		pre:  make([]float64, 4*l.Hidden),
-		xw:   make([]float64, 4*l.Hidden),
-		dh:   make([]float64, l.Hidden),
-		dPre: make([]float64, 4*l.Hidden),
-		dc:   make([]float64, l.Hidden),
+		lstm:   l,
+		h0:     make([]float64, l.Hidden),
+		c0:     make([]float64, l.Hidden),
+		pre:    make([]float64, 4*l.Hidden),
+		xw:     make([]float64, 4*l.Hidden),
+		dh:     make([]float64, l.Hidden),
+		dPre:   make([]float64, 4*l.Hidden),
+		dc:     make([]float64, l.Hidden),
 		dhNext: make([]float64, l.Hidden),
 		dcNext: make([]float64, l.Hidden),
 	}
@@ -202,104 +172,4 @@ func (st *LSTMState) grow(maxT int) {
 		s.tc = buf[6*H : 7*H]
 		st.dxs[t] = st.dxBuf[t*in : (t+1)*in]
 	}
-}
-
-// Forward runs the LSTM over a sequence of input vectors starting from
-// zero state and returns the cached state plus the per-step hidden
-// vectors (aliased into the cache; treat as read-only). It allocates a
-// fresh state; hot paths reuse one via NewState + ForwardIn.
-func (l *LSTM) Forward(xs [][]float64) (*LSTMState, [][]float64) {
-	st := l.NewState(len(xs))
-	return st, l.ForwardIn(st, xs)
-}
-
-// ForwardIn runs the LSTM through reusable scratch. The math is
-// identical to the allocating Forward — only the buffers' lifetimes
-// changed — so results are bit-identical.
-func (l *LSTM) ForwardIn(st *LSTMState, xs [][]float64) [][]float64 {
-	H := l.Hidden
-	st.grow(len(xs))
-	st.n = len(xs)
-	h, c := st.h0, st.c0
-	pre := st.pre
-	xw := st.xw
-	for t, x := range xs {
-		s := &st.steps[t]
-		s.x = x
-		s.hPrev = h
-		s.cPrev = c
-		if t > 0 && len(x) > 0 && &x[0] == &xs[t-1][0] {
-			// Identical input row as the previous step (the decoder feeds
-			// the same embedding at every step): B + x·Wx was snapshotted
-			// below, so reusing it reproduces the same bits for free.
-			copy(pre, xw)
-		} else {
-			copy(pre, l.B.W)
-			for i, xi := range x {
-				if xi == 0 {
-					// Load-bearing row skip: adding a zero row could
-					// flip a -0 accumulator to +0.
-					continue
-				}
-				f64.Axpy(pre, l.Wx.W[i*4*H:(i+1)*4*H], xi)
-			}
-			copy(xw, pre)
-		}
-		for i, hi := range h {
-			if hi == 0 {
-				continue
-			}
-			f64.Axpy(pre, l.Wh.W[i*4*H:(i+1)*4*H], hi)
-		}
-		f64.LSTMGates(s.i, s.f, s.g, s.o, s.c, s.h, s.tc, pre, c)
-		h, c = s.h, s.c
-		st.outs[t] = s.h
-	}
-	return st.outs[:len(xs)]
-}
-
-// Backward backpropagates per-step hidden-state gradients dH (same
-// length as the forward sequence; nil entries mean zero gradient) and
-// returns the per-step input gradients, aliased into the state's
-// scratch (valid until the next Backward through this state). Parameter
-// gradients accumulate into the LSTM's params.
-func (st *LSTMState) Backward(dH [][]float64) [][]float64 {
-	l := st.lstm
-	H := l.Hidden
-	dxs := st.dxs[:st.n]
-	dhNext, dcNext := st.dhNext, st.dcNext
-	for j := 0; j < H; j++ {
-		dhNext[j] = 0
-		dcNext[j] = 0
-	}
-	dh := st.dh     // scratch, fully rewritten each step
-	dPre := st.dPre // scratch, fully rewritten each step
-	dc := st.dc     // scratch, fully rewritten each step
-	for t := st.n - 1; t >= 0; t-- {
-		s := &st.steps[t]
-		copy(dh, dhNext)
-		if t < len(dH) && dH[t] != nil {
-			f64.Add(dh, dH[t])
-		}
-		f64.LSTMGateBackward(dPre, dc, dh, dcNext, s.i, s.f, s.g, s.o, s.tc, s.cPrev)
-		// Accumulate parameter grads and propagate to x, hPrev. The
-		// loops nest row-major (weight rows are contiguous in memory);
-		// each Grad element still receives exactly one contribution per
-		// step and each dx/dhPrev element still sums in ascending-j
-		// order, so results are bit-identical to the j-outer form. The
-		// g == 0 skip inside the kernels is load-bearing for that
-		// identity: adding a zero could flip a -0 accumulator to +0.
-		dx := dxs[t]
-		f64.AddSkip(l.B.Grad, dPre)
-		for i, xi := range s.x {
-			dx[i] = f64.GradDot(l.Wx.Grad[i*4*H:(i+1)*4*H], l.Wx.W[i*4*H:(i+1)*4*H], dPre, xi)
-		}
-		// dhNext is consumed (copied into dh) before this point, so the
-		// next step's dhPrev can be written over it in place.
-		for i, hi := range s.hPrev {
-			dhNext[i] = f64.GradDot(l.Wh.Grad[i*4*H:(i+1)*4*H], l.Wh.W[i*4*H:(i+1)*4*H], dPre, hi)
-		}
-		f64.Mul(dcNext, dc, s.f)
-	}
-	return dxs
 }

@@ -5,9 +5,10 @@
 // clustering term on the learned embedding, and Adam optimization.
 //
 // Layers implement explicit forward/backward passes (no tape autograd);
-// each layer caches what its backward pass needs. The package favors
-// clarity over vectorized speed — training sets in this reproduction are
-// thousands of short sequences, well within scalar-loop budgets.
+// each layer caches what its backward pass needs. The LSTM stacks have
+// one forward/backward implementation, the lockstep lane tile
+// (lockstep.go), which advances up to four batch slots together over
+// internal/f64's kernels; a batch of one is a one-lane tile.
 package nn
 
 import (
@@ -139,19 +140,11 @@ func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 // shadow returns a Linear sharing weights with private gradients.
 func (l *Linear) shadow() *Linear { return &Linear{W: shadowParam(l.W), B: shadowParam(l.B)} }
 
-// Forward computes y = xW + b.
-func (l *Linear) Forward(x []float64) []float64 {
-	out := make([]float64, l.W.Cols)
-	l.ForwardIn(out, x)
-	return out
-}
-
-// ForwardIn computes y = xW + b into the caller's buffer (len = Cols),
-// the allocation-free form the reused training scratch runs. The loop
-// nests row-major over contiguous weight rows (f64.Axpy); each out[j]
-// still starts at B[j] and adds xi*W[i][j] in ascending-i order, so the
-// result is bit-identical to the j-outer scalar form. No zero skip:
-// the scalar loop never had one here.
+// ForwardIn computes y = xW + b into the caller's buffer (len = Cols).
+// The loop nests row-major over contiguous weight rows (f64.Axpy); each
+// out[j] still starts at B[j] and adds xi*W[i][j] in ascending-i order,
+// so the result is bit-identical to the j-outer scalar form. No zero
+// skip: the scalar loop never had one here.
 func (l *Linear) ForwardIn(out, x []float64) {
 	cols := l.W.Cols
 	copy(out, l.B.W)
@@ -160,17 +153,10 @@ func (l *Linear) ForwardIn(out, x []float64) {
 	}
 }
 
-// Backward accumulates parameter gradients for dY and returns dX. The
-// caller supplies the forward input (the layer keeps no per-call state,
-// making it safe to reuse across timesteps).
-func (l *Linear) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, l.W.Rows)
-	l.BackwardIn(dx, x, dy)
-	return dx
-}
-
-// BackwardIn is Backward into a caller-owned dX buffer (len = Rows,
-// zeroed here). A nil dx accumulates parameter gradients only — the
+// BackwardIn accumulates parameter gradients for dY, given the forward
+// input x, and writes dX into the caller's buffer (len = Rows, zeroed
+// here). The layer keeps no per-call state, so one layer serves every
+// timestep. A nil dx accumulates parameter gradients only — the
 // embedding layers' case, whose input gradient nobody consumes.
 func (l *Linear) BackwardIn(dx, x, dy []float64) {
 	for i := range dx {

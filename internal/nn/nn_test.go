@@ -23,16 +23,18 @@ func TestLinearGradCheck(t *testing.T) {
 	l := NewLinear("t", 3, 2, r)
 	x := []float64{0.5, -1.2, 0.3}
 	// L = 0.5·Σ y_j².
+	y := make([]float64, 2)
 	loss := func() float64 {
-		y := l.Forward(x)
+		l.ForwardIn(y, x)
 		var s float64
 		for _, v := range y {
 			s += v * v
 		}
 		return 0.5 * s
 	}
-	y := l.Forward(x)
-	dx := l.Backward(x, y) // dL/dy = y
+	l.ForwardIn(y, x)
+	dx := make([]float64, len(x))
+	l.BackwardIn(dx, x, y) // dL/dy = y
 
 	for _, p := range l.Params() {
 		for i := range p.W {
@@ -57,7 +59,7 @@ func TestLSTMGradCheck(t *testing.T) {
 	xs := [][]float64{{0.3, -0.7}, {1.1, 0.2}, {-0.5, 0.9}}
 	// L = 0.5·Σ_t Σ_j h_t[j]².
 	loss := func() float64 {
-		_, outs := l.Forward(xs)
+		_, outs := laneForward(l, xs)
 		var s float64
 		for _, h := range outs {
 			for _, v := range h {
@@ -66,12 +68,12 @@ func TestLSTMGradCheck(t *testing.T) {
 		}
 		return 0.5 * s
 	}
-	st, outs := l.Forward(xs)
+	st, outs := laneForward(l, xs)
 	dH := make([][]float64, len(outs))
 	for t2, h := range outs {
 		dH[t2] = append([]float64(nil), h...)
 	}
-	dxs := st.Backward(dH)
+	dxs := laneBackward(st, dH)
 
 	for _, p := range l.Params() {
 		for i := range p.W {

@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -57,59 +60,117 @@ func TestTrainJointBitIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestTrainJointBatchOneMatchesClassicLoop pins the Batch <= 1 fast
-// path: one sequence per step accumulating directly into the master
-// model, the pre-batching recipe bit for bit.
-func TestTrainJointBatchOneMatchesClassicLoop(t *testing.T) {
-	opts := TrainOptions{Steps: 20, K: 3}
-	a, pa := trainOnce(t, 1, opts)
-	b, pb := trainOnce(t, 8, opts)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Batch=1 report differs across jobs")
+// trainDigest is an FNV-1a digest of a training run's outcome: every
+// final weight, the initial, final and cluster losses, every embedding,
+// and the assignment.
+func trainDigest(report TrainReport, params []*Param) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	}
-	for i := range pa {
-		if !reflect.DeepEqual(pa[i].W, pb[i].W) {
-			t.Fatalf("Batch=1 param %s differs across jobs", pa[i].Name)
+	for _, p := range params {
+		for _, w := range p.W {
+			put(math.Float64bits(w))
+		}
+	}
+	put(math.Float64bits(report.InitialLoss))
+	put(math.Float64bits(report.FinalLoss))
+	put(math.Float64bits(report.ClusterLoss))
+	for _, e := range report.Embeddings {
+		for _, v := range e {
+			put(math.Float64bits(v))
+		}
+	}
+	for _, a := range report.Assignment {
+		put(uint64(a))
+	}
+	return h.Sum64()
+}
+
+// TestTrainJointBatchOneMatchesPinnedDigests pins the Batch-1 training
+// trajectory to digests recorded when Batch 1 still ran through its own
+// per-sequence forward/backward path: the one-lane lockstep tile must
+// reproduce that path bit for bit, on equal-length, ragged and
+// two-layer inputs, at any job count and with either f64 kernel set.
+func TestTrainJointBatchOneMatchesPinnedDigests(t *testing.T) {
+	stacked := DefaultConfig(8)
+	stacked.Layers = 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seqs []Sequence
+		want uint64
+	}{
+		{"equal", DefaultConfig(8), genSequences(48, 12, 8, 7), 0x33ce83496cac6c0a},
+		{"ragged", DefaultConfig(8), genRagged(24, 8, 11), 0x045634d26fe36265},
+		{"layers2", stacked, genSequences(24, 8, 8, 5), 0x1dd7bc3cc0ee3977},
+	} {
+		for _, jobs := range []int{1, 4} {
+			prev := parallel.SetJobs(jobs)
+			m, err := NewAutoencoder(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := m.TrainJoint(tc.seqs, TrainOptions{Steps: 20, K: 3, Batch: 1, Reassign: 5})
+			parallel.SetJobs(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := trainDigest(report, m.Params()); got != tc.want {
+				t.Errorf("%s jobs=%d: digest %#016x, want %#016x", tc.name, jobs, got, tc.want)
+			}
 		}
 	}
 }
 
-// TestEncodeMatchesForward pins the encoder-only embedding path against
-// the full forward pass: the decoder never feeds back into h, so the
-// two must agree bit for bit.
+// TestEncodeMatchesForward pins the encoder-only embedding sweep
+// against a training step's full forward pass: the decoder never feeds
+// back into h, so the two must agree bit for bit.
 func TestEncodeMatchesForward(t *testing.T) {
 	m, err := NewAutoencoder(DefaultConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range genSequences(8, 12, 8, 3) {
-		f := m.forward(s)
-		h := m.Embed(s)
-		if !reflect.DeepEqual(append([]float64(nil), f.h...), h) {
-			t.Fatal("encoder-only embedding differs from full forward's h")
+	seqs := genSequences(8, 12, 8, 3)
+	tr := newTrainer(m, 1, 12)
+	es := tr.embedAll(seqs)
+	for i := range seqs {
+		// The step accumulates gradients but leaves the weights alone.
+		tr.step(seqs, []int{i}, nil, nil, 0)
+		if !reflect.DeepEqual(append([]float64(nil), tr.scr[0].h...), es[i]) {
+			t.Fatalf("sequence %d: encoder-only embedding differs from the training forward's h", i)
 		}
 	}
 }
 
-// TestStepScratchZeroAlloc pins the reused per-step scratch: after the
-// first call warms the buffers, a training step allocates nothing.
-func TestStepScratchZeroAlloc(t *testing.T) {
+// TestTrainerStepZeroAlloc pins the reused per-slot scratch: after the
+// first step warms the buffers, a training step allocates nothing, for
+// a one-lane tile (Batch 1) and a four-lane one (Batch 4 at one job).
+func TestTrainerStepZeroAlloc(t *testing.T) {
+	prev := parallel.SetJobs(1)
+	defer parallel.SetJobs(prev)
 	m, err := NewAutoencoder(DefaultConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := genSequences(4, 12, 8, 5)
-	sc := m.newScratch(12)
-	centroid := make([]float64, m.cfg.Hidden)
-	m.stepIn(sc, seqs[0], centroid, 0.01) // warm-up
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		m.stepIn(sc, seqs[1], centroid, 0.01)
-	})
-	if allocs != 0 {
-		t.Fatalf("stepIn allocates %v times per run, want 0", allocs)
+	seqs := genSequences(8, 12, 8, 5)
+	centroids := [][]float64{make([]float64, m.cfg.Hidden)}
+	assign := make([]int, len(seqs))
+	for _, batch := range []int{1, 4} {
+		tr := newTrainer(m, batch, 12)
+		idx := make([]int, batch)
+		for b := range idx {
+			idx[b] = b
+		}
+		tr.step(seqs, idx, centroids, assign, 0.01) // warm-up
+		allocs := testing.AllocsPerRun(10, func() {
+			tr.step(seqs, idx, centroids, assign, 0.01)
+		})
+		if allocs != 0 {
+			t.Fatalf("batch %d: trainer.step allocates %v times per run, want 0", batch, allocs)
+		}
 	}
 }
 

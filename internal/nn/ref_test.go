@@ -1,14 +1,16 @@
 package nn
 
 // Retained scalar reference paths: verbatim copies of the pre-kernel
-// (pre-internal/f64) loops of Linear.ForwardIn/BackwardIn,
-// LSTM.ForwardIn, LSTMState.Backward, and Adam.Step. The differential
-// tests below pin the restructured hot paths bit-for-bit against these
+// (pre-internal/f64) loops of Linear.ForwardIn/BackwardIn, the
+// per-sequence LSTM forward and backward passes, and Adam.Step. The
+// differential tests below pin the hot paths — the lockstep lane
+// kernels at every lane count among them — bit-for-bit against these
 // references across ±0 inputs, ragged sequence lengths, and the
-// clip/no-clip optimizer branches — the exactness contract DESIGN.md
+// clip/no-clip optimizer branches: the exactness contract DESIGN.md
 // §14 argues for.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -310,44 +312,84 @@ func lstmSeq(r *rand.Rand, T, in int, repeat bool) [][]float64 {
 	return xs
 }
 
+// laneForward runs one LSTM layer over xs as a one-lane lockstep tile,
+// returning the state and the per-step hidden vectors.
+func laneForward(l *LSTM, xs [][]float64) (*LSTMState, [][]float64) {
+	st := l.NewState(len(xs))
+	laneLSTMForward(l, []*LSTMState{st}, [][][]float64{xs})
+	return st, st.outs[:st.n]
+}
+
+// laneBackward backpropagates dH through a one-lane state, accumulating
+// into its LSTM's gradients, and returns the per-step input gradients.
+func laneBackward(st *LSTMState, dH [][]float64) [][]float64 {
+	laneLSTMBackward([]*LSTMState{st}, [][][]float64{dH}, &laneScratch{})
+	return st.dxs[:st.n]
+}
+
+// TestLSTMForwardBackwardMatchesScalarRef runs 1-4 lanes of one LSTM
+// layer in lockstep and pins every lane bit-for-bit against the scalar
+// referee run on that lane alone: equal lengths (the dense
+// DotRows4/GradRowsT path at four lanes with the AVX kernels), ragged
+// lengths (the gather path past the shortest lane), and the decoder's
+// repeated input row (the xw dedup).
 func TestLSTMForwardBackwardMatchesScalarRef(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, tc := range []struct {
-		in, hidden, T int
-		repeat        bool
+		name       string
+		in, hidden int
+		lens       []int // per-lane sequence length, for four lanes
+		repeat     bool
 	}{
-		{4, 8, 1, false},
-		{16, 32, 16, false},
-		{16, 32, 16, true}, // decoder-style repeated input row
-		{5, 3, 7, false},   // ragged odd sizes
+		{"equal", 16, 32, []int{16, 16, 16, 16}, false},
+		{"equal-odd", 5, 3, []int{7, 7, 7, 7}, false},
+		{"ragged", 16, 32, []int{9, 16, 1, 12}, false},
+		{"ragged-odd", 5, 3, []int{7, 2, 5, 3}, false},
+		{"repeat", 16, 32, []int{16, 16, 16, 16}, true}, // decoder-style
+		{"repeat-ragged", 16, 32, []int{5, 16, 11, 8}, true},
 	} {
-		l := NewLSTM("lstm", tc.in, tc.hidden, r)
-		ref := cloneLSTM(l)
-		xs := lstmSeq(r, tc.T, tc.in, tc.repeat)
-
-		st := l.NewState(tc.T)
-		stRef := ref.NewState(tc.T)
-		outs := l.ForwardIn(st, xs)
-		outsRef := refLSTMForwardIn(ref, stRef, xs)
-		for tt := range outs {
-			bitsEq(t, "h", outs[tt], outsRef[tt])
-		}
-
-		dH := make([][]float64, tc.T)
-		for tt := range dH {
-			if tt%3 == 2 {
-				continue // nil entries: zero hidden gradient at this step
+		for n := 1; n <= laneWidth; n++ {
+			l := NewLSTM("lstm", tc.in, tc.hidden, r)
+			sts := make([]*LSTMState, n)
+			refs := make([]*LSTM, n)
+			xss := make([][][]float64, n)
+			for k := range sts {
+				T := tc.lens[k]
+				sts[k] = l.shadow().NewState(T) // shared W, private Grad
+				refs[k] = cloneLSTM(l)
+				xss[k] = lstmSeq(r, T, tc.in, tc.repeat)
 			}
-			dH[tt] = seasonedVec(r, tc.hidden)
+			laneLSTMForward(l, sts, xss)
+
+			dHs := make([][][]float64, n)
+			for k := range dHs {
+				dHs[k] = make([][]float64, tc.lens[k])
+				for tt := range dHs[k] {
+					if tt%3 == 2 {
+						continue // nil entries: zero hidden gradient at this step
+					}
+					dHs[k][tt] = seasonedVec(r, tc.hidden)
+				}
+			}
+			laneLSTMBackward(sts, dHs, &laneScratch{})
+
+			for k, st := range sts {
+				where := fmt.Sprintf("%s lanes=%d lane=%d", tc.name, n, k)
+				ref := refs[k]
+				stRef := ref.NewState(tc.lens[k])
+				outsRef := refLSTMForwardIn(ref, stRef, xss[k])
+				for tt := range outsRef {
+					bitsEq(t, where+" h", st.outs[tt], outsRef[tt])
+				}
+				dxsRef := refLSTMBackward(stRef, dHs[k])
+				for tt := range dxsRef {
+					bitsEq(t, where+" dx", st.dxs[tt], dxsRef[tt])
+				}
+				bitsEq(t, where+" Wx.Grad", st.lstm.Wx.Grad, ref.Wx.Grad)
+				bitsEq(t, where+" Wh.Grad", st.lstm.Wh.Grad, ref.Wh.Grad)
+				bitsEq(t, where+" B.Grad", st.lstm.B.Grad, ref.B.Grad)
+			}
 		}
-		dxs := st.Backward(dH)
-		dxsRef := refLSTMBackward(stRef, dH)
-		for tt := range dxs {
-			bitsEq(t, "dx", dxs[tt], dxsRef[tt])
-		}
-		bitsEq(t, "Wx.Grad", l.Wx.Grad, ref.Wx.Grad)
-		bitsEq(t, "Wh.Grad", l.Wh.Grad, ref.Wh.Grad)
-		bitsEq(t, "B.Grad", l.B.Grad, ref.B.Grad)
 	}
 }
 
