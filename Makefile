@@ -33,9 +33,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# bench smoke: the simulator hot path plus the DL selector's two
+# bench smoke: the simulator hot path, the DL selector's two
 # training-cost benchmarks (the select_ms story lives in internal/f64's
 # lane-fused kernels; TrainJoint isolates the training loop, SelectDL
-# times the whole selection pipeline).
+# times the whole selection pipeline) and each paper kernel's input
+# construction (KernelStreams, one sub-benchmark per kernel).
 bench:
-	$(GO) test -bench='HotPath|TrainJoint|SelectDL' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster
+	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps

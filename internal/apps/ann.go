@@ -13,7 +13,10 @@ import (
 const dims = 32
 
 // genVectors creates n unit-ish vectors around k latent centers so that
-// clustering/search kernels behave like real embeddings.
+// clustering/search kernels behave like real embeddings. The points are
+// views into one flat backing slice; each view's capacity ends at its
+// own last coordinate, so appending to a point copies it instead of
+// overwriting the next one.
 func genVectors(r *rand.Rand, n, k int) [][]float32 {
 	centers := make([][]float32, k)
 	for c := range centers {
@@ -22,10 +25,11 @@ func genVectors(r *rand.Rand, n, k int) [][]float32 {
 			centers[c][d] = float32(r.NormFloat64())
 		}
 	}
+	flat := make([]float32, n*dims)
 	out := make([][]float32, n)
 	for i := range out {
 		c := centers[r.Intn(k)]
-		v := make([]float32, dims)
+		v := flat[i*dims : (i+1)*dims : (i+1)*dims]
 		for d := range v {
 			v[d] = c[d] + float32(r.NormFloat64())*0.3
 		}
@@ -177,12 +181,11 @@ func (h *HNSW) Streams(seed int64) []cpu.Stream {
 	pts := genVectors(r, h.nPoints, 32)
 	// Graph: random long links + a few near links via sampled candidates,
 	// the standard cheap NSW approximation.
-	adj := make([][]int32, h.nPoints)
+	// adj[i*degree+d] is point i's d-th neighbor, the layout of the
+	// simulated neighbors array.
+	adj := make([]int32, h.nPoints*h.degree)
 	for i := range adj {
-		adj[i] = make([]int32, h.degree)
-		for d := 0; d < h.degree; d++ {
-			adj[i][d] = int32(r.Intn(h.nPoints))
-		}
+		adj[i] = int32(r.Intn(h.nPoints))
 	}
 	rec := newRecorder(h.opts.Threads, h.opts.MaxRefs)
 
@@ -197,7 +200,7 @@ func (h *HNSW) Streams(seed int64) []cpu.Stream {
 			base := uint64(cur) * uint64(h.degree)
 			for d := 0; d < h.degree; d++ {
 				rec.touch(t, h.neighbors, base+uint64(d)) // adjacency read
-				nb := adj[cur][d]
+				nb := adj[int(cur)*h.degree+d]
 				rec.touch(t, h.visited, uint64(nb)) // visited check
 				rec.touch(t, h.vectors, uint64(nb)) // vector gather
 				if nd := l2(query, pts[nb]); nd < curD {

@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/trace"
@@ -10,20 +11,20 @@ import (
 	"repro/internal/workload"
 )
 
-func newEnv(t *testing.T) *workload.Env {
+func newEnv(t testing.TB) *workload.Env {
 	t.Helper()
 	k := vm.NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
 	return &workload.Env{AS: as, Heap: heap.New(as), Collector: trace.NewCollector(0)}
 }
 
-// all returns every kernel at small scale.
+// all returns every kernel built with opts.
 func all(opts Options) []workload.Workload {
-	return []workload.Workload{
-		NewBFS(opts), NewPageRank(opts), NewSSSP(opts),
-		NewHashJoin(opts), NewMergeJoin(opts),
-		NewKMeansApp(opts), NewHNSW(opts), NewIVFPQ(opts),
+	out := make([]workload.Workload, len(kernels))
+	for i, k := range kernels {
+		out[i] = k.mk(opts)
 	}
+	return out
 }
 
 func drain(t *testing.T, env *workload.Env, w workload.Workload, seed int64) int {
@@ -63,36 +64,32 @@ func TestAllKernelsRunWithinBudget(t *testing.T) {
 
 func TestKernelsAreDeterministic(t *testing.T) {
 	opts := Options{MaxRefs: 5_000, Threads: 2}
-	for _, mk := range []func(Options) workload.Workload{
-		func(o Options) workload.Workload { return NewBFS(o) },
-		func(o Options) workload.Workload { return NewHashJoin(o) },
-		func(o Options) workload.Workload { return NewIVFPQ(o) },
-	} {
-		collect := func() []vm.VA {
+	for _, k := range kernels {
+		collect := func() []cpu.Ref {
 			env := newEnv(t)
-			w := mk(opts)
+			w := k.mk(opts)
 			if err := w.Setup(env); err != nil {
 				t.Fatal(err)
 			}
-			var vas []vm.VA
+			var refs []cpu.Ref
 			for _, s := range w.Streams(42) {
 				for {
 					ref, ok := s.Next()
 					if !ok {
 						break
 					}
-					vas = append(vas, ref.VA)
+					refs = append(refs, ref)
 				}
 			}
-			return vas
+			return refs
 		}
 		a, b := collect(), collect()
 		if len(a) != len(b) {
-			t.Fatal("nondeterministic length")
+			t.Fatalf("%s: nondeterministic length %d vs %d", k.name, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("ref %d differs", i)
+				t.Fatalf("%s: ref %d differs: %+v vs %+v", k.name, i, a[i], b[i])
 			}
 		}
 	}

@@ -22,16 +22,14 @@ type Graph struct {
 // giving the skewed degree distribution of RMAT-style graphs.
 func GenGraph(n, edgeFactor int, seed int64) *Graph {
 	r := rand.New(rand.NewSource(seed))
-	g := &Graph{N: n}
-	deg := make([]int, n)
-	type edge struct{ u, v uint32 }
+	g := &Graph{N: n, Offsets: make([]uint32, n+1)}
 	m := n * edgeFactor
-	edges := make([]edge, 0, m)
+	us, vs := make([]uint32, m), make([]uint32, m)
 	hot := n / 16
 	if hot == 0 {
 		hot = 1
 	}
-	for i := 0; i < m; i++ {
+	for i := range us {
 		u := uint32(r.Intn(n))
 		var v uint32
 		if r.Intn(2) == 0 {
@@ -39,19 +37,22 @@ func GenGraph(n, edgeFactor int, seed int64) *Graph {
 		} else {
 			v = uint32(r.Intn(n))
 		}
-		edges = append(edges, edge{u, v})
-		deg[u]++
+		us[i], vs[i] = u, v
+		g.Offsets[u]++
 	}
-	g.Offsets = make([]uint32, n+1)
-	for u := 0; u < n; u++ {
-		g.Offsets[u+1] = g.Offsets[u] + uint32(deg[u])
+	// Offsets[u] now holds u's out-degree; an inclusive prefix sum turns
+	// it into the end of u's edge range. Placing edges back to front,
+	// each one decrementing its source's cursor, leaves every vertex's
+	// edges in draw order and Offsets[u] at the start of u's range.
+	for u := 1; u < n; u++ {
+		g.Offsets[u] += g.Offsets[u-1]
 	}
+	g.Offsets[n] = uint32(m)
 	g.Edges = make([]uint32, m)
-	next := make([]uint32, n)
-	copy(next, g.Offsets[:n])
-	for _, e := range edges {
-		g.Edges[next[e.u]] = e.v
-		next[e.u]++
+	for i := m - 1; i >= 0; i-- {
+		u := us[i]
+		g.Offsets[u]--
+		g.Edges[g.Offsets[u]] = vs[i]
 	}
 	return g
 }

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/workload"
@@ -156,9 +155,9 @@ func (m *MergeJoin) Streams(seed int64) []cpu.Stream {
 	// run-length stride apart — the channel-collapsing pattern.
 	const nRuns = 16
 	runLen := m.rSize / nRuns
+	scratch := make([]uint64, max(m.rSize, m.sSize))
 	for run := 0; run < nRuns; run++ {
-		lo, hi := run*runLen, (run+1)*runLen
-		sort.Slice(keysR[lo:hi], func(a, b int) bool { return keysR[lo+a] < keysR[lo+b] })
+		sortKeys(keysR[run*runLen:(run+1)*runLen], scratch)
 	}
 	cursor := make([]int, nRuns)
 	merged := 0
@@ -191,8 +190,8 @@ func (m *MergeJoin) Streams(seed int64) []cpu.Stream {
 	}
 	// Complete the sort logically so the join below is correct even when
 	// the recording budget truncated the merge.
-	sort.Slice(keysR, func(a, b int) bool { return keysR[a] < keysR[b] })
-	sort.Slice(keysS, func(a, b int) bool { return keysS[a] < keysS[b] })
+	sortKeys(keysR, scratch)
+	sortKeys(keysS, scratch)
 
 	// Merge phase: two streaming cursors plus streaming output.
 	i, j, out := 0, 0, uint64(0)
@@ -213,4 +212,52 @@ func (m *MergeJoin) Streams(seed int64) []cpu.Stream {
 		}
 	}
 	return rec.streams()
+}
+
+// radixBits is the digit width of sortKeys: 2^11 counters fit in L1,
+// and keys below 2^22 — every MergeJoin key up to Scale 8 — need only
+// two passes.
+const radixBits = 11
+
+// sortKeys sorts keys ascending with an LSD radix sort, using scratch
+// (at least len(keys) long, not overlapping keys) as the other half of
+// the ping-pong buffer. Integers have exactly one ascending order, so
+// the result equals any other correct sort's. Digits above the highest
+// set bit, and digits every key shares, cost one counting scan and no
+// scatter.
+func sortKeys(keys, scratch []uint64) {
+	n := len(keys)
+	if n < 2 {
+		return
+	}
+	var bits uint64
+	for _, k := range keys {
+		bits |= k
+	}
+	const mask = 1<<radixBits - 1
+	src, dst := keys, scratch[:n]
+	var count [1 << radixBits]int
+	for shift := uint(0); shift < 64 && bits>>shift != 0; shift += radixBits {
+		clear(count[:])
+		for _, k := range src {
+			count[k>>shift&mask]++
+		}
+		if count[src[0]>>shift&mask] == n {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }

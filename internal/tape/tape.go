@@ -164,6 +164,7 @@ func (x *slotIndex) find(va uint64) int32 {
 func Record(streams []cpu.Stream, lay Layout) *Tape {
 	t := &Tape{layout: Layout{Allocs: append([]Alloc(nil), lay.Allocs...)}, rebasable: true}
 	t.starts = make([]int, 1, len(streams)+1)
+	t.presize(streams)
 	idx := newSlotIndex(&t.layout)
 	var buf [256]cpu.Ref
 	for _, s := range streams {
@@ -188,6 +189,26 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 		t.starts = append(t.starts, len(t.va))
 	}
 	return t
+}
+
+// presize reserves the columns' exact final size when every stream is a
+// materialized *cpu.SliceStream (all the paper kernels), so recording
+// keeps what it allocates instead of growing each column by append's
+// ~1.25× steps, which allocates about five times the retained bytes.
+// Streams of any other type keep the append growth.
+func (t *Tape) presize(streams []cpu.Stream) {
+	n := 0
+	for _, s := range streams {
+		ss, ok := s.(*cpu.SliceStream)
+		if !ok {
+			return
+		}
+		n += len(ss.Refs)
+	}
+	t.va = make([]uint64, 0, n)
+	t.pc = make([]uint64, 0, n)
+	t.write = make([]uint64, 0, (n+63)/64)
+	t.slot = make([]int32, 0, n)
 }
 
 func (t *Tape) append(refs []cpu.Ref, idx *slotIndex) {

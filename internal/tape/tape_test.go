@@ -296,3 +296,37 @@ func (t *Tape) mustStreams(tt *testing.T, lay *Layout) []cpu.Stream {
 	}
 	return ss
 }
+
+// TestRecordPresizesSliceStreams pins Record's allocation count on a
+// 200k-reference tape of materialized streams, the shape every paper
+// kernel hands it: the four columns are reserved once at their final
+// size, so recording makes a fixed handful of allocations instead of
+// growing each column by append tens of times.
+func TestRecordPresizesSliceStreams(t *testing.T) {
+	const threads, perThread = 4, 50_000
+	base := vm.VA(1 << 30)
+	lay := Layout{Allocs: []Alloc{{Site: "a", Base: base, Bytes: threads * perThread * geom.LineBytes}}}
+	refs := make([][]cpu.Ref, threads)
+	for th := range refs {
+		refs[th] = make([]cpu.Ref, perThread)
+		for i := range refs[th] {
+			refs[th][i] = cpu.Ref{VA: base + vm.VA((i*threads+th)*geom.LineBytes), PC: 0x400000, Write: i%3 == 0}
+		}
+	}
+	var tp *Tape
+	allocs := testing.AllocsPerRun(5, func() {
+		ss := make([]cpu.Stream, threads)
+		for th := range ss {
+			ss[th] = &cpu.SliceStream{Refs: refs[th]}
+		}
+		tp = Record(ss, lay)
+	})
+	if tp.Refs() != threads*perThread {
+		t.Fatalf("recorded %d refs, want %d", tp.Refs(), threads*perThread)
+	}
+	// 18 at the time of writing, 5 of them the streams built above;
+	// growing the columns by append instead makes about 120.
+	if allocs > 24 {
+		t.Fatalf("Record allocated %.0f times for a %d-ref tape, want ≤ 24 (columns presized)", allocs, tp.Refs())
+	}
+}
