@@ -81,8 +81,8 @@ func Axpy3(d0, d1, d2, x []float64, a0, a1, a2 float64) {
 	}
 }
 
-// Axpy4 is Axpy fused over four lanes — the lockstep trainer's default
-// tile width.
+// Axpy4 is Axpy fused over four lanes — a full lockstep tile on the
+// trainer's pure-Go forward path.
 //
 //sdam:noalloc
 func Axpy4(d0, d1, d2, d3, x []float64, a0, a1, a2, a3 float64) {
@@ -288,8 +288,8 @@ func GradDot3(grad0, grad1, grad2, row, g0, g1, g2 []float64, xi0, xi1, xi2 floa
 	return acc0, acc1, acc2
 }
 
-// GradDot4 is GradDot fused over four lanes — the lockstep trainer's
-// full tile.
+// GradDot4 is GradDot fused over four lanes — a full lockstep tile on
+// the trainer's gather backward (pure-Go hosts and ragged timesteps).
 //
 //sdam:noalloc
 func GradDot4(grad0, grad1, grad2, grad3, row, g0, g1, g2, g3 []float64, xi0, xi1, xi2, xi3 float64) (float64, float64, float64, float64) {

@@ -34,13 +34,6 @@ func mulAVX(dst, a, b *float64, n int)
 //go:noescape
 func adamStepAVX(w, grad, m, v *float64, n int, beta1, c1, beta2, c2, lr, eps, bc1, bc2 float64)
 
-// gradRowsAVX applies one lane's LSTM weight-gradient update for a
-// whole timestep: for each row i, grad[i*width+j] += xs[i]*g[j] at
-// every j with g[j] != 0.
-//
-//go:noescape
-func gradRowsAVX(grad, gv, xs *float64, rows, width int)
-
 // axpyRowsAVX applies one lane's forward weight rows for a whole
 // timestep: for each row i with xs[i] != 0, dst[j] += xs[i]*w[i*width+j].
 // The per-row zero skip matches the forward pass's load-bearing skip.
@@ -64,9 +57,6 @@ func dotRows4AVX(w, g4, o0, o1, o2, o3 *float64, rows, width int)
 
 //go:noescape
 func axpyRows512(w, dst, xs *float64, rows, width int)
-
-//go:noescape
-func gradRows512(grad, gv, xs *float64, rows, width int)
 
 //go:noescape
 func adamStep512(w, grad, m, v *float64, n int, beta1, c1, beta2, c2, lr, eps, bc1, bc2 float64)

@@ -468,68 +468,6 @@ arows_done:
 	VZEROUPPER
 	RET
 
-// func gradRowsAVX(grad, gv, xs *float64, rows, width int)
-// For each row i: grad[i*width+j] += xs[i]*g[j] where g[j] != 0.
-TEXT ·gradRowsAVX(SB), NOSPLIT, $0-40
-	MOVQ   grad+0(FP), DI
-	MOVQ   gv+8(FP), SI
-	MOVQ   xs+16(FP), R10
-	MOVQ   rows+24(FP), CX
-	MOVQ   width+32(FP), R15
-	VXORPD Y9, Y9, Y9
-	TESTQ  CX, CX
-	JZ     grows_done
-
-grows_row:
-	VBROADCASTSD (R10), Y0
-	ADDQ         $8, R10
-	XORQ         AX, AX
-	MOVQ         R15, BX
-	SHRQ         $2, BX
-	JZ           grows_tail
-
-grows_body4:
-	VMOVUPD   (SI)(AX*1), Y1
-	VCMPPD    $4, Y9, Y1, Y2
-	VMULPD    Y0, Y1, Y1
-	VMOVUPD   (DI)(AX*1), Y3
-	VADDPD    Y3, Y1, Y4
-	VBLENDVPD Y2, Y4, Y3, Y3
-	VMOVUPD   Y3, (DI)(AX*1)
-	ADDQ      $32, AX
-	DECQ      BX
-	JNZ       grows_body4
-
-grows_tail:
-	MOVQ R15, BX
-	ANDQ $3, BX
-	JZ   grows_next
-
-grows_scalar:
-	VMOVSD   (SI)(AX*1), X1
-	VUCOMISD X9, X1
-	JP       grows_do
-	JE       grows_skip
-
-grows_do:
-	VMULSD X0, X1, X1
-	VADDSD (DI)(AX*1), X1, X1
-	VMOVSD X1, (DI)(AX*1)
-
-grows_skip:
-	ADDQ $8, AX
-	DECQ BX
-	JNZ  grows_scalar
-
-grows_next:
-	LEAQ (DI)(R15*8), DI
-	DECQ CX
-	JNZ  grows_row
-
-grows_done:
-	VZEROUPPER
-	RET
-
 // func dotRows4AVX(w, g4, o0, o1, o2, o3 *float64, rows, width int)
 // Four lanes' serial dot chains per weight row: lane k of the Y-register
 // accumulator carries acc_k for one row, advanced in ascending j, with
@@ -726,79 +664,6 @@ a5rows_next:
 	JNZ  a5rows_row
 
 a5rows_done:
-	VZEROUPPER
-	RET
-
-// func gradRows512(grad, gv, xs *float64, rows, width int)
-// 512-bit body of gradRowsAVX; the g != 0 skip is a merge-masked add.
-TEXT ·gradRows512(SB), NOSPLIT, $0-40
-	MOVQ   grad+0(FP), DI
-	MOVQ   gv+8(FP), SI
-	MOVQ   xs+16(FP), R10
-	MOVQ   rows+24(FP), CX
-	MOVQ   width+32(FP), R15
-	VXORPD X9, X9, X9
-	TESTQ  CX, CX
-	JZ     g5rows_done
-
-g5rows_row:
-	VBROADCASTSD (R10), Z0
-	ADDQ         $8, R10
-	XORQ         AX, AX
-	MOVQ         R15, BX
-	SHRQ         $3, BX
-	JZ           g5rows_tail4
-
-g5rows_body8:
-	VMOVUPD (SI)(AX*1), Z1
-	VCMPPD  $4, Z9, Z1, K1
-	VMULPD  Z0, Z1, Z1
-	VMOVUPD (DI)(AX*1), Z3
-	VADDPD  Z1, Z3, K1, Z3
-	VMOVUPD Z3, (DI)(AX*1)
-	ADDQ    $64, AX
-	DECQ    BX
-	JNZ     g5rows_body8
-
-g5rows_tail4:
-	TESTQ     $4, R15
-	JZ        g5rows_tail1
-	VMOVUPD   (SI)(AX*1), Y1
-	VCMPPD    $4, Y9, Y1, Y2
-	VMULPD    Y0, Y1, Y1
-	VMOVUPD   (DI)(AX*1), Y3
-	VADDPD    Y3, Y1, Y4
-	VBLENDVPD Y2, Y4, Y3, Y3
-	VMOVUPD   Y3, (DI)(AX*1)
-	ADDQ      $32, AX
-
-g5rows_tail1:
-	MOVQ R15, BX
-	ANDQ $3, BX
-	JZ   g5rows_next
-
-g5rows_scalar:
-	VMOVSD   (SI)(AX*1), X1
-	VUCOMISD X9, X1
-	JP       g5rows_do
-	JE       g5rows_skip
-
-g5rows_do:
-	VMULSD X0, X1, X1
-	VADDSD (DI)(AX*1), X1, X1
-	VMOVSD X1, (DI)(AX*1)
-
-g5rows_skip:
-	ADDQ $8, AX
-	DECQ BX
-	JNZ  g5rows_scalar
-
-g5rows_next:
-	LEAQ (DI)(R15*8), DI
-	DECQ CX
-	JNZ  g5rows_row
-
-g5rows_done:
 	VZEROUPPER
 	RET
 
@@ -1096,7 +961,7 @@ d5rows_done:
 // and column j: acc = grad[i*width+j]; for s = 0..steps-1: if
 // gs[s*width+j] != 0 { acc += xs[s*rows+i] * gs[s*width+j] }; store.
 // The caller lays out slots s in the SAME order the per-timestep
-// GradRows calls would have run, so the in-register chain reproduces
+// updates would have run, so the in-register chain reproduces
 // the per-timestep read-modify-write sequence exactly — each store is
 // exact, so rounding is unchanged. zmm body, ymm tail4, scalar tail.
 TEXT ·gradRowsT512(SB), NOSPLIT, $0-48

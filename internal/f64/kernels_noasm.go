@@ -30,15 +30,11 @@ func adamStepAVX(w, grad, m, v *float64, n int, beta1, c1, beta2, c2, lr, eps, b
 	panic("f64: no asm")
 }
 
-func gradRowsAVX(grad, gv, xs *float64, rows, width int) { panic("f64: no asm") }
-
 func axpyRowsAVX(w, dst, xs *float64, rows, width int) { panic("f64: no asm") }
 
 func dotRows4AVX(w, g4, o0, o1, o2, o3 *float64, rows, width int) { panic("f64: no asm") }
 
 func axpyRows512(w, dst, xs *float64, rows, width int) { panic("f64: no asm") }
-
-func gradRows512(grad, gv, xs *float64, rows, width int) { panic("f64: no asm") }
 
 func adamStep512(w, grad, m, v *float64, n int, beta1, c1, beta2, c2, lr, eps, bc1, bc2 float64) {
 	panic("f64: no asm")

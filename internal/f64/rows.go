@@ -1,11 +1,14 @@
 package f64
 
 // Bulk timestep kernels: whole weight-matrix passes used by the
-// lockstep trainer's dense fast path (all four lanes active, equal
-// sequence lengths). Each is bit-identical to issuing the per-row
-// kernels (Axpy/GradDot) row by row — the loops run over the same
-// elements in the same order; only call overhead and, on amd64,
-// vectorization across independent chains change.
+// lockstep trainer whenever the AVX kernels are active. The forward
+// runs AxpyRows per lane; the backward runs DotRows4 over four lane
+// slots — a tile narrower than four pads the rest with an all-zero
+// gradient column — and defers its gradient updates into GradRowsT.
+// Each is bit-identical to issuing the per-row kernels (Axpy/GradDot)
+// row by row — the loops run over the same elements in the same order;
+// only call overhead and, on amd64, vectorization across independent
+// chains change.
 
 // AxpyRows applies a whole timestep's forward weight rows for one
 // lane: for each row i with xs[i] != 0 (the load-bearing row skip),
@@ -34,38 +37,6 @@ func AxpyRows(w, dst, xs []float64) {
 	}
 }
 
-// GradRows applies a whole timestep's weight-gradient update for one
-// lane: for each row i, grad[i*width+j] += xs[i]*g[j] at every j with
-// g[j] != 0, width = len(g). Splitting the gradient update off the dot
-// products (DotRows4) is exact: the scalar kernel interleaved them per
-// element, but the two touch disjoint arrays and each target element
-// still receives the same contributions in the same order.
-//
-//sdam:noalloc
-func GradRows(grad, g, xs []float64) {
-	width := len(g)
-	if len(xs) == 0 || width == 0 {
-		return
-	}
-	grad = grad[:len(xs)*width]
-	if useAVX512 {
-		gradRows512(&grad[0], &g[0], &xs[0], len(xs), width)
-		return
-	}
-	if useAsm {
-		gradRowsAVX(&grad[0], &g[0], &xs[0], len(xs), width)
-		return
-	}
-	for i, xi := range xs {
-		row := grad[i*width : (i+1)*width]
-		for j, gj := range g {
-			if gj != 0 {
-				row[j] += xi * gj
-			}
-		}
-	}
-}
-
 // GradRowsT applies `steps` deferred timesteps' weight-gradient
 // updates in one pass over grad: for each row i and column j,
 //
@@ -76,11 +47,11 @@ func GradRows(grad, g, xs []float64) {
 //	}
 //
 // with the slot order s chosen by the caller to match the order the
-// per-timestep GradRows calls would have run. Bit-identical to that
-// sequence: every element receives the same adds in the same order,
-// and holding the running sum in a register instead of storing it
-// back each timestep cannot change rounding because each intermediate
-// store is exact. What it does change is memory traffic — grad is
+// per-timestep updates (GradDot's grad[j] += xi*g[j], g[j] != 0) would
+// have run. Bit-identical to that sequence: every element receives the
+// same adds in the same order, and holding the running sum in a
+// register instead of storing it back each timestep cannot change
+// rounding because each intermediate store is exact. What it does change is memory traffic — grad is
 // read and written once instead of once per timestep, which is the
 // difference between streaming a 32 KB matrix from L2 sixteen times
 // and once per optimizer step.

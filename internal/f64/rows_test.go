@@ -34,8 +34,8 @@ func gradRowsRef(grad, g, xs []float64) {
 	}
 }
 
-// gradRowsTRef replays the deferred update as the per-timestep calls it
-// stands in for: one GradRows pass per slot, in slot order.
+// gradRowsTRef replays the deferred update as the per-timestep updates
+// it stands in for: one gradRowsRef pass per slot, in slot order.
 func gradRowsTRef(grad, gs, xs []float64, rows, width, steps int) {
 	for s := 0; s < steps; s++ {
 		gradRowsRef(grad, gs[s*width:(s+1)*width], xs[s*rows:(s+1)*rows])
@@ -82,19 +82,6 @@ func TestAxpyRowsMatchesScalar(t *testing.T) {
 		AxpyRows(w, got, xs)
 		axpyRowsRef(w, want, xs)
 		eq(t, "AxpyRows", got, want)
-	}
-}
-
-func TestGradRowsMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, sz := range rowSizes {
-		g := vec(r, sz.width)
-		xs := vec(r, sz.rows)
-		got := vec(r, sz.rows*sz.width)
-		want := clone(got)
-		GradRows(got, g, xs)
-		gradRowsRef(want, g, xs)
-		eq(t, "GradRows", got, want)
 	}
 }
 
@@ -173,19 +160,7 @@ func TestRowKernelVariantsMatchGeneric(t *testing.T) {
 			eq(t, "axpyRows512", got, want)
 		}
 
-		g := vec(r, width)
 		grad := vec(r, rows*width)
-		wantG := clone(grad)
-		gradRowsRef(wantG, g, xs)
-		gotG := clone(grad)
-		gradRowsAVX(&gotG[0], &g[0], &xs[0], rows, width)
-		eq(t, "gradRowsAVX", gotG, wantG)
-		if useAVX512 {
-			gotG = clone(grad)
-			gradRows512(&gotG[0], &g[0], &xs[0], rows, width)
-			eq(t, "gradRows512", gotG, wantG)
-		}
-
 		steps := 3
 		gs := vec(r, steps*width)
 		xss := vec(r, steps*rows)
@@ -285,7 +260,6 @@ func TestRowKernelsZeroAlloc(t *testing.T) {
 	xss := vec(r, steps*rows)
 	allocs := testing.AllocsPerRun(16, func() {
 		AxpyRows(w, dst, xs)
-		GradRows(grad, g, xs)
 		GradRowsT(grad, gs, xss, rows, width, steps)
 		Interleave4(g4, g[:width], g[:width], g[:width], g[:width])
 		DotRows4(w, g4, o0, o1, o2, o3, width)

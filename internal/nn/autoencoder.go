@@ -268,7 +268,9 @@ type trainer struct {
 	embScr  []*embedTile // per-worker lockstep scratch for embedding sweeps
 }
 
-func newTrainer(m *Autoencoder, batch, maxT int) *trainer {
+// newTrainer builds a trainer for batch slots whose lockstep tiles are
+// lanes wide (the last tile takes the remainder).
+func newTrainer(m *Autoencoder, batch, maxT, lanes int) *trainer {
 	tr := &trainer{master: m, maxT: maxT, losses: make([]float64, batch), mParams: m.Params()}
 	for b := 0; b < batch; b++ {
 		sh := m.shadow()
@@ -279,9 +281,8 @@ func newTrainer(m *Autoencoder, batch, maxT int) *trainer {
 	// Partition the batch slots into contiguous lockstep tiles. The
 	// partition only affects scheduling and weight-stream reuse, never
 	// bits: slot b's gradient lands in slot b's buffers regardless.
-	w := tileWidth(batch)
-	for lo := 0; lo < batch; lo += w {
-		hi := lo + w
+	for lo := 0; lo < batch; lo += lanes {
+		hi := lo + lanes
 		if hi > batch {
 			hi = batch
 		}
@@ -375,6 +376,14 @@ func (tr *trainer) embedAll(seqs []Sequence) [][]float64 {
 // disjoint output slots. Every sequence must be non-empty, carry a VID
 // per delta, and have no negative VID.
 func (m *Autoencoder) TrainJoint(seqs []Sequence, opts TrainOptions) (TrainReport, error) {
+	return m.trainJoint(seqs, opts, 0)
+}
+
+// trainJoint is TrainJoint with the lockstep tile width fixed at lanes
+// (1..laneWidth); lanes 0 lets tileWidth pick it from the batch and the
+// host's workers. The width never changes a bit of the result, so tests
+// and benchmarks pin it to reach every tile shape on any host.
+func (m *Autoencoder) trainJoint(seqs []Sequence, opts TrainOptions, lanes int) (TrainReport, error) {
 	if len(seqs) == 0 {
 		return TrainReport{}, fmt.Errorf("nn: no training sequences")
 	}
@@ -421,7 +430,10 @@ func (m *Autoencoder) TrainJoint(seqs []Sequence, opts TrainOptions) (TrainRepor
 			maxT = len(s.Deltas)
 		}
 	}
-	tr := newTrainer(m, opts.Batch, maxT)
+	if lanes <= 0 {
+		lanes = tileWidth(opts.Batch)
+	}
+	tr := newTrainer(m, opts.Batch, maxT, lanes)
 	idx := make([]int, opts.Batch)
 	draw := func() {
 		// Batch indices are drawn serially on the caller's goroutine, so

@@ -18,7 +18,7 @@ func stepOne(m *Autoencoder, seq Sequence, centroid []float64, lambda float64) f
 	if centroid != nil {
 		centroids = [][]float64{centroid}
 	}
-	tr := newTrainer(m, 1, len(seq.Deltas))
+	tr := newTrainer(m, 1, len(seq.Deltas), 1)
 	return tr.step([]Sequence{seq}, []int{0}, centroids, []int{0}, lambda)
 }
 
@@ -28,7 +28,7 @@ func embed(m *Autoencoder, seqs []Sequence) [][]float64 {
 	for _, s := range seqs {
 		maxT = max(maxT, len(s.Deltas))
 	}
-	return newTrainer(m, 1, maxT).embedAll(seqs)
+	return newTrainer(m, 1, maxT, 1).embedAll(seqs)
 }
 
 // gradCheck compares every stride-th analytic gradient of m's params,
@@ -107,7 +107,7 @@ func TestReconstructionLossDecreases(t *testing.T) {
 	seqs := synthSequences(16, 8)
 	opt := NewAdam(m.Params(), 0.01)
 	r := rand.New(rand.NewSource(1))
-	tr := newTrainer(m, 1, 8)
+	tr := newTrainer(m, 1, 8, 1)
 	var first, last float64
 	const steps = 150
 	for i := 0; i < steps; i++ {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,17 +25,25 @@ func benchSeqs(n, T, numVIDs int) []Sequence {
 // BenchmarkTrainJoint measures the DL selector's training loop at the
 // SelectDL defaults (Steps 300, Batch 4, K 32) — the dominant cost of
 // the SDM+BSM+DL sweep cell that internal/f64's lane-fused kernels
-// target.
+// target. One sub-benchmark per lockstep tile width: lanes=4 is the
+// single four-lane tile a one-worker host builds, lanes=2 the two tiles
+// of a two-worker host, lanes=1 the four one-lane tiles of a host with
+// four or more. The widths are fixed, so every tile shape is measured
+// whatever the host's core count; -cpu still sets how many run at once.
 func BenchmarkTrainJoint(b *testing.B) {
 	seqs := benchSeqs(256, 16, 8)
 	cfg := DefaultConfig(8)
-	for b.Loop() {
-		m, err := NewAutoencoder(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.TrainJoint(seqs, TrainOptions{Steps: 75, K: 32, Seed: 1, Batch: 4}); err != nil {
-			b.Fatal(err)
-		}
+	for _, lanes := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			for b.Loop() {
+				m, err := NewAutoencoder(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.trainJoint(seqs, TrainOptions{Steps: 75, K: 32, Seed: 1, Batch: 4}, lanes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -233,16 +233,25 @@ func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 			minT = st.n
 		}
 	}
-	// The dense fast path runs full laneWidth groups through the bulk
-	// whole-matrix kernels: dPre is packed lane-interleaved once per
-	// timestep, the gradient updates run as one vectorized pass per
-	// lane, and the four lanes' serial dot chains advance together in
-	// f64.DotRows4 — all bit-identical to the per-row GradDot kernels.
-	dense := f64.Accelerated() && n == laneWidth
+	// With the AVX kernels active every tile takes the dense path,
+	// whatever its width: dPre is packed lane-interleaved once per
+	// timestep, the lanes' serial dot chains advance together in
+	// f64.DotRows4, and the gradient updates are deferred into one
+	// vectorized pass per Grad matrix — all bit-identical to the per-row
+	// GradDot kernels. A tile of n < laneWidth lanes is padded: lanes
+	// k >= n read an all-zero dPre column (every g == 0 step is skipped,
+	// so their chains stay +0) and write their dots to a discard row.
+	// DotRows4's (row, lane) chains are independent, so the real lanes
+	// run exactly the instructions of a four-lane tile.
+	dense := f64.Accelerated()
 	S := minT
 	if dense {
 		if cap(lsc.aos) < laneWidth*4*H {
 			lsc.aos = make([]float64, laneWidth*4*H)
+			lsc.zero = make([]float64, 4*H)
+		}
+		if w := max(l0.In, H); cap(lsc.discard) < w {
+			lsc.discard = make([]float64, w)
 		}
 		// Deferred-gradient save areas: lane k's slot s holds timestep
 		// t = minT-1-s, so ascending slots replay the backward pass's
@@ -278,8 +287,16 @@ func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 			f64.AddSkip(st.lstm.B.Grad, st.dPre)
 		}
 		if dense && t < minT {
-			st0, st1, st2, st3 := sts[0], sts[1], sts[2], sts[3]
-			f64.Interleave4(aos, st0.dPre, st1.dPre, st2.dPre, st3.dPre)
+			var dPre, dx, dh [laneWidth][]float64
+			for k := 0; k < laneWidth; k++ {
+				if k < n {
+					st := sts[k]
+					dPre[k], dx[k], dh[k] = st.dPre, st.dxs[t], st.dhNext
+				} else {
+					dPre[k], dx[k], dh[k] = lsc.zero, lsc.discard, lsc.discard
+				}
+			}
+			f64.Interleave4(aos, dPre[0], dPre[1], dPre[2], dPre[3])
 			// The gradient updates and the dot products touch disjoint
 			// arrays (Grad vs W), so splitting GradDot's fused loop off
 			// leaves every element's contribution order unchanged. The
@@ -293,8 +310,8 @@ func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 				copy(lsc.xsave[(k*S+s)*l0.In:(k*S+s+1)*l0.In], st.steps[t].x)
 				copy(lsc.hsave[(k*S+s)*H:(k*S+s+1)*H], st.steps[t].hPrev)
 			}
-			f64.DotRows4(l0.Wx.W, aos, st0.dxs[t], st1.dxs[t], st2.dxs[t], st3.dxs[t], 4*H)
-			f64.DotRows4(l0.Wh.W, aos, st0.dhNext, st1.dhNext, st2.dhNext, st3.dhNext, 4*H)
+			f64.DotRows4(l0.Wx.W, aos, dx[0], dx[1], dx[2], dx[3], 4*H)
+			f64.DotRows4(l0.Wh.W, aos, dh[0], dh[1], dh[2], dh[3], 4*H)
 			for k := 0; k < n; k++ {
 				st := sts[k]
 				f64.Mul(st.dcNext, st.dc, st.steps[t].f)
@@ -362,12 +379,14 @@ func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 // laneScratch holds one lockstep group's per-layer gather buffers so
 // stack sweeps allocate nothing in steady state.
 type laneScratch struct {
-	states [laneWidth]*LSTMState
-	cur    [laneWidth][][]float64
-	aos    []float64 // lane-interleaved dPre scratch for the dense backward
-	gsave  []float64 // deferred-gradient dPre slots (lane-major, then slot)
-	xsave  []float64 // deferred-gradient x slots
-	hsave  []float64 // deferred-gradient hPrev slots
+	states  [laneWidth]*LSTMState
+	cur     [laneWidth][][]float64
+	aos     []float64 // lane-interleaved dPre scratch for the dense backward
+	zero    []float64 // all-zero dPre column for the dense backward's pad lanes
+	discard []float64 // sink for the pad lanes' DotRows4 outputs
+	gsave   []float64 // deferred-gradient dPre slots (lane-major, then slot)
+	xsave   []float64 // deferred-gradient x slots
+	hsave   []float64 // deferred-gradient hPrev slots
 }
 
 // stackForward advances n lanes through the stack layer by layer; after

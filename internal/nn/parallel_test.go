@@ -24,7 +24,9 @@ func genSequences(n, seqLen, numVIDs int, seed int64) []Sequence {
 	return seqs
 }
 
-func trainOnce(t *testing.T, jobs int, opts TrainOptions) (TrainReport, []*Param) {
+// trainOnce trains a fresh model with jobs workers and lockstep tiles
+// lanes wide.
+func trainOnce(t *testing.T, jobs, lanes int, opts TrainOptions) (TrainReport, []*Param) {
 	t.Helper()
 	prev := parallel.SetJobs(jobs)
 	defer parallel.SetJobs(prev)
@@ -32,7 +34,7 @@ func trainOnce(t *testing.T, jobs int, opts TrainOptions) (TrainReport, []*Param
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := m.TrainJoint(genSequences(48, 12, 8, 7), opts)
+	report, err := m.trainJoint(genSequences(48, 12, 8, 7), opts, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,18 +45,25 @@ func trainOnce(t *testing.T, jobs int, opts TrainOptions) (TrainReport, []*Param
 // batched trainer's fixed-slot-order gradient reduction makes the whole
 // training trajectory — final weights, losses, clustering, embeddings —
 // bit-identical no matter how many workers compute the per-sequence
-// gradients.
+// gradients or how wide the lockstep tiles are. Tile widths 1-4 are
+// set explicitly, so every shape runs whatever the host's core count
+// (Batch 4 at 3 lanes is a 3-lane tile plus a 1-lane one).
 func TestTrainJointBitIdenticalAcrossJobs(t *testing.T) {
 	opts := TrainOptions{Steps: 30, K: 3, Batch: 4, Reassign: 10}
-	serialReport, serialParams := trainOnce(t, 1, opts)
-	for _, jobs := range []int{2, 8} {
-		report, params := trainOnce(t, jobs, opts)
-		if !reflect.DeepEqual(serialReport, report) {
-			t.Fatalf("jobs=%d: report diverged from serial run", jobs)
-		}
-		for i, p := range params {
-			if !reflect.DeepEqual(serialParams[i].W, p.W) {
-				t.Fatalf("jobs=%d: param %s weights diverged", jobs, p.Name)
+	serialReport, serialParams := trainOnce(t, 1, laneWidth, opts)
+	for _, jobs := range []int{1, 2, 8} {
+		for lanes := 1; lanes <= laneWidth; lanes++ {
+			if jobs == 1 && lanes == laneWidth {
+				continue
+			}
+			report, params := trainOnce(t, jobs, lanes, opts)
+			if !reflect.DeepEqual(serialReport, report) {
+				t.Fatalf("jobs=%d lanes=%d: report diverged from serial run", jobs, lanes)
+			}
+			for i, p := range params {
+				if !reflect.DeepEqual(serialParams[i].W, p.W) {
+					t.Fatalf("jobs=%d lanes=%d: param %s weights diverged", jobs, lanes, p.Name)
+				}
 			}
 		}
 	}
@@ -125,6 +134,45 @@ func TestTrainJointBatchOneMatchesPinnedDigests(t *testing.T) {
 	}
 }
 
+// TestTrainJointBatchFourMatchesPinnedDigests pins the Batch-4 training
+// trajectory to digests recorded while only four-lane tiles took the
+// dense backward and 1-3-lane tiles ran the per-row gather kernels:
+// padding narrow tiles onto the dense kernels must reproduce those bits
+// at every tile width and job count, on equal-length, ragged and
+// two-layer inputs.
+func TestTrainJointBatchFourMatchesPinnedDigests(t *testing.T) {
+	stacked := DefaultConfig(8)
+	stacked.Layers = 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seqs []Sequence
+		want uint64
+	}{
+		{"equal", DefaultConfig(8), genSequences(48, 12, 8, 7), 0xd792520ebf840884},
+		{"ragged", DefaultConfig(8), genRagged(24, 8, 11), 0xd60c05fa87620675},
+		{"layers2", stacked, genSequences(24, 8, 8, 5), 0x80268cea04e3d3b2},
+	} {
+		for _, jobs := range []int{1, 2} {
+			for lanes := 1; lanes <= laneWidth; lanes++ {
+				prev := parallel.SetJobs(jobs)
+				m, err := NewAutoencoder(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				report, err := m.trainJoint(tc.seqs, TrainOptions{Steps: 20, K: 3, Batch: 4, Reassign: 5}, lanes)
+				parallel.SetJobs(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := trainDigest(report, m.Params()); got != tc.want {
+					t.Errorf("%s jobs=%d lanes=%d: digest %#016x, want %#016x", tc.name, jobs, lanes, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestEncodeMatchesForward pins the encoder-only embedding sweep
 // against a training step's full forward pass: the decoder never feeds
 // back into h, so the two must agree bit for bit.
@@ -134,7 +182,7 @@ func TestEncodeMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := genSequences(8, 12, 8, 3)
-	tr := newTrainer(m, 1, 12)
+	tr := newTrainer(m, 1, 12, 1)
 	es := tr.embedAll(seqs)
 	for i := range seqs {
 		// The step accumulates gradients but leaves the weights alone.
@@ -146,8 +194,12 @@ func TestEncodeMatchesForward(t *testing.T) {
 }
 
 // TestTrainerStepZeroAlloc pins the reused per-slot scratch: after the
-// first step warms the buffers, a training step allocates nothing, for
-// a one-lane tile (Batch 1) and a four-lane one (Batch 4 at one job).
+// first step warms the buffers, a training step allocates nothing at
+// any tile width — including the padded 1-3-lane tiles, whose zero
+// dPre column and discard row are sized once, not per step. A
+// single-tile trainer is measured through trainer.step; a multi-tile
+// one through its tiles' run (step's parallel fan-out allocates its
+// result slices by design).
 func TestTrainerStepZeroAlloc(t *testing.T) {
 	prev := parallel.SetJobs(1)
 	defer parallel.SetJobs(prev)
@@ -158,18 +210,24 @@ func TestTrainerStepZeroAlloc(t *testing.T) {
 	seqs := genSequences(8, 12, 8, 5)
 	centroids := [][]float64{make([]float64, m.cfg.Hidden)}
 	assign := make([]int, len(seqs))
-	for _, batch := range []int{1, 4} {
-		tr := newTrainer(m, batch, 12)
-		idx := make([]int, batch)
+	for _, tc := range []struct{ batch, lanes int }{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {4, 2}, {4, 1}} {
+		tr := newTrainer(m, tc.batch, 12, tc.lanes)
+		idx := make([]int, tc.batch)
 		for b := range idx {
 			idx[b] = b
 		}
-		tr.step(seqs, idx, centroids, assign, 0.01) // warm-up
-		allocs := testing.AllocsPerRun(10, func() {
-			tr.step(seqs, idx, centroids, assign, 0.01)
-		})
-		if allocs != 0 {
-			t.Fatalf("batch %d: trainer.step allocates %v times per run, want 0", batch, allocs)
+		step := func() {
+			if len(tr.tiles) == 1 {
+				tr.step(seqs, idx, centroids, assign, 0.01)
+				return
+			}
+			for _, ti := range tr.tiles {
+				ti.run(seqs, idx, centroids, assign, 0.01)
+			}
+		}
+		step() // warm-up
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Fatalf("batch %d, %d-lane tiles: a training step allocates %v times per run, want 0", tc.batch, tc.lanes, allocs)
 		}
 	}
 }
@@ -191,35 +249,38 @@ func genRagged(n, numVIDs int, seed int64) []Sequence {
 }
 
 // TestTrainJointRaggedLanesBitIdentical sweeps batch sizes 1-8 over a
-// ragged-length training set: every lockstep lane count (full groups of
-// four plus remainders of 1-3) and every dense/gather boundary inside a
-// group gets exercised, and the whole trajectory must stay bit-identical
-// between a serial run and an 8-worker run — the same invariant the
-// fused f64 kernels are held to on the equal-length fast path.
+// ragged-length training set at every tile width up to the batch:
+// every lockstep lane count (full groups of four plus remainders of
+// 1-3) and every dense/gather boundary inside a group gets exercised,
+// and the whole trajectory must stay bit-identical between a serial
+// run and an 8-worker run — the same invariant the fused f64 kernels
+// are held to on the equal-length fast path.
 func TestTrainJointRaggedLanesBitIdentical(t *testing.T) {
 	seqs := genRagged(24, 8, 11)
-	train := func(jobs, batch int) (TrainReport, []*Param) {
+	train := func(jobs, batch, lanes int) (TrainReport, []*Param) {
 		prev := parallel.SetJobs(jobs)
 		defer parallel.SetJobs(prev)
 		m, err := NewAutoencoder(DefaultConfig(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := m.TrainJoint(seqs, TrainOptions{Steps: 10, K: 3, Batch: batch, Reassign: 5})
+		report, err := m.trainJoint(seqs, TrainOptions{Steps: 10, K: 3, Batch: batch, Reassign: 5}, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return report, m.Params()
 	}
 	for batch := 1; batch <= 8; batch++ {
-		serialReport, serialParams := train(1, batch)
-		report, params := train(8, batch)
-		if !reflect.DeepEqual(serialReport, report) {
-			t.Fatalf("batch=%d: report diverged across jobs", batch)
-		}
-		for i, p := range params {
-			if !reflect.DeepEqual(serialParams[i].W, p.W) {
-				t.Fatalf("batch=%d: param %s weights diverged", batch, p.Name)
+		serialReport, serialParams := train(1, batch, min(batch, laneWidth))
+		for lanes := 1; lanes <= min(batch, laneWidth); lanes++ {
+			report, params := train(8, batch, lanes)
+			if !reflect.DeepEqual(serialReport, report) {
+				t.Fatalf("batch=%d lanes=%d: report diverged across jobs", batch, lanes)
+			}
+			for i, p := range params {
+				if !reflect.DeepEqual(serialParams[i].W, p.W) {
+					t.Fatalf("batch=%d lanes=%d: param %s weights diverged", batch, lanes, p.Name)
+				}
 			}
 		}
 	}

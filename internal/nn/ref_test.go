@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/f64"
 )
 
 // refLinearForwardIn is the original j-outer scalar loop.
@@ -348,7 +350,11 @@ func TestLSTMForwardBackwardMatchesScalarRef(t *testing.T) {
 		{"repeat", 16, 32, []int{16, 16, 16, 16}, true}, // decoder-style
 		{"repeat-ragged", 16, 32, []int{5, 16, 11, 8}, true},
 	} {
-		for n := 1; n <= laneWidth; n++ {
+		// One scratch serves every lane count, widest first, so the
+		// padded narrow tiles run on buffers a four-lane tile has
+		// already filled.
+		lsc := &laneScratch{}
+		for n := laneWidth; n >= 1; n-- {
 			l := NewLSTM("lstm", tc.in, tc.hidden, r)
 			sts := make([]*LSTMState, n)
 			refs := make([]*LSTM, n)
@@ -371,7 +377,16 @@ func TestLSTMForwardBackwardMatchesScalarRef(t *testing.T) {
 					dHs[k][tt] = seasonedVec(r, tc.hidden)
 				}
 			}
-			laneLSTMBackward(sts, dHs, &laneScratch{})
+			laneLSTMBackward(sts, dHs, lsc)
+			// A padded tile's pad lanes read an all-zero dPre column, so
+			// every dot they wrote to the discard row is +0.
+			if f64.Accelerated() && n < laneWidth {
+				for i, v := range lsc.discard {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("%s lanes=%d: pad-lane dot %d is %v, want +0", tc.name, n, i, v)
+					}
+				}
+			}
 
 			for k, st := range sts {
 				where := fmt.Sprintf("%s lanes=%d lane=%d", tc.name, n, k)
