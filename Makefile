@@ -34,7 +34,7 @@ race:
 	$(GO) test -race -short ./...
 
 # bench smoke: the simulator hot path, the DL selector's two
-# training-cost benchmarks (the select_ms story lives in internal/f64's
+# training-cost benchmarks (cluster.select_dl_ms is mostly internal/f64's
 # lane-fused kernels; TrainJoint isolates the training loop, SelectDL
 # times the whole selection pipeline) and each paper kernel's input
 # construction (KernelStreams, one sub-benchmark per kernel).

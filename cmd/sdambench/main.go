@@ -5,93 +5,27 @@
 // Usage:
 //
 //	sdambench [-engine cpu|accel] [-cores n] [-clusters n] [-refs n]
-//	          [-hbmdiv f] [-jobs n] [-bench list] [-json file]
-//	          [-baseline file] <benchmark>|standard|data
+//	          [-hbmdiv f] [-jobs n] <benchmark>|standard|data
 //
 // -jobs bounds how many simulation cells run concurrently (0 means
-// GOMAXPROCS). -bench selects a comma-separated benchmark list,
-// overriding the positional argument, so JSON sweeps can cover several
-// benchmarks in one file. -json additionally times every (benchmark,
-// config) cell and the parallel sweep, and writes the measurements —
-// host ns per simulated reference per configuration, split into
-// selection, reference-tape build, and simulation time, plus sweep
-// wall-clock — to the named file (conventionally BENCH_hotpath.json,
-// the repo's recorded perf trajectory; see README "Performance").
-// -baseline compares the fresh measurements against a committed report
-// and exits non-zero when any non-DL cell regressed more than
-// -baseline-tol times in ns/ref (default 3: deliberately loose, so only
-// order-of-magnitude hot-path regressions trip on noisy shared CI). DL
-// cells are gated separately on select_ms — the selector-training share
-// of the cell, which the lane-fused f64 kernel layer keeps cheap — via
-// -baseline-select-tol (default 2), and only when both runs used the
-// same kernel acceleration (the report records it as select_accel).
-// -cpuprofile and -memprofile write pprof profiles covering the sweep.
-// -metrics writes a schema-versioned JSON snapshot of the simulator's
-// observability counters after the sweep (alongside, not inside, the
-// -json bench report); -trace writes the sweep's phase spans as Chrome
-// trace_event JSON for Perfetto. See docs/OBSERVABILITY.md.
+// GOMAXPROCS). -cpuprofile and -memprofile write pprof profiles covering
+// the sweep. -metrics writes a schema-versioned JSON snapshot of the
+// simulator's observability counters after the sweep; -trace writes the
+// sweep's phase spans as Chrome trace_event JSON for Perfetto. See
+// docs/OBSERVABILITY.md. Host-time measurement lives in the benchmark
+// harness (bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/f64"
-	"repro/internal/wallclock"
 	"repro/sdam"
 )
-
-// benchCell is one timed (benchmark, configuration) run in -json mode.
-type benchCell struct {
-	Benchmark string `json:"benchmark"`
-	Config    string `json:"config"`
-	// NsPerRef is host wall-clock nanoseconds per simulated reference
-	// for the whole cell (profiling pass, selection, and evaluation pass
-	// where the configuration has them) — the sweep-cost view of the
-	// per-reference hot path.
-	NsPerRef   float64 `json:"ns_per_ref"`
-	References uint64  `json:"references"`
-	WallMs     float64 `json:"wall_ms"`
-	// SelectMs is the mapping-selection share of WallMs (profiling-time
-	// clustering/training); TapeBuildMs (schema 3) is the share spent
-	// recording reference tapes — paid by the first cell of each
-	// {workload, seed} and amortized to zero for every cell that replays
-	// the shared tape (TapeHits counts those replays); SimMs is the
-	// remainder — the profiling and evaluation passes through the
-	// simulator. SelectJobs records the worker budget the selection
-	// pipeline ran under.
-	SelectMs        float64 `json:"select_ms"`
-	TapeBuildMs     float64 `json:"tape_build_ms"`
-	TapeHits        int64   `json:"tape_hits"`
-	SimMs           float64 `json:"sim_ms"`
-	SelectJobs      int     `json:"select_jobs"`
-	SpeedupOverBSDM float64 `json:"speedup_over_bsdm"`
-}
-
-// benchReport is the schema of the -json output file.
-type benchReport struct {
-	Schema   int    `json:"schema"`
-	Engine   string `json:"engine"`
-	Cores    int    `json:"cores"`
-	Refs     int    `json:"refs"`
-	Clusters int    `json:"clusters"`
-	Jobs     int    `json:"jobs"`
-	// SelectAccel records whether the f64 assembly kernel layer was
-	// active for the run; select_ms numbers are only comparable between
-	// runs with the same value (schema 4).
-	SelectAccel bool `json:"select_accel"`
-	// Cells are timed one at a time (unloaded host).
-	Cells []benchCell `json:"cells"`
-	// SweepWallMs is the wall-clock of the same sweep run through the
-	// parallel harness at the configured -jobs width.
-	SweepWallMs float64 `json:"sweep_wall_ms"`
-}
 
 func main() {
 	engine := flag.String("engine", "cpu", "processing element: cpu or accel")
@@ -100,17 +34,12 @@ func main() {
 	refs := flag.Int("refs", 80_000, "per-run reference budget")
 	hbmdiv := flag.Float64("hbmdiv", 1, "HBM frequency divider (Fig 14)")
 	jobs := flag.Int("jobs", 0, "max concurrent simulation cells (0 = GOMAXPROCS)")
-	bench := flag.String("bench", "", "comma-separated benchmarks to sweep (overrides the positional argument)")
-	jsonPath := flag.String("json", "", "also time each cell and write perf measurements to this file")
-	baseline := flag.String("baseline", "", "committed -json report to diff against; ns/ref regressions beyond -baseline-tol in non-DL cells fail")
-	baselineTol := flag.Float64("baseline-tol", 3.0, "regression factor tolerated by -baseline before failing")
-	selectTol := flag.Float64("baseline-select-tol", 2.0, "select_ms regression factor tolerated by -baseline in DL cells before failing")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot of the sweep to this file (\"-\" for stdout)")
 	tracePath := flag.String("trace", "", "write the sweep's phase spans as Chrome trace_event JSON to this file (opens in Perfetto)")
 	flag.Parse()
-	if flag.NArg() != 1 && *bench == "" {
+	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: sdambench [flags] <benchmark>|standard|data")
 		flag.PrintDefaults()
 		os.Exit(2)
@@ -122,28 +51,6 @@ func main() {
 	if *tracePath != "" {
 		sdam.EnableTracing()
 	}
-	// writeObservability runs after the measured work on every path
-	// (including a failing baseline gate — the telemetry helps diagnose
-	// the regression).
-	writeObservability := func() {
-		if *metricsPath != "" {
-			if err := writeTo(*metricsPath, func(f *os.File) error {
-				return sdam.Metrics().WriteJSON(f)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *tracePath != "" {
-			if err := writeTo(*tracePath, func(f *os.File) error {
-				return sdam.WriteTrace(f)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -153,27 +60,6 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
 			os.Exit(1)
-		}
-	}
-	// stopProfiles finalizes both profiles once the measured work is
-	// done, before any baseline verdict — a failing gate still leaves
-	// the profiles behind to diagnose the regression with.
-	stopProfiles := func() {
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
 		}
 	}
 
@@ -189,16 +75,10 @@ func main() {
 	}
 
 	var names []string
-	switch {
-	case *bench != "":
-		for _, n := range strings.Split(*bench, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	case flag.Arg(0) == "standard":
+	switch flag.Arg(0) {
+	case "standard":
 		names = sdam.ProxyNames()
-	case flag.Arg(0) == "data":
+	case "data":
 		names = sdam.KernelNames()
 	default:
 		names = []string{flag.Arg(0)}
@@ -206,38 +86,6 @@ func main() {
 
 	base := sdam.Options{Engine: eng, Clusters: *clusters, HBMScale: *hbmdiv}
 	kinds := []sdam.Kind{sdam.BSDM, sdam.BSBSM, sdam.BSHM, sdam.SDMBSM, sdam.SDMBSMML, sdam.SDMBSMDL}
-
-	if *jsonPath != "" {
-		rep := benchReport{
-			Schema: 4, Engine: eng.Name, Cores: *cores,
-			Refs: *refs, Clusters: *clusters, Jobs: sdam.Jobs(),
-			SelectAccel: f64.Accelerated(),
-		}
-		runTimed(&rep, names, base, kinds, *refs)
-		stopProfiles()
-		writeObservability()
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
-		}
-		if *baseline != "" {
-			if err := checkBaseline(rep, *baseline, *baselineTol, *selectTol); err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("baseline check vs %s: ok\n", *baseline)
-		}
-		return
-	}
-	if *baseline != "" {
-		fmt.Fprintln(os.Stderr, "sdambench: -baseline requires -json")
-		os.Exit(2)
-	}
 
 	printHeader(kinds)
 	for _, name := range names {
@@ -253,8 +101,38 @@ func main() {
 		}
 		printRow(name, results)
 	}
-	stopProfiles()
-	writeObservability()
+	if *cpuprofile != "" {
+		pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
+			os.Exit(1)
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
+			os.Exit(1)
+		}
+		f.Close()
+	}
+	if *metricsPath != "" {
+		if err := writeTo(*metricsPath, func(f *os.File) error {
+			return sdam.Metrics().WriteJSON(f)
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	if *tracePath != "" {
+		if err := writeTo(*tracePath, func(f *os.File) error {
+			return sdam.WriteTrace(f)
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }
 
 // writeTo streams write's output to path, or stdout for "-".
@@ -287,147 +165,6 @@ func printRow(name string, results []sdam.Result) {
 		fmt.Printf("  %11.2fx", r.SpeedupOver(results[0]))
 	}
 	fmt.Println()
-}
-
-// runTimed fills the report: every cell run and timed one at a time for
-// clean per-config numbers (the speedup table prints along the way),
-// then the same sweep through the parallel harness for the end-to-end
-// wall-clock. Timing goes through wallclock, the repo's sanctioned
-// host-clock source; host time is only reported, never fed back into
-// simulated state.
-func runTimed(rep *benchReport, names []string, base sdam.Options, kinds []sdam.Kind, refs int) {
-	printHeader(kinds)
-	for _, name := range names {
-		results := make([]sdam.Result, 0, len(kinds))
-		for _, k := range kinds {
-			w, err := buildBench(name, refs)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-				os.Exit(1)
-			}
-			o := base
-			o.Kind = k
-			tapeBefore := sdam.TapeCacheStats()
-			start := wallclock.Now()
-			r, err := sdam.RunBenchmark(w, o)
-			wall := wallclock.Since(start)
-			tapeAfter := sdam.TapeCacheStats()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sdambench: %s on %s: %v\n", k, name, err)
-				os.Exit(1)
-			}
-			results = append(results, r)
-			selectMs := float64(r.ProfilingTime.Microseconds()) / 1e3
-			cell := benchCell{
-				Benchmark:       name,
-				Config:          k.String(),
-				References:      r.Run.References,
-				WallMs:          float64(wall.Microseconds()) / 1e3,
-				SelectMs:        selectMs,
-				TapeBuildMs:     float64(tapeAfter.BuildNs-tapeBefore.BuildNs) / 1e6,
-				TapeHits:        tapeAfter.Hits - tapeBefore.Hits,
-				SelectJobs:      sdam.Jobs(),
-				SpeedupOverBSDM: r.SpeedupOver(results[0]),
-			}
-			cell.SimMs = cell.WallMs - cell.SelectMs - cell.TapeBuildMs
-			if r.Run.References > 0 {
-				cell.NsPerRef = float64(wall.Nanoseconds()) / float64(r.Run.References)
-			}
-			rep.Cells = append(rep.Cells, cell)
-		}
-		printRow(name, results)
-	}
-	start := wallclock.Now()
-	for _, name := range names {
-		w, err := buildBench(name, refs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
-		}
-		if _, err := sdam.Compare(w, base, kinds); err != nil {
-			fmt.Fprintf(os.Stderr, "sdambench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-	rep.SweepWallMs = float64(wallclock.Since(start).Microseconds()) / 1e3
-	fmt.Printf("parallel sweep (%d jobs): %.1f ms\n", rep.Jobs, rep.SweepWallMs)
-}
-
-// checkBaseline diffs fresh cell timings against a committed report and
-// errors when a matching non-DL cell regressed more than tol times in
-// ns/ref. The default tolerance is deliberately loose — host timing on
-// shared CI is noisy — so only order-of-magnitude hot-path regressions
-// trip it. DL cells are gated on select_ms instead of ns/ref: their
-// wall-clock is dominated by selector training, whose cost the f64
-// kernel layer is accountable for, so a matching DL cell whose
-// select_ms exceeds selectTol times the baseline's fails. The select
-// gate only applies when both runs had the same kernel acceleration
-// (select_accel) and the baseline cell's select_ms is positive — a
-// scalar-fallback CI host is slower by design, not regressed.
-// A baseline with zero or NaN ns/ref cells is rejected outright: every
-// comparison against such a cell would silently pass, which is how a
-// truncated or hand-edited baseline disables the gate without anyone
-// noticing.
-func checkBaseline(rep benchReport, path string, tol, selectTol float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if tol <= 0 || math.IsNaN(tol) {
-		return fmt.Errorf("baseline: -baseline-tol %v must be a positive factor", tol)
-	}
-	if selectTol <= 0 || math.IsNaN(selectTol) {
-		return fmt.Errorf("baseline: -baseline-select-tol %v must be a positive factor", selectTol)
-	}
-	for _, c := range base.Cells {
-		if !(c.NsPerRef > 0) || math.IsNaN(c.NsPerRef) || math.IsInf(c.NsPerRef, 0) {
-			return fmt.Errorf("baseline %s: cell %s/%s has invalid ns_per_ref %v — regenerate the baseline (go run ./cmd/sdambench -json %s ...)",
-				path, c.Benchmark, c.Config, c.NsPerRef, path)
-		}
-	}
-	// ns/ref folds fixed per-cell costs (workload generation, setup)
-	// over the reference count, so reports from different budgets,
-	// machine models, or measurement schemas are not comparable.
-	if base.Schema != rep.Schema {
-		return fmt.Errorf("baseline %s uses schema %d; this build writes schema %d (not comparable; regenerate the baseline)",
-			path, base.Schema, rep.Schema)
-	}
-	if base.Refs != rep.Refs || base.Engine != rep.Engine || base.Cores != rep.Cores {
-		return fmt.Errorf("baseline %s measured with -refs %d -engine %s -cores %d; this run used -refs %d -engine %s -cores %d (not comparable)",
-			path, base.Refs, base.Engine, base.Cores, rep.Refs, rep.Engine, rep.Cores)
-	}
-	type key struct{ bench, config string }
-	baseNs := make(map[key]float64, len(base.Cells))
-	baseSelect := make(map[key]float64, len(base.Cells))
-	for _, c := range base.Cells {
-		baseNs[key{c.Benchmark, c.Config}] = c.NsPerRef
-		baseSelect[key{c.Benchmark, c.Config}] = c.SelectMs
-	}
-	selectComparable := base.SelectAccel == rep.SelectAccel
-	var fails []string
-	for _, c := range rep.Cells {
-		if strings.Contains(c.Config, "DL") {
-			b, ok := baseSelect[key{c.Benchmark, c.Config}]
-			if ok && selectComparable && b > 0 && c.SelectMs > selectTol*b {
-				fails = append(fails, fmt.Sprintf("%s/%s: select %.1f ms vs baseline %.1f (%.1fx > %gx)",
-					c.Benchmark, c.Config, c.SelectMs, b, c.SelectMs/b, selectTol))
-			}
-			continue
-		}
-		b, ok := baseNs[key{c.Benchmark, c.Config}]
-		if ok && c.NsPerRef > tol*b {
-			fails = append(fails, fmt.Sprintf("%s/%s: %.0f ns/ref vs baseline %.0f (%.1fx > %gx)",
-				c.Benchmark, c.Config, c.NsPerRef, b, c.NsPerRef/b, tol))
-		}
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("baseline regression:\n  %s", strings.Join(fails, "\n  "))
-	}
-	return nil
 }
 
 // buildBench resolves a benchmark name, additionally accepting

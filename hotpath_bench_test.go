@@ -1,10 +1,11 @@
 // Hot-path microbenchmarks: the per-reference simulation loop measured
 // in isolation, reported as ns/ref (and allocs/ref via -benchmem).
-// These are the recorded perf trajectory's primary series — run with
+// Run with
 //
 //	go test -bench=HotPath -benchmem .
 //
-// and compare against BENCH_hotpath.json (see README "Performance").
+// The benchmark harness measures the same loop end to end as its
+// cpu.run_ns_per_ref metric (bench/README.md).
 package repro
 
 import (

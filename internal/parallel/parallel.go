@@ -31,10 +31,12 @@ import (
 // clock; items land in the executing worker's shard (AddWorker) so
 // concurrent workers do not share a cache line.
 var (
-	statItems  = obs.NewCounter("parallel.items", "items", "work items executed by the pool")
+	// Host-marked: the item count follows how finely callers split
+	// their work for the worker budget (the DL trainer tiles a batch by
+	// -jobs), and width is the -jobs setting; neither is simulated work.
+	statItems  = obs.NewCounter("parallel.items", "items", "work items executed by the pool").Host()
 	statBusyNs = obs.NewCounter("parallel.busy_ns", "ns", "host time workers spent inside work items")
-	// Host-marked: width is the -jobs setting, not simulated work.
-	statWidth = obs.NewGauge("parallel.width", "workers", "high-water concurrent worker count").Host()
+	statWidth  = obs.NewGauge("parallel.width", "workers", "high-water concurrent worker count").Host()
 )
 
 // jobs holds the process-wide worker budget; zero means GOMAXPROCS.

@@ -2,12 +2,20 @@ package system
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/cpu"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/tape"
 	"repro/internal/workload"
 )
@@ -122,8 +130,9 @@ func TestObsPoolAcquireReleaseBalanced(t *testing.T) {
 
 // TestObsDeterministicSnapshotByteStable is the golden test behind the
 // -metrics artifact: the Deterministic() snapshot of a fixed sweep,
-// rerun from fresh-process state, must serialize to identical bytes —
-// counters, histogram buckets, and span counts included.
+// rerun from fresh-process state at a different -jobs count, must
+// serialize to identical bytes — counters, histogram buckets, and span
+// counts included.
 func TestObsDeterministicSnapshotByteStable(t *testing.T) {
 	obs.EnableMetrics()
 	t.Cleanup(func() {
@@ -131,10 +140,13 @@ func TestObsDeterministicSnapshotByteStable(t *testing.T) {
 		obsFreshProcess()
 	})
 	kinds := []Kind{SDMBSM, SDMBSMDL}
-	sweep := func() []byte {
+	sweep := func(jobs int) []byte {
 		obsFreshProcess()
-		if _, err := Compare(obsTestWorkload(), obsTestOptions, kinds); err != nil {
-			t.Fatalf("Compare: %v", err)
+		prev := parallel.SetJobs(jobs)
+		_, err := Compare(obsTestWorkload(), obsTestOptions, kinds)
+		parallel.SetJobs(prev)
+		if err != nil {
+			t.Fatalf("Compare at -jobs %d: %v", jobs, err)
 		}
 		var buf bytes.Buffer
 		if err := obs.Default.Snapshot().Deterministic().WriteJSON(&buf); err != nil {
@@ -142,19 +154,96 @@ func TestObsDeterministicSnapshotByteStable(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	one := sweep()
-	two := sweep()
-	if !bytes.Equal(one, two) {
-		t.Fatalf("deterministic snapshot not byte-stable across identical sweeps:\n--- first\n%s\n--- second\n%s", one, two)
+	one := sweep(1)
+	two := sweep(4)
+	if line, a, b := firstDiff(string(one), string(two)); line != 0 {
+		t.Fatalf("deterministic snapshot differs between -jobs 1 and -jobs 4 at line %d:\n--- jobs 1\n%s\n--- jobs 4\n%s", line, a, b)
 	}
 	for _, name := range []string{`"system.runs"`, `"hbm.requests"`, `"nn.train_steps"`, `"schema": 5`} {
 		if !bytes.Contains(one, []byte(name)) {
 			t.Fatalf("snapshot missing %s:\n%s", name, one)
 		}
 	}
-	for _, dropped := range []string{`"parallel.busy_ns"`, `"hbm.pool_news"`, `"parallel.width"`} {
+	for _, dropped := range []string{`"parallel.items"`, `"parallel.busy_ns"`, `"hbm.pool_news"`, `"parallel.width"`} {
 		if bytes.Contains(one, []byte(dropped)) {
 			t.Fatalf("host-dependent metric %s survived Deterministic():\n%s", dropped, one)
 		}
 	}
+}
+
+// updateSweepGolden rewrites the simulated-work golden file:
+//
+//	go test ./internal/system -run TestSweepGoldenSimulatedWork -update
+var updateSweepGolden = flag.Bool("update", false, "rewrite "+sweepGoldenPath)
+
+const sweepGoldenPath = "testdata/sweep_bfs_accel.golden"
+
+// TestSweepGoldenSimulatedWork pins the simulated work of a fixed sweep
+// — bfs on the 4-unit accelerator, 32 clusters, 80 000 refs, all six
+// configurations, as `sdambench -engine accel -cores 4 bfs` runs it —
+// byte for byte: each cell's simulated makespan and reference count,
+// then the Deterministic() metrics snapshot (engine refs, HBM requests,
+// row hits and refreshes, DL train steps, crossbar compiles, cache hits
+// and misses, span counts). Any change to simulated behaviour moves at
+// least one line; host speed and -jobs move none, so the file is
+// checked at -jobs 1 and -jobs 4. Host-time regressions are the
+// benchmark harness's job (bench/README.md).
+func TestSweepGoldenSimulatedWork(t *testing.T) {
+	obs.EnableMetrics()
+	t.Cleanup(func() {
+		obs.DisableMetrics()
+		obsFreshProcess()
+	})
+	opts := Options{Engine: cpu.AcceleratorConfig(4), Clusters: 32}
+	kinds := []Kind{BSDM, BSBSM, BSHM, SDMBSM, SDMBSMML, SDMBSMDL}
+	for i, jobs := range []int{1, 4} {
+		obsFreshProcess()
+		prev := parallel.SetJobs(jobs)
+		res, err := Compare(apps.NewBFS(apps.Options{MaxRefs: 80_000}), opts, kinds)
+		parallel.SetJobs(prev)
+		if err != nil {
+			t.Fatalf("Compare at -jobs %d: %v", jobs, err)
+		}
+		var buf bytes.Buffer
+		for _, r := range res {
+			fmt.Fprintf(&buf, "%s %s time_ns=%s refs=%d\n", r.Workload, r.Config,
+				strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64), r.Run.References)
+		}
+		if err := obs.Default.Snapshot().Deterministic().WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		got := buf.String()
+		if *updateSweepGolden && i == 0 {
+			if err := os.MkdirAll(filepath.Dir(sweepGoldenPath), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(sweepGoldenPath, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(sweepGoldenPath)
+		if err != nil {
+			t.Fatalf("reading golden (regenerate with -update): %v", err)
+		}
+		if line, w, g := firstDiff(string(want), got); line != 0 {
+			t.Errorf("-jobs %d: simulated work diverges from %s at line %d\n--- golden\n%s\n--- got\n%s",
+				jobs, sweepGoldenPath, line, w, g)
+		}
+	}
+}
+
+// firstDiff reports the first line (1-based) at which got departs from
+// want, with that line and up to three before it from each side as
+// context; line is 0 when the texts are identical.
+func firstDiff(want, got string) (line int, w, g string) {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	window := func(lines []string, i int) string {
+		return strings.Join(lines[max(0, i-3):min(len(lines), i+1)], "\n")
+	}
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		if i >= len(wl) || i >= len(gl) || wl[i] != gl[i] {
+			return i + 1, window(wl, i), window(gl, i)
+		}
+	}
+	return 0, "", ""
 }

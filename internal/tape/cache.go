@@ -51,8 +51,7 @@ var (
 		Bytes:  obs.NewGauge("tape.bytes", "bytes", "high-water retained tape column footprint"),
 	})
 
-	statLive    atomic.Int64
-	statBuildNs atomic.Int64
+	statLive atomic.Int64
 )
 
 // Stats is a snapshot of the cache counters.
@@ -62,9 +61,6 @@ type Stats struct {
 	// (no TapeKey, incompatible layout, byte budget reached, or a failed
 	// recording).
 	Builds, Hits, Live int64
-	// BuildNs is the cumulative host time spent recording tapes — the
-	// "tape build" half of the sdambench schema-3 split.
-	BuildNs int64
 	// Bytes is the retained column footprint.
 	Bytes int64
 }
@@ -73,11 +69,10 @@ type Stats struct {
 func CacheStats() Stats {
 	s := cache.Stats()
 	return Stats{
-		Builds:  s.Misses,
-		Hits:    s.Hits,
-		Live:    statLive.Load(),
-		BuildNs: statBuildNs.Load(),
-		Bytes:   s.Bytes,
+		Builds: s.Misses,
+		Hits:   s.Hits,
+		Live:   statLive.Load(),
+		Bytes:  s.Bytes,
 	}
 }
 
@@ -86,7 +81,6 @@ func CacheStats() Stats {
 func ResetCache() {
 	cache.Reset()
 	statLive.Store(0)
-	statBuildNs.Store(0)
 }
 
 // StreamsFor returns the reference streams for one cell's run of w at
@@ -116,8 +110,6 @@ func record(key cacheKey, w workload.Workload, seed int64, lay *Layout) *Tape {
 	start := wallclock.Now()
 	t := Record(w.Streams(seed), *lay)
 	sp.End()
-	buildNs := wallclock.Since(start).Nanoseconds()
-	statBuildNs.Add(buildNs)
-	obsBuildNs.Add(buildNs)
+	obsBuildNs.Add(wallclock.Since(start).Nanoseconds())
 	return t
 }

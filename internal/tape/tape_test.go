@@ -205,7 +205,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if s.Builds != 1 || s.Hits != 1 || s.Live != 0 {
 		t.Fatalf("stats after two cells = %+v, want 1 build, 1 hit, 0 live", s)
 	}
-	if s.Bytes == 0 || s.BuildNs < 0 {
+	if s.Bytes == 0 {
 		t.Fatalf("implausible accounting: %+v", s)
 	}
 

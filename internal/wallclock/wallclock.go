@@ -9,9 +9,9 @@
 // reports (Selection.ProfilingTime, Result.ProfilingTime): a measured
 // wall-clock duration that is nondeterministic by nature and explicitly
 // normalized away by the determinism regression tests. Host-cost
-// reporting tools (sdambench -json, the recorded perf trajectory) use
-// the same escape hatch: they measure host time around simulation
-// calls, never feed it back in.
+// reporting (the obs "ns" counters and spans, the benchmark harness in
+// bench/) uses the same escape hatch: it measures host time around
+// simulation calls, never feeds it back in.
 //
 // Routing that one exception through this package keeps the escape
 // hatch auditable: the only two seededrand suppressions in the tree

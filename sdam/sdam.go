@@ -35,7 +35,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/profile"
 	"repro/internal/system"
-	"repro/internal/tape"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
 	"repro/internal/vm"
@@ -109,15 +108,6 @@ func SetJobs(n int) int { return parallel.SetJobs(n) }
 
 // Jobs reports the current concurrency cap.
 func Jobs() int { return parallel.Jobs() }
-
-// TapeStats is a snapshot of the process-wide reference-tape cache
-// counters (see internal/tape): how many tapes were recorded vs shared,
-// and the host time spent recording — the tape-build half of
-// sdambench's schema-3 per-cell split.
-type TapeStats = tape.Stats
-
-// TapeCacheStats returns the current tape-cache counters.
-func TapeCacheStats() TapeStats { return tape.CacheStats() }
 
 // Observability (see internal/obs and docs/OBSERVABILITY.md). The
 // metrics layer is disabled by default and costs one atomic load per
