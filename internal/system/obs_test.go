@@ -171,12 +171,10 @@ func TestObsDeterministicSnapshotByteStable(t *testing.T) {
 	}
 }
 
-// updateSweepGolden rewrites the simulated-work golden file:
+// updateSweepGolden rewrites the simulated-work golden files:
 //
-//	go test ./internal/system -run TestSweepGoldenSimulatedWork -update
-var updateSweepGolden = flag.Bool("update", false, "rewrite "+sweepGoldenPath)
-
-const sweepGoldenPath = "testdata/sweep_bfs_accel.golden"
+//	go test ./internal/system -run 'TestSweepGoldenSimulatedWork' -update
+var updateSweepGolden = flag.Bool("update", false, "rewrite the testdata/*.golden simulated-work pins")
 
 // TestSweepGoldenSimulatedWork pins the simulated work of a fixed sweep
 // — bfs on the 4-unit accelerator, 32 clusters, 80 000 refs, all six
@@ -189,45 +187,78 @@ const sweepGoldenPath = "testdata/sweep_bfs_accel.golden"
 // checked at -jobs 1 and -jobs 4. Host-time regressions are the
 // benchmark harness's job (bench/README.md).
 func TestSweepGoldenSimulatedWork(t *testing.T) {
+	checkSweepGolden(t, "testdata/sweep_bfs_accel.golden",
+		func() workload.Workload { return apps.NewBFS(apps.Options{MaxRefs: 80_000}) },
+		Options{Engine: cpu.AcceleratorConfig(4), Clusters: 32},
+		[]Kind{BSDM, BSBSM, BSHM, SDMBSM, SDMBSMML, SDMBSMDL},
+		func(r Result) string {
+			return fmt.Sprintf("%s %s time_ns=%s refs=%d", r.Workload, r.Config,
+				strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64), r.Run.References)
+		})
+}
+
+// TestSweepGoldenSimulatedWorkWriteBack is the same pin for the
+// write-back CPU path, which the accelerator sweep never reaches (it
+// has no cache): hashjoin's random bucket updates evict dirty lines
+// from the 64 KB 8-way L1, so each cell's external writes and cache
+// hits depend on the cache's hit/victim choices and the MSHR window's
+// stall times, reference by reference.
+func TestSweepGoldenSimulatedWorkWriteBack(t *testing.T) {
+	eng := cpu.CPUConfig(4)
+	eng.WriteBack = true
+	checkSweepGolden(t, "testdata/sweep_hashjoin_cpu_wb.golden",
+		func() workload.Workload { return apps.NewHashJoin(apps.Options{MaxRefs: 40_000}) },
+		Options{Engine: eng},
+		[]Kind{BSDM, BSHM, SDMBSM, SDMBSMML},
+		func(r Result) string {
+			return fmt.Sprintf("%s %s time_ns=%s refs=%d external=%d writes=%d cache_hits=%d",
+				r.Workload, r.Config, strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64),
+				r.Run.References, r.Run.External, r.Run.Writes, r.Run.CacheHits)
+		})
+}
+
+// checkSweepGolden runs Compare over a fresh workload at -jobs 1 and 4
+// from fresh-process state and requires each run's cell lines followed
+// by the Deterministic() snapshot to equal the golden file byte for
+// byte; -update rewrites the file from the -jobs 1 run.
+func checkSweepGolden(t *testing.T, path string, newWork func() workload.Workload, opts Options, kinds []Kind, cell func(Result) string) {
+	t.Helper()
 	obs.EnableMetrics()
 	t.Cleanup(func() {
 		obs.DisableMetrics()
 		obsFreshProcess()
 	})
-	opts := Options{Engine: cpu.AcceleratorConfig(4), Clusters: 32}
-	kinds := []Kind{BSDM, BSBSM, BSHM, SDMBSM, SDMBSMML, SDMBSMDL}
 	for i, jobs := range []int{1, 4} {
 		obsFreshProcess()
 		prev := parallel.SetJobs(jobs)
-		res, err := Compare(apps.NewBFS(apps.Options{MaxRefs: 80_000}), opts, kinds)
+		res, err := Compare(newWork(), opts, kinds)
 		parallel.SetJobs(prev)
 		if err != nil {
 			t.Fatalf("Compare at -jobs %d: %v", jobs, err)
 		}
 		var buf bytes.Buffer
 		for _, r := range res {
-			fmt.Fprintf(&buf, "%s %s time_ns=%s refs=%d\n", r.Workload, r.Config,
-				strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64), r.Run.References)
+			fmt.Fprintln(&buf, cell(r))
 		}
 		if err := obs.Default.Snapshot().Deterministic().WriteJSON(&buf); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
 		got := buf.String()
 		if *updateSweepGolden && i == 0 {
-			if err := os.MkdirAll(filepath.Dir(sweepGoldenPath), 0o755); err != nil {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(sweepGoldenPath, []byte(got), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, err := os.ReadFile(sweepGoldenPath)
+		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("reading golden (regenerate with -update): %v", err)
 		}
 		if line, w, g := firstDiff(string(want), got); line != 0 {
 			t.Errorf("-jobs %d: simulated work diverges from %s at line %d\n--- golden\n%s\n--- got\n%s",
-				jobs, sweepGoldenPath, line, w, g)
+				jobs, path, line, w, g)
 		}
 	}
 }
