@@ -25,10 +25,11 @@ var goldenIDs = []string{"fig2", "fig3", "fig4", "fig11", "fig12b", "abl-mshr"}
 
 // TestGoldenReports pins the quick-scale experiment reports
 // byte-for-byte. The golden files were generated from the engine before
-// the hot-path flattening (dense page table, batch streams, MSHR
-// min-ring, inlined core heap), so a pass proves the optimized per-
-// reference path produces bit-identical simulated results to the
-// original map-based, linear-scan implementation.
+// the hot-path flattening (dense page table, batch streams, a sorted
+// MSHR ring, inlined core heap, recency-ordered cache sets), so a pass
+// proves the optimized per-reference path produces bit-identical
+// simulated results to the original map-based, linear-scan, stamp-LRU
+// implementation.
 func TestGoldenReports(t *testing.T) {
 	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {

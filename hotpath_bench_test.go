@@ -83,6 +83,15 @@ func BenchmarkHotPathEngineCPU(b *testing.B) {
 	runHotPath(b, newHotPathRig(b, cpu.CPUConfig(4)))
 }
 
+// BenchmarkHotPathEngineCPUWriteBack is the CPU loop with write-back
+// enabled: the copy's stores dirty L1 lines, so misses evict dirty
+// victims and issue posted write-backs beside the demand traffic.
+func BenchmarkHotPathEngineCPUWriteBack(b *testing.B) {
+	cfg := cpu.CPUConfig(4)
+	cfg.WriteBack = true
+	runHotPath(b, newHotPathRig(b, cfg))
+}
+
 // runTapeReplay replays a prerecorded tape each iteration instead of
 // regenerating streams — the per-cell cost every sweep cell after the
 // first pays under the tape cache.

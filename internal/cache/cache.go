@@ -8,20 +8,25 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
 
 // Cache is a set-associative, physically-tagged cache with LRU
 // replacement at cache-line granularity. Not safe for concurrent use.
+//
+// Each set is a row of the flat tags/dirty arrays kept in recency order,
+// most recent first, with its valid ways forming the prefix counted by
+// fill. That is exactly stamp-based LRU: fills go to the first invalid
+// way and only Reset invalidates, so valid ways are always a prefix, and
+// the least recently used line is always the last way.
 type Cache struct {
 	sets       int
 	ways       int
-	tags       [][]geom.LineAddr
-	valid      [][]bool
-	dirty      [][]bool
-	stamps     [][]uint64
-	clock      uint64
+	tags       []geom.LineAddr // sets×ways, set-major
+	dirty      []bool          // parallel to tags
+	fill       []uint8         // valid ways per set
 	hits       uint64
 	misses     uint64
 	writebacks uint64
@@ -29,7 +34,7 @@ type Cache struct {
 
 // New creates a cache of the given total size and associativity.
 func New(sizeBytes, ways int) (*Cache, error) {
-	if sizeBytes <= 0 || ways <= 0 {
+	if sizeBytes <= 0 || ways <= 0 || ways > math.MaxUint8 {
 		return nil, fmt.Errorf("cache: size %d / ways %d invalid", sizeBytes, ways)
 	}
 	lines := sizeBytes / geom.LineBytes
@@ -40,18 +45,13 @@ func New(sizeBytes, ways int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	c := &Cache{sets: sets, ways: ways}
-	c.tags = make([][]geom.LineAddr, sets)
-	c.valid = make([][]bool, sets)
-	c.dirty = make([][]bool, sets)
-	c.stamps = make([][]uint64, sets)
-	for s := 0; s < sets; s++ {
-		c.tags[s] = make([]geom.LineAddr, ways)
-		c.valid[s] = make([]bool, ways)
-		c.dirty[s] = make([]bool, ways)
-		c.stamps[s] = make([]uint64, ways)
-	}
-	return c, nil
+	return &Cache{
+		sets:  sets,
+		ways:  ways,
+		tags:  make([]geom.LineAddr, lines),
+		dirty: make([]bool, lines),
+		fill:  make([]uint8, sets),
+	}, nil
 }
 
 // MustNew is New for static configurations.
@@ -79,51 +79,40 @@ func (c *Cache) Access(line geom.LineAddr) bool {
 //
 //sdam:noalloc
 func (c *Cache) AccessDirty(line geom.LineAddr, dirty bool) (hit bool, victim geom.LineAddr, evicted bool) {
-	c.clock++
-	set := int(uint64(line) % uint64(c.sets))
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == line {
-			c.stamps[set][w] = c.clock
-			if dirty {
-				c.dirty[set][w] = true
-			}
+	set := int(uint64(line) & uint64(c.sets-1))
+	lo := set * c.ways
+	tags, dirt := c.tags[lo:lo+c.ways], c.dirty[lo:lo+c.ways]
+	n := int(c.fill[set])
+	for w, t := range tags[:n] {
+		if t == line {
+			// Move to the front, keeping the line's dirty bit.
+			d := dirt[w] || dirty
+			copy(tags[1:w+1], tags[:w])
+			copy(dirt[1:w+1], dirt[:w])
+			tags[0], dirt[0] = line, d
 			c.hits++
 			return true, 0, false
 		}
 	}
 	c.misses++
-	// Fill into the invalid or least-recently-used way.
-	v := 0
-	best := c.stamps[set][0]
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			v = w
-			break
-		}
-		if c.stamps[set][w] < best {
-			v, best = w, c.stamps[set][w]
-		}
-	}
-	if c.valid[set][v] && c.dirty[set][v] {
-		victim, evicted = c.tags[set][v], true
+	if n < c.ways {
+		c.fill[set]++
+		n++
+	} else if dirt[n-1] {
+		victim, evicted = tags[n-1], true
 		c.writebacks++
 	}
-	c.tags[set][v] = line
-	c.valid[set][v] = true
-	c.dirty[set][v] = dirty
-	c.stamps[set][v] = c.clock
+	// Insert at the front; the last way (the LRU line, if full) drops off.
+	copy(tags[1:n], tags[:n-1])
+	copy(dirt[1:n], dirt[:n-1])
+	tags[0], dirt[0] = line, dirty
 	return false, victim, evicted
 }
 
 // Reset invalidates all lines and clears counters.
 func (c *Cache) Reset() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.dirty[s][w] = false
-		}
-	}
-	c.clock, c.hits, c.misses, c.writebacks = 0, 0, 0, 0
+	clear(c.fill)
+	c.hits, c.misses, c.writebacks = 0, 0, 0
 }
 
 // Writebacks returns how many dirty victims were evicted.

@@ -16,6 +16,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(3*geom.LineBytes, 2); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
+	if _, err := New(256*geom.LineBytes, 256); err == nil {
+		t.Error("more ways than the per-set fill count holds accepted")
+	}
+	if _, err := New(255*geom.LineBytes, 255); err != nil {
+		t.Errorf("255-way fully associative cache rejected: %v", err)
+	}
 	c, err := New(1<<20, 8)
 	if err != nil {
 		t.Fatal(err)

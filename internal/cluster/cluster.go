@@ -90,13 +90,14 @@ func channelBalance(m mapping.Mapping, samples [][]uint32, g geom.Geometry) floa
 		seen[w] = make([]int, g.Channels)
 	}
 	scores := make([]float64, len(spans))
+	dec := g.NewDecoder()
 	parallel.MapNWorker(workers, spans, func(w, i int, sp span) (struct{}, error) {
 		epoch[w]++
 		e := epoch[w]
 		sn := seen[w]
 		distinct := 0
 		for _, off := range samples[sp.sample][sp.base : sp.base+window] {
-			ch := g.Decode(geom.Join(0, m.MapOffset(off))).Channel
+			ch := dec.Decode(geom.Join(0, m.MapOffset(off))).Channel
 			if sn[ch] != e {
 				sn[ch] = e
 				distinct++
@@ -133,7 +134,7 @@ func replaySample(m mapping.Mapping, samples [][]uint32, g geom.Geometry) float6
 		for _, s := range samples {
 			if pos < len(s) {
 				done = false
-				dev.Access(0, g.Decode(geom.Join(0, m.MapOffset(s[pos]))))
+				dev.AccessLine(0, geom.Join(0, m.MapOffset(s[pos])))
 			}
 		}
 		if done {

@@ -15,6 +15,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
@@ -254,68 +255,52 @@ func (e *Engine) fillCaches(c int, line geom.LineAddr) {
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// mshrRing tracks the completion times of in-flight misses in a
-// fixed-capacity array kept in binary min-heap order, replacing the old
-// ordered slice whose every full-window eviction paid an O(n) scan plus
-// an O(n) element shift; here insert and evict are O(log n) swaps in
-// one cache line's worth of floats. Only the minimum *value* is
-// observable (it is the stall time, and equal values are
-// indistinguishable), so the internal ordering change keeps results
-// bit-identical.
+// mshrRing tracks the completion times of in-flight misses in a ring
+// kept sorted, earliest at the head, whose capacity is the MSHR count
+// rounded up to a power of two. evictMin pops the head; add inserts from
+// the tail, shifting later completions up a slot — completions arrive
+// nearly in issue order, so the scan is short. Only the minimum *value*
+// is observable (it is the stall time, and equal values are
+// indistinguishable), so any layout holding the same multiset gives
+// bit-identical results.
 type mshrRing struct {
-	times []float64 // capacity fixed at the MSHR count
+	times []float64
+	head  int // index of the earliest completion
+	n     int // in-flight misses
+	slots int // the MSHR count
 }
 
 func (m *mshrRing) init(slots int) {
-	m.times = make([]float64, 0, slots)
+	*m = mshrRing{times: make([]float64, 1<<bits.Len(uint(slots-1))), slots: slots}
 }
 
 // full reports whether a new miss must first evict the earliest one.
-func (m *mshrRing) full() bool { return len(m.times) == cap(m.times) }
+func (m *mshrRing) full() bool { return m.n == m.slots }
 
 // add records a miss completing at t.
 //
 //sdam:noalloc
 func (m *mshrRing) add(t float64) {
-	//lint:ignore sdamvet/noalloc full() gates add, so the append stays within the capacity init fixed
-	h := append(m.times, t)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if h[i] <= h[j] {
+	mask := len(m.times) - 1
+	i := m.n
+	for ; i > 0; i-- {
+		prev := m.times[(m.head+i-1)&mask]
+		if prev <= t {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+		m.times[(m.head+i)&mask] = prev
 	}
-	m.times = h
+	m.times[(m.head+i)&mask] = t
+	m.n++
 }
 
 // evictMin removes and returns the earliest completion time.
 //
 //sdam:noalloc
 func (m *mshrRing) evictMin() float64 {
-	h := m.times
-	t := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j+1 < n && h[j+1] < h[j] {
-			j++ // smaller child
-		}
-		if h[i] <= h[j] {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	m.times = h
+	t := m.times[m.head]
+	m.head = (m.head + 1) & (len(m.times) - 1)
+	m.n--
 	return t
 }
 

@@ -10,7 +10,7 @@ import (
 
 // linearMSHR is the pre-optimization MSHR window: an insertion-ordered
 // slice, evicting via a first-minimum linear scan plus element shift.
-// It is the behavioral reference the min-heap ring must match.
+// It is the behavioral reference the sorted ring must match.
 type linearMSHR struct {
 	outstanding []float64
 	slots       int
@@ -32,7 +32,7 @@ func (l *linearMSHR) evictMin() float64 {
 	return t
 }
 
-// TestMSHRRingMatchesLinearScan drives the min-heap ring and the old
+// TestMSHRRingMatchesLinearScan drives the sorted ring and the old
 // linear scan through identical add/evict schedules and requires the
 // evicted values — the only observable output (they set stall times) —
 // to agree exactly.

@@ -23,9 +23,8 @@ func chanGeometry(channels int) geom.Geometry {
 // accepts them (a traffic generator: all requests arrive at t=0), and
 // returns the stats.
 func pump(dev *hbm.Device, m mapping.Mapping, addrs []geom.LineAddr) hbm.Stats {
-	g := dev.Geometry()
 	for _, l := range addrs {
-		dev.Access(0, g.Decode(mapping.Map(m, l)))
+		dev.AccessLine(0, mapping.Map(m, l))
 	}
 	return dev.Stats()
 }
@@ -108,10 +107,11 @@ func Fig2(Scale) (*Report, error) {
 	maps := []mapping.Mapping{mapping.Identity{}, mapping.ForStride(16, g)}
 	r.Table.Header = []string{"mapping", "stride", "channels used", "max refs on one channel"}
 
+	dec := g.NewDecoder()
 	usage := func(m mapping.Mapping, stride int) (int, int) {
 		counts := make(map[int]int)
 		for i := 0; i < 64; i++ {
-			ha := g.Decode(mapping.Map(m, geom.LineAddr(i*stride)))
+			ha := dec.Decode(mapping.Map(m, geom.LineAddr(i*stride)))
 			counts[ha.Channel]++
 		}
 		// Max over sorted keys: the value is order-independent, but
@@ -255,7 +255,7 @@ func Fig4(s Scale) (*Report, error) {
 		}
 		for j := 0; j < per; j++ {
 			for i := 0; i < k; i++ {
-				dev2.Access(0, g.Decode(mapping.Map(perMap[i], regions[i][j])))
+				dev2.AccessLine(0, mapping.Map(perMap[i], regions[i][j]))
 			}
 		}
 		tpMulti := dev2.Stats().ThroughputGBs()

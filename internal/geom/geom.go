@@ -187,7 +187,9 @@ func Join(chunk int, offset uint32) LineAddr {
 // the fixed layout: offset bits [4:0] channel, [6:5] column, [10:7] bank,
 // [14:11] row-low; the chunk number supplies the high row bits. The
 // layout is parameterized by the geometry so narrower configurations
-// (e.g. Fig 1's channel sweeps) decode consistently.
+// (e.g. Fig 1's channel sweeps) decode consistently. It is the readable
+// reference the tests hold Decoder to; code that decodes in a loop
+// builds a Decoder once instead.
 func (g Geometry) Decode(l LineAddr) HardwareAddress {
 	b := g.Bits()
 	off := uint64(l.Offset())

@@ -22,17 +22,18 @@ import (
 // which of its pages contain at least one cache line mapping to a
 // boundary row (lowest or highest row-low value). Data placed only in
 // unguarded pages is isolated from neighbouring chunks by at least one
-// empty row on each side in every bank.
+// empty row on each side in every bank. g must satisfy g.Check().
 func GuardedPages(cfg amu.Config, g geom.Geometry) []bool {
 	_, _, _, rowLowBits := g.Bits().OffsetFields()
 	lo := 0
 	hi := 1<<rowLowBits - 1
 	u := amu.New(1)
+	dec := g.NewDecoder()
 	guarded := make([]bool, geom.PagesPerChunk)
 	for p := 0; p < geom.PagesPerChunk; p++ {
 		for l := 0; l < geom.LinesPerPage; l++ {
 			off := uint32(p*geom.LinesPerPage + l)
-			ha := g.Decode(u.Translate(cfg, geom.Join(0, off)))
+			ha := dec.Decode(u.Translate(cfg, geom.Join(0, off)))
 			rowLow := ha.Row & hi
 			if rowLow == lo || rowLow == hi {
 				guarded[p] = true
@@ -59,11 +60,12 @@ func Overhead(cfg amu.Config, g geom.Geometry) float64 {
 // Isolated verifies the guard property for a configuration: no unguarded
 // page shares a (channel, bank) row adjacency with a row outside the
 // chunk's row-low range. It returns false if any unguarded line sits in
-// a boundary row.
+// a boundary row. g must satisfy g.Check().
 func Isolated(cfg amu.Config, g geom.Geometry) bool {
 	_, _, _, rowLowBits := g.Bits().OffsetFields()
 	hi := 1<<rowLowBits - 1
 	u := amu.New(1)
+	dec := g.NewDecoder()
 	guarded := GuardedPages(cfg, g)
 	for p := 0; p < geom.PagesPerChunk; p++ {
 		if guarded[p] {
@@ -71,7 +73,7 @@ func Isolated(cfg amu.Config, g geom.Geometry) bool {
 		}
 		for l := 0; l < geom.LinesPerPage; l++ {
 			off := uint32(p*geom.LinesPerPage + l)
-			ha := g.Decode(u.Translate(cfg, geom.Join(0, off)))
+			ha := dec.Decode(u.Translate(cfg, geom.Join(0, off)))
 			rowLow := ha.Row & hi
 			if rowLow == 0 || rowLow == hi {
 				return false
