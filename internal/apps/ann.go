@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/cpu"
@@ -84,23 +83,15 @@ func (k *KMeansApp) Setup(env *workload.Env) error {
 }
 
 // Streams implements workload.Workload. Threads take contiguous point
-// blocks (static scheduling).
+// blocks (static scheduling). Lloyd's schedule is fixed: every
+// iteration gathers every point, scans every centroid and writes every
+// assignment, whatever the data, so the points, distances and centroid
+// updates are not computed and the streams do not vary with the seed.
 func (k *KMeansApp) Streams(seed int64) []cpu.Stream {
-	r := rand.New(rand.NewSource(seed))
-	pts := genVectors(r, k.nPoints, k.k)
-	cents := make([][]float32, k.k)
-	for c := range cents {
-		cents[c] = append([]float32(nil), pts[r.Intn(len(pts))]...)
-	}
 	rec := newRecorder(k.opts.Threads, k.opts.MaxRefs)
 	block := (k.nPoints + k.opts.Threads - 1) / k.opts.Threads
 
 	for iter := 0; iter < 2 && !rec.full(); iter++ {
-		sums := make([][]float64, k.k)
-		counts := make([]int, k.k)
-		for c := range sums {
-			sums[c] = make([]float64, dims)
-		}
 		for off := 0; off < block && !rec.full(); off++ {
 			for t := 0; t < k.opts.Threads; t++ {
 				i := t*block + off
@@ -113,29 +104,14 @@ func (k *KMeansApp) Streams(seed int64) []cpu.Stream {
 				for d := 0; d < dims; d++ {
 					rec.touch(t, k.planes, uint64(d*k.nPoints+i))
 				}
-				best, bestD := 0, math.Inf(1)
 				for c := 0; c < k.k; c++ {
 					rec.touch(t, k.centroids, uint64(c))
-					if d := l2(pts[i], cents[c]); d < bestD {
-						best, bestD = c, d
-					}
 				}
 				rec.write(t, k.assign, uint64(i))
-				counts[best]++
-				for d := range sums[best] {
-					sums[best][d] += float64(pts[i][d])
-				}
-			}
-		}
-		for c := range cents {
-			if counts[c] == 0 {
-				continue
-			}
-			for d := range cents[c] {
-				cents[c][d] = float32(sums[c][d] / float64(counts[c]))
 			}
 		}
 	}
+	_ = seed // the schedule is input-independent
 	return rec.streams()
 }
 

@@ -5,12 +5,18 @@
 // (K-Means, HNSW, IVFPQ).
 //
 // Each kernel allocates its data structures through the SDAM-aware
-// allocator (so every array is a profiled variable) and then *runs the
-// actual algorithm* on synthetic data, recording the memory reference
-// each step of the real computation would issue. The reference streams
-// therefore carry the genuine access-pattern structure — streaming edge
-// scans, random vertex gathers, hash-bucket probes, pointer-chasing
-// graph walks — that SDAM's per-variable mappings exploit.
+// allocator (so every array is a profiled variable) and then runs its
+// algorithm on synthetic data, recording the memory reference each step
+// would issue. What runs is exactly the control flow that decides
+// addresses: every branch, loop bound and index a reference depends on
+// is computed from real data (the graph BFS expands, the bucket chains
+// a hash join probes, the keys a merge compares, the distances an HNSW
+// walk follows), while values no address reads — PageRank's ranks,
+// K-Means' coordinates and centroids, a hash join's match count — are
+// never computed. The reference streams therefore carry the genuine
+// access-pattern structure (streaming edge scans, random vertex
+// gathers, hash-bucket probes, pointer-chasing graph walks) that SDAM's
+// per-variable mappings exploit.
 package apps
 
 import (
@@ -68,8 +74,15 @@ type recorder struct {
 	total int
 }
 
+// newRecorder gives each thread its even share of the cap up front, so
+// a kernel that spreads its references evenly never regrows a stream.
 func newRecorder(threads, cap int) *recorder {
-	return &recorder{refs: make([][]cpu.Ref, threads), cap: cap}
+	r := &recorder{refs: make([][]cpu.Ref, threads), cap: cap}
+	share := (cap + threads - 1) / threads
+	for t := range r.refs {
+		r.refs[t] = make([]cpu.Ref, 0, share)
+	}
+	return r
 }
 
 // full reports whether the reference budget is exhausted.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cpu"
+	"repro/internal/memo"
 	"repro/internal/workload"
 )
 
@@ -57,6 +58,35 @@ func GenGraph(n, edgeFactor int, seed int64) *Graph {
 	return g
 }
 
+// graphKey is GenGraph's argument list.
+type graphKey struct {
+	n, edgeFactor int
+	seed          int64
+}
+
+// graphs holds every graph the kernels asked for, up to 64 MiB. BFS and
+// PageRank ask for the same graph at every scale and seed, and a sweep
+// asks for each one once per kernel; GenGraph is a pure function of its
+// arguments and the kernels only read the graph, so a shared graph is
+// the same input as a fresh one.
+var graphs = memo.New[graphKey, *Graph](memo.Config[*Graph]{
+	Name:   "graph",
+	Budget: 64 << 20,
+	Size:   func(g *Graph) int64 { return int64(len(g.Offsets)+len(g.Edges)) * 4 },
+})
+
+// sharedGraph returns GenGraph(n, edgeFactor, seed) from the graph memo,
+// generating it uncached once the memo's budget is spent. The result is
+// shared and must not be modified.
+func sharedGraph(n, edgeFactor int, seed int64) *Graph {
+	gen := func() (*Graph, error) { return GenGraph(n, edgeFactor, seed), nil }
+	g, err := graphs.Do(graphKey{n, edgeFactor, seed}, gen)
+	if err != nil {
+		g, _ = gen()
+	}
+	return g
+}
+
 // BFS is the breadth-first-search benchmark: level-synchronous frontier
 // expansion over the CSR graph. Variables: offsets (strided), edges
 // (streaming bursts), depth (random gathers/scatters), frontier
@@ -95,19 +125,16 @@ func (b *BFS) Setup(env *workload.Env) error {
 }
 
 // Streams implements workload.Workload by actually running BFS from a
-// seed-dependent root and recording every reference.
+// seed-dependent root and recording every reference. Only whether a
+// vertex was reached decides addresses, so its depth is not kept.
 func (b *BFS) Streams(seed int64) []cpu.Stream {
-	g := GenGraph(b.vertices, b.edgeFactor, seed)
+	g := sharedGraph(b.vertices, b.edgeFactor, seed)
 	rec := newRecorder(b.opts.Threads, b.opts.MaxRefs)
 
-	depth := make([]int32, g.N)
-	for i := range depth {
-		depth[i] = -1
-	}
+	seen := make([]bool, g.N)
 	root := int(uint64(seed*7919) % uint64(g.N))
-	depth[root] = 0
+	seen[root] = true
 	frontier := []uint32{uint32(root)}
-	level := int32(0)
 	for len(frontier) > 0 && !rec.full() {
 		var next []uint32
 		for fi, u := range frontier {
@@ -119,8 +146,8 @@ func (b *BFS) Streams(seed int64) []cpu.Stream {
 				rec.touch(t, b.edges, uint64(e)) // streaming edge scan
 				v := g.Edges[e]
 				rec.touch(t, b.depth, uint64(v)) // random depth check
-				if depth[v] < 0 {
-					depth[v] = level + 1
+				if !seen[v] {
+					seen[v] = true
 					rec.write(t, b.depth, uint64(v))
 					rec.write(t, b.frontier, uint64(len(next)))
 					next = append(next, v)
@@ -131,7 +158,6 @@ func (b *BFS) Streams(seed int64) []cpu.Stream {
 			}
 		}
 		frontier = next
-		level++
 	}
 	return rec.streams()
 }
@@ -171,36 +197,23 @@ func (p *PageRank) Setup(env *workload.Env) error {
 	return nil
 }
 
-// Streams implements workload.Workload.
+// Streams implements workload.Workload. Power iteration visits every
+// vertex and edge in the same order whatever the ranks are, so the
+// ranks themselves are not computed.
 func (p *PageRank) Streams(seed int64) []cpu.Stream {
-	g := GenGraph(p.vertices, p.edgeFactor, seed)
+	g := sharedGraph(p.vertices, p.edgeFactor, seed)
 	rec := newRecorder(p.opts.Threads, p.opts.MaxRefs)
 
-	ranks := make([]float64, g.N)
-	for i := range ranks {
-		ranks[i] = 1 / float64(g.N)
-	}
-	const damping = 0.85
 	for iter := 0; iter < 3 && !rec.full(); iter++ {
-		next := make([]float64, g.N)
 		for u := 0; u < g.N && !rec.full(); u++ {
 			t := u % p.opts.Threads
 			rec.touch(t, p.offsets, uint64(u))
-			lo, hi := g.Offsets[u], g.Offsets[u+1]
-			var sum float64
-			for e := lo; e < hi; e++ {
+			for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
 				rec.touch(t, p.edges, uint64(e))
-				v := g.Edges[e]
-				rec.touch(t, p.ranks, uint64(v)) // random gather
-				outDeg := g.Offsets[v+1] - g.Offsets[v]
-				if outDeg > 0 {
-					sum += ranks[v] / float64(outDeg)
-				}
+				rec.touch(t, p.ranks, uint64(g.Edges[e])) // random gather
 			}
-			next[u] = (1-damping)/float64(g.N) + damping*sum
 			rec.write(t, p.newRanks, uint64(u)) // streaming store
 		}
-		ranks = next
 	}
 	return rec.streams()
 }
@@ -243,7 +256,7 @@ func (s *SSSP) Setup(env *workload.Env) error {
 
 // Streams implements workload.Workload.
 func (s *SSSP) Streams(seed int64) []cpu.Stream {
-	g := GenGraph(s.vertices, s.edgeFactor, seed)
+	g := sharedGraph(s.vertices, s.edgeFactor, seed)
 	r := rand.New(rand.NewSource(seed ^ 0xabcdef))
 	w := make([]uint32, len(g.Edges))
 	for i := range w {

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
@@ -56,17 +57,21 @@ func (f *fnvLE) write(b []byte) {
 	f.h.Write(b)
 }
 
-// streamDigest drains every stream of w.Streams(seed) and returns an
-// FNV-1a digest over each reference's (VA, PC, Write), with each
-// stream's length folded in after its references so stream boundaries
-// count too.
+// streamDigest sets w up and returns digestStreams(w.Streams(seed)).
 func streamDigest(t testing.TB, w workload.Workload, seed int64) uint64 {
 	t.Helper()
 	if err := w.Setup(newEnv(t)); err != nil {
 		t.Fatalf("%s: %v", w.Name(), err)
 	}
+	return digestStreams(w.Streams(seed))
+}
+
+// digestStreams drains every stream and returns an FNV-1a digest over
+// each reference's (VA, PC, Write), with each stream's length folded in
+// after its references so stream boundaries count too.
+func digestStreams(streams []cpu.Stream) uint64 {
 	f := newFNV()
-	for _, s := range w.Streams(seed) {
+	for _, s := range streams {
 		n := uint64(0)
 		for {
 			r, ok := s.Next()
@@ -88,13 +93,12 @@ func streamDigest(t testing.TB, w workload.Workload, seed int64) uint64 {
 }
 
 // pinnedDigests holds streamDigest for every kernel × digestSizes ×
-// seeds 1–4, recorded before the generators were rewritten for speed.
-// The generators must keep making the same RNG draws in the same order
-// and emitting the same references, so these never change unless a
-// kernel's algorithm deliberately does. K-Means' digests do not vary
-// with the seed because its references do not depend on its data, and
-// HNSW's r40k and default digests agree because its queries end before
-// 40k references.
+// seeds 1–4, recorded before the generators were first rewritten for
+// speed. A rewrite must keep every RNG draw and every computation an
+// address depends on, in the same order, and emit the same references,
+// so these never change unless a kernel's algorithm deliberately does. K-Means' digests do not vary with the seed because
+// Lloyd's schedule does not depend on the input, and HNSW's r40k and
+// default digests agree because its queries end before 40k references.
 var pinnedDigests = map[string][4]uint64{
 	"bfs/s4r200k":       {0xf20d8b033b8ea29d, 0x54175ff1449b736f, 0xb5729814aef9d954, 0x0591dbe0bb22b785},
 	"bfs/r40k":          {0x001566a3e641bf98, 0xdaa71d1280c381be, 0x2884c308076de5a4, 0xc415bff820444455},
@@ -143,12 +147,13 @@ func TestKernelStreamsMatchPinnedDigests(t *testing.T) {
 	}
 }
 
-// TestGenVectorsMatchesPinnedDigests pins genVectors directly: the
-// K-Means kernel's references do not depend on its point values (every
-// point is gathered and every centroid scanned), so its stream digests
-// cannot see a change in the generated data. The digest covers every
-// coordinate's bits plus the RNG's next draw, which proves the
-// generator consumed exactly as many draws as before.
+// TestGenVectorsMatchesPinnedDigests pins genVectors directly. HNSW,
+// its only caller, reads only the points its walks reach before the
+// reference budget ends, so its stream digests cannot see a change in
+// the rest. The digest covers every coordinate's bits plus the RNG's
+// next draw, which proves the generator consumed exactly as many draws
+// as before. The {1 << 16, 16} cases are the inputs K-Means once
+// generated and are kept as extra coverage.
 func TestGenVectorsMatchesPinnedDigests(t *testing.T) {
 	for _, c := range []struct {
 		n, k int
@@ -227,13 +232,68 @@ func TestGenGraphMatchesPinnedDigests(t *testing.T) {
 	}
 }
 
+// TestGraphKernelsShareOneGraphConcurrently runs two copies each of
+// BFS, PageRank and SSSP at once on one memoized graph (SSSP at Scale 2
+// has the 32k vertices BFS and PageRank have at Scale 1), so the race
+// detector sees the shared graph read concurrently. The memo must build
+// the graph once, and every copy must emit its pinned or agreed streams.
+func TestGraphKernelsShareOneGraphConcurrently(t *testing.T) {
+	const seed = 1
+	mks := []struct {
+		name string
+		w    func() workload.Workload
+		want uint64 // 0: copies must agree with each other
+	}{
+		{"bfs", func() workload.Workload { return NewBFS(Options{MaxRefs: 40_000}) }, pinnedDigests["bfs/r40k"][seed-1]},
+		{"pagerank", func() workload.Workload { return NewPageRank(Options{MaxRefs: 40_000}) }, pinnedDigests["pagerank/r40k"][seed-1]},
+		{"sssp", func() workload.Workload { return NewSSSP(Options{Scale: 2, MaxRefs: 40_000}) }, 0},
+	}
+	const copies = 2
+	ws := make([]workload.Workload, len(mks)*copies)
+	for i := range ws {
+		ws[i] = mks[i/copies].w()
+		if err := ws[i].Setup(newEnv(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// This test is not parallel, so no other Do is in flight.
+	graphs.Reset()
+	got := make([]uint64, len(ws))
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = digestStreams(w.Streams(seed))
+		}()
+	}
+	wg.Wait()
+	for i, k := range mks {
+		first := got[i*copies]
+		for c := 0; c < copies; c++ {
+			d := got[i*copies+c]
+			if k.want != 0 && d != k.want {
+				t.Errorf("%s copy %d: digest %#016x, want pinned %#016x", k.name, c, d, k.want)
+			}
+			if d != first {
+				t.Errorf("%s copy %d: digest %#016x, copy 0 gave %#016x", k.name, c, d, first)
+			}
+		}
+	}
+	if s := graphs.Stats(); s.Misses != 1 || s.Hits != int64(len(ws)-1) {
+		t.Errorf("graph memo: %d builds and %d hits, want 1 and %d", s.Misses, s.Hits, len(ws)-1)
+	}
+}
+
 // streamsSink keeps BenchmarkKernelStreams' results live.
 var streamsSink []cpu.Stream
 
-// BenchmarkKernelStreams times one Streams call — input construction,
-// the algorithm run and reference recording — per kernel at the
-// sweep-accel size, so a generation regression is attributable to one
-// kernel rather than hidden in an average over all eight.
+// BenchmarkKernelStreams times one cold Streams call — input
+// construction, the algorithm run and reference recording — per kernel
+// at the sweep-accel size, so a generation regression is attributable
+// to one kernel rather than hidden in an average over all eight. The
+// graph memo is emptied before every call; otherwise the graph kernels
+// would time only their walks once the four seeds' graphs are built.
 func BenchmarkKernelStreams(b *testing.B) {
 	for _, k := range kernels {
 		b.Run(k.name, func(b *testing.B) {
@@ -244,6 +304,7 @@ func BenchmarkKernelStreams(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				graphs.Reset()
 				streamsSink = w.Streams(int64(i%4 + 1))
 			}
 		})

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -65,6 +67,68 @@ func TestRandomPatternInRange(t *testing.T) {
 			t.Fatalf("offset %d out of range/misaligned", off)
 		}
 	}
+}
+
+// FuzzRandomPatternMatchesMathRand checks Random against the generator
+// it stands in for: every offset must be the one
+// rand.New(rand.NewSource(seed ^ 0x9e3779b9)).Uint64() picks, through
+// the shared block, across the private continuation's first two wraps,
+// and again from a second state of the same seed, which shows the first
+// state's continuation left the shared block untouched.
+func FuzzRandomPatternMatchesMathRand(f *testing.F) {
+	for _, seed := range []int64{0, 1, -1, 0x9e3779b9, -0x9e3779b9, 1 << 40, -1 << 63, 1<<63 - 1} {
+		f.Add(seed, uint64(1<<63))
+		f.Add(seed, uint64(1000*geom.LineBytes))
+	}
+	f.Add(int64(7), uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, bytes uint64) {
+		lines := bytes / geom.LineBytes
+		if lines == 0 {
+			lines = 1
+		}
+		const draws = 3*lfgLen + 17
+		for pass := 0; pass < 2; pass++ {
+			st := Random{}.NewState(bytes, seed)
+			r := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
+			for i := 0; i < draws; i++ {
+				if got, want := st.Next(), r.Uint64()%lines*geom.LineBytes; got != want {
+					t.Fatalf("seed %d, %d lines, pass %d, draw %d: offset %#x, want %#x", seed, lines, pass, i, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestRandomStatesShareBlocksConcurrently draws past the shared block
+// from several goroutines at once, each over the same few seeds, so the
+// race detector sees every state's private continuation stay off the
+// block the others are still reading.
+func TestRandomStatesShareBlocksConcurrently(t *testing.T) {
+	const bytes, draws = 1 << 30, 2*lfgLen + 5
+	want := make([][]uint64, 3)
+	for seed := range want {
+		r := rand.New(rand.NewSource(int64(seed) ^ 0x9e3779b9))
+		for i := 0; i < draws; i++ {
+			want[seed] = append(want[seed], r.Uint64()%(bytes/geom.LineBytes)*geom.LineBytes)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := range want {
+				st := Random{}.NewState(bytes, int64(seed))
+				for i, w := range want[seed] {
+					if got := st.Next(); got != w {
+						t.Errorf("goroutine %d, seed %d, draw %d: offset %#x, want %#x", g, seed, i, got, w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestChaseCoversLines(t *testing.T) {
