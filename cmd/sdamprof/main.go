@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"sort"
 	"strings"
@@ -131,6 +132,11 @@ func printSelection(label string, sel sdam.Selection, prof sdam.Profile) {
 	sort.Ints(vids)
 	for _, vid := range vids {
 		m := sel.VarMapping[vid]
-		fmt.Printf("  %-28s cluster %d  %-12s perm %v\n", site[vid], sel.VarCluster[vid], m.Name(), m.Perm())
+		// Selections are bit shuffles: one PA bit per HA bit.
+		var perm []int
+		for _, r := range m.Rows() {
+			perm = append(perm, bits.TrailingZeros32(r))
+		}
+		fmt.Printf("  %-28s cluster %d  %-12s perm %v\n", site[vid], sel.VarCluster[vid], m.Name(), perm)
 	}
 }

@@ -10,6 +10,7 @@ package amu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/mapping"
@@ -34,18 +35,24 @@ const ConfigBits = Width * ConfigBitsPerSelect
 // stores.
 type Config [Width]uint8
 
-// ConfigFromShuffle serializes a bit-shuffle mapping into crossbar
-// switch selects.
-func ConfigFromShuffle(s *mapping.Shuffle) Config {
+// ConfigOf serializes a mapping into crossbar switch selects. Only a
+// bit permutation has one: the crossbar closes one switch per column,
+// so every row of the matrix must select a single PA bit. An XOR map
+// such as HM is rejected.
+func ConfigOf(m *mapping.Linear) (Config, error) {
 	var c Config
-	for i, p := range s.Perm() {
-		c[i] = uint8(p)
+	for i, r := range m.Rows() {
+		if bits.OnesCount32(r) != 1 {
+			return Config{}, fmt.Errorf("amu: mapping %s is not a bit shuffle (HA bit %d XORs PA bits %#x)", m.Name(), i, r)
+		}
+		c[i] = uint8(bits.TrailingZeros32(r))
 	}
-	return c
+	return c, nil
 }
 
-// Shuffle reconstructs the mapping a configuration realizes.
-func (c Config) Shuffle(name string) (*mapping.Shuffle, error) {
+// Linear reconstructs the mapping a configuration realizes, compiled
+// for translation.
+func (c Config) Linear(name string) (*mapping.Linear, error) {
 	perm := make([]int, Width)
 	for i, p := range c {
 		perm[i] = int(p)
@@ -82,12 +89,9 @@ func Identity() Config {
 // replication factor only matters for the area report, not for function.
 type AMU struct {
 	replicas int
-	// compiled memoizes the table-lowered form of each configuration
-	// seen by this bank.
-	compiled map[Config]*Compiled
-	// Lookups counts PA→HA translations performed, for utilization
-	// reports.
-	Lookups uint64
+	// lowered memoizes the compiled mapping of each configuration seen
+	// by this bank.
+	lowered map[Config]*mapping.Linear
 }
 
 // New creates an AMU bank with the given replication factor. A factor
@@ -99,101 +103,25 @@ func New(replicas int) *AMU {
 	return &AMU{replicas: replicas}
 }
 
-// Translate applies a crossbar configuration to a line address,
-// producing the hardware-order line address. The chunk number passes
-// through untouched — the AMU only sees the offset wires.
-func (a *AMU) Translate(cfg Config, l geom.LineAddr) geom.LineAddr {
-	a.Lookups++
-	off := l.Offset()
-	var out uint32
-	for i := 0; i < Width; i++ {
-		out |= (off >> cfg[i] & 1) << i
+// Linear returns the memoized compiled mapping of cfg: the software
+// analog of the closed crossbar, which moves the whole offset in one
+// step. Each distinct configuration compiles once per AMU bank — the
+// controller's per-chunk cache shares these across all chunks bound to
+// the same mapping. The tables cost 1.5 KB per distinct mapping, bounded
+// by the CMT's 256 live mappings. Not safe for concurrent use.
+func (a *AMU) Linear(cfg Config) (*mapping.Linear, error) {
+	if m, ok := a.lowered[cfg]; ok {
+		return m, nil
 	}
-	return geom.Join(l.Chunk(), out)
-}
-
-// loBits splits the 15-bit offset for the compiled form: the low 8 bits
-// index one scatter table, the high 7 bits another.
-const loBits = 8
-
-// Compiled is a Config lowered to two scatter tables so a translation is
-// two loads and an OR instead of a 15-iteration bit loop. It is the
-// software analog of the closed crossbar itself: once the switches are
-// set, the whole word moves in one step. A Compiled is immutable after
-// Compile and safe to share between goroutines.
-type Compiled struct {
-	lo [1 << loBits]uint32
-	hi [1 << (Width - loBits)]uint32
-}
-
-// Compile lowers the configuration. The two tables cost 1.5 KB per
-// distinct mapping — bounded by the CMT's 256 live mappings.
-func (c Config) Compile() *Compiled {
-	var cc Compiled
-	for v := range cc.lo {
-		var out uint32
-		for i := 0; i < Width; i++ {
-			if src := int(c[i]); src < loBits {
-				out |= uint32(v) >> src & 1 << i
-			}
-		}
-		cc.lo[v] = out
+	m, err := cfg.Linear("AMU")
+	if err != nil {
+		return nil, err
 	}
-	for v := range cc.hi {
-		var out uint32
-		for i := 0; i < Width; i++ {
-			if src := int(c[i]); src >= loBits {
-				out |= uint32(v) >> (src - loBits) & 1 << i
-			}
-		}
-		cc.hi[v] = out
+	if a.lowered == nil {
+		a.lowered = make(map[Config]*mapping.Linear)
 	}
-	return &cc
-}
-
-// Apply translates a 15-bit chunk offset.
-func (cc *Compiled) Apply(off uint32) uint32 {
-	return cc.lo[off&(1<<loBits-1)] | cc.hi[off>>loBits&(1<<(Width-loBits)-1)]
-}
-
-// Translate is the compiled form of AMU.Translate: chunk passes through,
-// the offset moves through the scatter tables.
-func (cc *Compiled) Translate(l geom.LineAddr) geom.LineAddr {
-	return geom.Join(l.Chunk(), cc.Apply(l.Offset()))
-}
-
-// Compiled returns the memoized compiled form of cfg. Each distinct
-// configuration compiles once per AMU bank — the controller's per-chunk
-// cache shares these across all chunks bound to the same mapping. Not
-// safe for concurrent use, like the AMU counters themselves.
-func (a *AMU) Compiled(cfg Config) *Compiled {
-	if cc, ok := a.compiled[cfg]; ok {
-		return cc
-	}
-	if a.compiled == nil {
-		a.compiled = make(map[Config]*Compiled)
-	}
-	cc := cfg.Compile()
-	a.compiled[cfg] = cc
-	return cc
-}
-
-// TranslateCompiled is Translate through a previously compiled
-// configuration, keeping the Lookups accounting.
-func (a *AMU) TranslateCompiled(cc *Compiled, l geom.LineAddr) geom.LineAddr {
-	a.Lookups++
-	return cc.Translate(l)
-}
-
-// Invert applies the inverse transform (HA→PA), used by debug and
-// verification paths.
-func (a *AMU) Invert(cfg Config, l geom.LineAddr) geom.LineAddr {
-	off := l.Offset()
-	var out uint32
-	for i := 0; i < Width; i++ {
-		out |= (off >> i & 1) << cfg[i]
-	}
-	return geom.Join(l.Chunk(), out)
+	a.lowered[cfg] = m
+	return m, nil
 }
 
 // Cost describes the structural footprint of the AMU bank.

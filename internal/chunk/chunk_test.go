@@ -14,7 +14,10 @@ func newTableWithMappings(t *testing.T, n int) *cmt.Table {
 	t.Helper()
 	tb := cmt.New(64)
 	for i := 1; i <= n; i++ {
-		cfg := amu.ConfigFromShuffle(mapping.ForStride(1<<uint(i%10), geom.Default()))
+		cfg, err := amu.ConfigOf(mapping.ForStride(1<<uint(i%10), geom.Default()))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := tb.InstallMapping(i, cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -40,11 +40,11 @@ type Selection struct {
 	Method string
 	K      int
 	// VarMapping gives the chosen bit-shuffle mapping per major VID.
-	VarMapping map[int]*mapping.Shuffle
+	VarMapping map[int]*mapping.Linear
 	// VarCluster gives the cluster index per major VID.
 	VarCluster map[int]int
 	// ClusterMappings holds one mapping per non-empty cluster.
-	ClusterMappings []*mapping.Shuffle
+	ClusterMappings []*mapping.Linear
 	// ProfilingTime is the wall-clock cost of the selection itself —
 	// the quantity Fig 13 compares.
 	ProfilingTime time.Duration
@@ -60,7 +60,7 @@ func (s Selection) MappingsUsed() int { return len(s.ClusterMappings) }
 // would miss rotating funnels — a stream that hammers one channel at a
 // time but rotates over all of them looks balanced in aggregate while
 // serializing at every instant.
-func channelBalance(m mapping.Mapping, samples [][]uint32, g geom.Geometry) float64 {
+func channelBalance(m *mapping.Linear, samples [][]uint32, g geom.Geometry) float64 {
 	const window = 32
 	// Windows are scored independently — each worker keeps its own
 	// seen/epoch scratch and writes its window's score to that window's
@@ -118,7 +118,7 @@ func channelBalance(m mapping.Mapping, samples [][]uint32, g geom.Geometry) floa
 // interleave in flight) against the device timing model and returning
 // the makespan. Unlike first-order flip statistics, the replay prices
 // channel spread, bank conflicts, and row locality together.
-func replaySample(m mapping.Mapping, samples [][]uint32, g geom.Geometry) float64 {
+func replaySample(m *mapping.Linear, samples [][]uint32, g geom.Geometry) float64 {
 	dev := hbm.New(g, hbm.DefaultTiming())
 	live := 0
 	for _, s := range samples {
@@ -162,17 +162,17 @@ const (
 // traffic — flip statistics are first-order and can be fooled by
 // correlated bits, and software is free to select any mapping,
 // including the default (do-no-harm guard).
-func chooseMapping(mean mapping.BFRV, samples [][]uint32, g geom.Geometry, guard Guard, name string) *mapping.Shuffle {
+func chooseMapping(mean mapping.BFRV, samples [][]uint32, g geom.Geometry, guard Guard, name string) *mapping.Linear {
 	candidate := mapping.FromBFRV(mean, g, name)
 	if guard == Unguarded {
 		return candidate
 	}
-	ident := mapping.IdentityShuffle()
+	ident := mapping.Identity{}.Linear()
 	// The two replays build independent devices, so they run
 	// concurrently into per-candidate slots; the comparison below is a
 	// pure function of their results, so the decision is worker-count
 	// independent.
-	times, _ := parallel.Map([]mapping.Mapping{ident, candidate}, func(_ int, m mapping.Mapping) (float64, error) {
+	times, _ := parallel.Map([]*mapping.Linear{ident, candidate}, func(_ int, m *mapping.Linear) (float64, error) {
 		return replaySample(m, samples, g), nil
 	})
 	identTime, candTime := times[0], times[1]
@@ -190,7 +190,7 @@ func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, sampl
 	sel := Selection{
 		Method:     method,
 		K:          k,
-		VarMapping: make(map[int]*mapping.Shuffle, len(vids)),
+		VarMapping: make(map[int]*mapping.Linear, len(vids)),
 		VarCluster: make(map[int]int, len(vids)),
 	}
 	// Mean BFRV and member samples per cluster.
@@ -207,7 +207,7 @@ func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, sampl
 	// Each cluster's candidate mapping (and its do-no-harm replays) is
 	// independent of the others, so the choices fan out over the worker
 	// pool into per-cluster slots.
-	chosen := make([]*mapping.Shuffle, k)
+	chosen := make([]*mapping.Linear, k)
 	var live []int
 	for c := 0; c < k; c++ {
 		if counts[c] > 0 {
@@ -220,22 +220,21 @@ func buildSelection(method string, k int, vids []int, vecs []mapping.BFRV, sampl
 		chosen[c] = chooseMapping(mean, memberSamples[c], g, guard, fmt.Sprintf("%s-c%d", method, c))
 		return struct{}{}, nil
 	})
-	// Deduplicate clusters that resolve to the same permutation: the
+	// Deduplicate clusters that resolve to the same matrix: the
 	// hardware CMT stores one entry per distinct mapping, and merging
 	// keeps same-pattern variables in one chunk group (splitting them
 	// would only fragment chunks for no hardware difference). The walk
 	// is serial in ascending cluster order, so the surviving mapping for
-	// each permutation — and ClusterMappings' order — is deterministic.
-	clusterMap := make(map[int]*mapping.Shuffle, k)
-	byPerm := make(map[string]*mapping.Shuffle, k)
+	// each matrix — and ClusterMappings' order — is deterministic.
+	clusterMap := make(map[int]*mapping.Linear, k)
+	byRows := make(map[[geom.OffsetBits]uint32]*mapping.Linear, k)
 	for _, c := range live {
 		m := chosen[c]
-		key := fmt.Sprint(m.Perm())
-		if dup, ok := byPerm[key]; ok {
+		if dup, ok := byRows[m.Rows()]; ok {
 			clusterMap[c] = dup
 			continue
 		}
-		byPerm[key] = m
+		byRows[m.Rows()] = m
 		clusterMap[c] = m
 		sel.ClusterMappings = append(sel.ClusterMappings, m)
 	}
@@ -476,9 +475,9 @@ func SelectSingle(p profile.Profile, g geom.Geometry, guard Guard) (Selection, e
 	sel := Selection{
 		Method:          "Single",
 		K:               1,
-		VarMapping:      make(map[int]*mapping.Shuffle, len(majors)),
+		VarMapping:      make(map[int]*mapping.Linear, len(majors)),
 		VarCluster:      make(map[int]int, len(majors)),
-		ClusterMappings: []*mapping.Shuffle{m},
+		ClusterMappings: []*mapping.Linear{m},
 		ProfilingTime:   wallclock.Since(start),
 	}
 	for _, v := range majors {

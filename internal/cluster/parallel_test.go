@@ -36,14 +36,14 @@ func TestChooseMappingBitIdenticalAcrossJobs(t *testing.T) {
 	for i := range mean {
 		mean[i] = r.Float64()
 	}
-	run := func(jobs int) []int {
+	run := func(jobs int) [geom.OffsetBits]uint32 {
 		prev := parallel.SetJobs(jobs)
 		defer parallel.SetJobs(prev)
-		return chooseMapping(mean, samples, g, Guarded, "test").Perm()
+		return chooseMapping(mean, samples, g, Guarded, "test").Rows()
 	}
 	serial := run(1)
 	for _, jobs := range []int{2, 8} {
-		if par := run(jobs); !reflect.DeepEqual(serial, par) {
+		if par := run(jobs); serial != par {
 			t.Fatalf("jobs=%d: chooseMapping picked a different permutation", jobs)
 		}
 	}
@@ -54,7 +54,7 @@ func TestChooseMappingBitIdenticalAcrossJobs(t *testing.T) {
 func TestChannelBalanceBitIdenticalAcrossJobs(t *testing.T) {
 	g := geom.Default()
 	samples := genSamples(3, 400, 17)
-	m := mapping.IdentityShuffle()
+	m := mapping.Identity{}.Linear()
 	run := func(jobs int) float64 {
 		prev := parallel.SetJobs(jobs)
 		defer parallel.SetJobs(prev)

@@ -13,7 +13,11 @@ import (
 func benchTable(b *testing.B) *Table {
 	b.Helper()
 	t := New(4096)
-	idx, err := t.AllocMappingIndex(amu.ConfigFromShuffle(mapping.ForStride(16, geom.Default())))
+	cfg, err := amu.ConfigOf(mapping.ForStride(16, geom.Default()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := t.AllocMappingIndex(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,11 @@ import (
 
 func testConfig(t *testing.T, stride int) amu.Config {
 	t.Helper()
-	return amu.ConfigFromShuffle(mapping.ForStride(stride, geom.Default()))
+	cfg, err := amu.ConfigOf(mapping.ForStride(stride, geom.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 func TestNewBootsWithDefaultMapping(t *testing.T) {

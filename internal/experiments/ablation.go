@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/amu"
 	"repro/internal/apps"
 	"repro/internal/cmt"
 	"repro/internal/cpu"
@@ -281,16 +280,16 @@ func AblRowGuard(Scale) (*Report, error) {
 	g := geom.Default()
 	cases := []struct {
 		name string
-		cfg  amu.Config
+		m    *mapping.Linear
 	}{
-		{"identity (default)", amu.Identity()},
-		{"stride-16 shuffle", amu.ConfigFromShuffle(mapping.ForStride(16, g))},
-		{"stride-1024 shuffle", amu.ConfigFromShuffle(mapping.ForStride(1024, g))},
+		{"identity (default)", mapping.Identity{}.Linear()},
+		{"stride-16 shuffle", mapping.ForStride(16, g)},
+		{"stride-1024 shuffle", mapping.ForStride(1024, g)},
 	}
 	identOverhead := -1.0
 	for _, c := range cases {
-		over := rowguard.Overhead(c.cfg, g)
-		iso := rowguard.Isolated(c.cfg, g)
+		over := rowguard.Overhead(c.m, g)
+		iso := rowguard.Isolated(c.m, g)
 		n := int(over * float64(geom.PagesPerChunk))
 		r.Table.Add(c.name, n, over*100, iso)
 		if !iso {

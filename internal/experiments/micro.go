@@ -23,8 +23,9 @@ func chanGeometry(channels int) geom.Geometry {
 // accepts them (a traffic generator: all requests arrive at t=0), and
 // returns the stats.
 func pump(dev *hbm.Device, m mapping.Mapping, addrs []geom.LineAddr) hbm.Stats {
+	lin := m.Linear()
 	for _, l := range addrs {
-		dev.AccessLine(0, mapping.Map(m, l))
+		dev.AccessLine(0, lin.Map(l))
 	}
 	return dev.Stats()
 }
@@ -104,14 +105,14 @@ func Fig1(s Scale) (*Report, error) {
 func Fig2(Scale) (*Report, error) {
 	r := &Report{ID: "fig2", Title: "channel conflicts for access patterns × address mappings"}
 	g := geom.Default()
-	maps := []mapping.Mapping{mapping.Identity{}, mapping.ForStride(16, g)}
+	maps := []*mapping.Linear{mapping.Identity{}.Linear(), mapping.ForStride(16, g)}
 	r.Table.Header = []string{"mapping", "stride", "channels used", "max refs on one channel"}
 
 	dec := g.NewDecoder()
-	usage := func(m mapping.Mapping, stride int) (int, int) {
+	usage := func(m *mapping.Linear, stride int) (int, int) {
 		counts := make(map[int]int)
 		for i := 0; i < 64; i++ {
-			ha := dec.Decode(mapping.Map(m, geom.LineAddr(i*stride)))
+			ha := dec.Decode(m.Map(geom.LineAddr(i * stride)))
 			counts[ha.Channel]++
 		}
 		// Max over sorted keys: the value is order-independent, but
@@ -249,13 +250,13 @@ func Fig4(s Scale) (*Report, error) {
 		// Case 2: each pattern gets its own optimal mapping (case-2).
 		dev2 := hbm.New(geom.Default(), hbm.DefaultTiming())
 		g := dev2.Geometry()
-		perMap := make([]*mapping.Shuffle, k)
+		perMap := make([]*mapping.Linear, k)
 		for i, stride := range mix {
 			perMap[i] = mapping.ForStride(stride, g)
 		}
 		for j := 0; j < per; j++ {
 			for i := 0; i < k; i++ {
-				dev2.AccessLine(0, mapping.Map(perMap[i], regions[i][j]))
+				dev2.AccessLine(0, perMap[i].Map(regions[i][j]))
 			}
 		}
 		tpMulti := dev2.Stats().ThroughputGBs()

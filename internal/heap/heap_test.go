@@ -10,10 +10,20 @@ import (
 	"repro/internal/vm"
 )
 
+// strideConfig is the crossbar setting of the stride-s bit shuffle.
+func strideConfig(t *testing.T, s int) amu.Config {
+	t.Helper()
+	cfg, err := amu.ConfigOf(mapping.ForStride(s, geom.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func newAllocator(t *testing.T) (*Allocator, *vm.Kernel, int) {
 	t.Helper()
 	k := vm.NewKernel(256)
-	id, err := k.AddAddrMap(amu.ConfigFromShuffle(mapping.ForStride(16, geom.Default())))
+	id, err := k.AddAddrMap(strideConfig(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestBlocksDoNotOverlap(t *testing.T) {
 
 func TestSeparateHeapsPerMapping(t *testing.T) {
 	a, k, id := newAllocator(t)
-	id2, err := k.AddAddrMap(amu.ConfigFromShuffle(mapping.ForStride(4, geom.Default())))
+	id2, err := k.AddAddrMap(strideConfig(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +251,7 @@ func TestMallocPropertyNoOverlapAcrossMappings(t *testing.T) {
 	// mappings: no two live blocks ever overlap, and every block's page
 	// range stays within heaps of its own mapping.
 	a, k, id := newAllocator(t)
-	id2, err := k.AddAddrMap(amu.ConfigFromShuffle(mapping.ForStride(64, geom.Default())))
+	id2, err := k.AddAddrMap(strideConfig(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}

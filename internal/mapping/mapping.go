@@ -1,11 +1,13 @@
 // Package mapping implements the PA→HA address-mapping functions studied
 // in the paper: the boot-time default (channel-interleaved) mapping, the
 // bit-shuffle mapping realizable by the AMU crossbar, and the XOR-hash
-// mapping used by the BS+HM baseline (Liu et al., ISCA'18 style).
+// mapping used by the BS+HM baseline (Liu et al., ISCA'18 style). All
+// three are one type, Linear: an invertible 15×15 matrix over GF(2),
+// compiled to XOR tables when it is built.
 //
-// A Mapping transforms the 15-bit chunk offset of a cache-line address;
+// A mapping transforms the 15-bit chunk offset of a cache-line address;
 // the chunk number is never touched, which is what guarantees inter-chunk
-// correctness (paper §4). Every Mapping must be a bijection on the offset
+// correctness (paper §4). Every mapping is a bijection on the offset
 // space so that one PA maps to exactly one HA and vice versa.
 package mapping
 
@@ -17,25 +19,11 @@ import (
 	"repro/internal/geom"
 )
 
-// Mapping is an invertible transform on the chunk-offset bits of a
-// cache-line physical address.
+// Mapping is what a global-mode controller boots with: the zero-size
+// Identity (DM) or a *Linear. Both lower to the one *Linear that every
+// access goes through.
 type Mapping interface {
-	// MapOffset converts a PA chunk offset to the HA chunk offset.
-	MapOffset(off uint32) uint32
-	// UnmapOffset inverts MapOffset.
-	UnmapOffset(off uint32) uint32
-	// Name identifies the mapping for reports.
-	Name() string
-}
-
-// Map applies m to a full line address, preserving the chunk number.
-func Map(m Mapping, l geom.LineAddr) geom.LineAddr {
-	return geom.Join(l.Chunk(), m.MapOffset(l.Offset()))
-}
-
-// Unmap inverts Map.
-func Unmap(m Mapping, l geom.LineAddr) geom.LineAddr {
-	return geom.Join(l.Chunk(), m.UnmapOffset(l.Offset()))
+	Linear() *Linear
 }
 
 // Identity is the default mapping (DM): the memory controller's
@@ -44,33 +32,96 @@ func Unmap(m Mapping, l geom.LineAddr) geom.LineAddr {
 // (channel in the low offset bits) this is the identity permutation.
 type Identity struct{}
 
-// MapOffset returns off unchanged.
-func (Identity) MapOffset(off uint32) uint32 { return off & offMask }
+// Linear returns the identity matrix, named "DM". It is shared and
+// immutable.
+func (Identity) Linear() *Linear { return identity }
 
-// UnmapOffset returns off unchanged.
-func (Identity) UnmapOffset(off uint32) uint32 { return off & offMask }
+var identity = func() *Linear {
+	perm := make([]int, geom.OffsetBits)
+	for i := range perm {
+		perm[i] = i
+	}
+	return MustShuffle(perm, "DM")
+}()
 
-// Name implements Mapping.
-func (Identity) Name() string { return "DM" }
+const (
+	offMask = 1<<geom.OffsetBits - 1
+	// loBits splits the offset for the compiled form: the low 8 bits
+	// index one XOR table, the high 7 bits another.
+	loBits = 8
+	hiBits = geom.OffsetBits - loBits
+)
 
-const offMask = 1<<geom.OffsetBits - 1
-
-// Shuffle is a bit-shuffle mapping: an arbitrary permutation of the
-// 15 offset bits, exactly what the AMU crossbar realizes (§5.2). The
-// permutation is stored as perm[i] = source PA bit feeding HA bit i.
-type Shuffle struct {
-	perm [geom.OffsetBits]uint8
-	inv  [geom.OffsetBits]uint8
-	name string
+// Linear is an invertible linear map over GF(2) on the 15 offset bits:
+// HA offset bit i is the XOR of the PA offset bits in row i. A bit
+// shuffle (BSM, what the AMU crossbar realizes, §5.2) is the special
+// case of one bit per row; the XOR hash (HM) XORs several. Invertibility
+// — one PA per HA and vice versa — is checked by Gauss-Jordan
+// elimination at construction.
+//
+// The constructor also compiles the matrix to two XOR tables, one over
+// the low 8 offset bits and one over the high 7, so MapOffset is two
+// loads and an XOR. That is exact for any linear map, because
+// f(a⊕b) = f(a)⊕f(b). A Linear is immutable and safe to share between
+// goroutines.
+type Linear struct {
+	rows, inv [geom.OffsetBits]uint32 // rows[i] = PA bits XORed into HA bit i
+	lo        [1 << loBits]uint32
+	hi        [1 << hiBits]uint32
+	name      string
 }
 
-// NewShuffle builds a Shuffle from a permutation of 0..OffsetBits-1.
-// perm[i] names the PA offset bit that becomes HA offset bit i.
-func NewShuffle(perm []int, name string) (*Shuffle, error) {
+// NewXORHash builds a Linear from row masks. rows[i] is the set of PA
+// offset bits whose XOR produces HA offset bit i. Singular matrices are
+// rejected. An empty name defaults to "HM".
+func NewXORHash(rows []uint32, name string) (*Linear, error) {
+	if len(rows) != geom.OffsetBits {
+		return nil, fmt.Errorf("mapping: hash has %d rows, want %d", len(rows), geom.OffsetBits)
+	}
+	if name == "" {
+		name = "HM"
+	}
+	var r [geom.OffsetBits]uint32
+	copy(r[:], rows)
+	return newLinear(r, name)
+}
+
+func newLinear(rows [geom.OffsetBits]uint32, name string) (*Linear, error) {
+	m := &Linear{name: name}
+	for i, r := range rows {
+		m.rows[i] = r & offMask
+	}
+	inv, ok := invertGF2(m.rows)
+	if !ok {
+		return nil, fmt.Errorf("mapping: matrix is singular (not invertible)")
+	}
+	m.inv = inv
+	// Column j is the HA image of PA bit j; each table entry is the XOR
+	// of the columns of its set bits, built from the entry without its
+	// lowest bit.
+	var col [geom.OffsetBits]uint32
+	for i, r := range m.rows {
+		for j := 0; j < geom.OffsetBits; j++ {
+			col[j] |= r >> j & 1 << i
+		}
+	}
+	for v := 1; v < len(m.lo); v++ {
+		m.lo[v] = m.lo[v&(v-1)] ^ col[bits.TrailingZeros(uint(v))]
+	}
+	for v := 1; v < len(m.hi); v++ {
+		m.hi[v] = m.hi[v&(v-1)] ^ col[loBits+bits.TrailingZeros(uint(v))]
+	}
+	return m, nil
+}
+
+// NewShuffle builds a bit-shuffle mapping from a permutation of
+// 0..OffsetBits-1: perm[i] names the PA offset bit that becomes HA
+// offset bit i. An empty name defaults to "BSM".
+func NewShuffle(perm []int, name string) (*Linear, error) {
 	if len(perm) != geom.OffsetBits {
 		return nil, fmt.Errorf("mapping: permutation has %d entries, want %d", len(perm), geom.OffsetBits)
 	}
-	var s Shuffle
+	var rows [geom.OffsetBits]uint32
 	seen := [geom.OffsetBits]bool{}
 	for i, p := range perm {
 		if p < 0 || p >= geom.OffsetBits {
@@ -80,96 +131,22 @@ func NewShuffle(perm []int, name string) (*Shuffle, error) {
 			return nil, fmt.Errorf("mapping: permutation entry %d repeated (not a bijection)", p)
 		}
 		seen[p] = true
-		s.perm[i] = uint8(p)
-		s.inv[p] = uint8(i)
+		rows[i] = 1 << p
 	}
 	if name == "" {
 		name = "BSM"
 	}
-	s.name = name
-	return &s, nil
+	return newLinear(rows, name)
 }
 
 // MustShuffle is NewShuffle that panics on invalid input; for tests and
 // package-internal constants.
-func MustShuffle(perm []int, name string) *Shuffle {
+func MustShuffle(perm []int, name string) *Linear {
 	s, err := NewShuffle(perm, name)
 	if err != nil {
 		panic(err)
 	}
 	return s
-}
-
-// MapOffset permutes the offset bits.
-func (s *Shuffle) MapOffset(off uint32) uint32 {
-	var out uint32
-	for i := 0; i < geom.OffsetBits; i++ {
-		out |= (off >> s.perm[i] & 1) << i
-	}
-	return out
-}
-
-// UnmapOffset applies the inverse permutation.
-func (s *Shuffle) UnmapOffset(off uint32) uint32 {
-	var out uint32
-	for i := 0; i < geom.OffsetBits; i++ {
-		out |= (off >> s.inv[i] & 1) << i
-	}
-	return out
-}
-
-// Name implements Mapping.
-func (s *Shuffle) Name() string { return s.name }
-
-// Perm returns a copy of the permutation (HA bit ← PA bit).
-func (s *Shuffle) Perm() []int {
-	out := make([]int, geom.OffsetBits)
-	for i, p := range s.perm {
-		out[i] = int(p)
-	}
-	return out
-}
-
-// IdentityShuffle returns the identity permutation as a Shuffle, useful
-// when the crossbar must be configured explicitly.
-func IdentityShuffle() *Shuffle {
-	perm := make([]int, geom.OffsetBits)
-	for i := range perm {
-		perm[i] = i
-	}
-	return MustShuffle(perm, "DM")
-}
-
-// XORHash is the hashing-based mapping (HM): each HA offset bit is the
-// XOR of a set of PA offset bits. The transform is a linear map over
-// GF(2); NewXORHash rejects singular matrices so invertibility — and
-// hence PA↔HA correctness — is guaranteed by construction.
-type XORHash struct {
-	rows [geom.OffsetBits]uint32 // rows[i] = mask of PA bits XORed into HA bit i
-	inv  [geom.OffsetBits]uint32
-	name string
-}
-
-// NewXORHash builds an XORHash from row masks. rows[i] is the set of PA
-// offset bits whose XOR produces HA offset bit i.
-func NewXORHash(rows []uint32, name string) (*XORHash, error) {
-	if len(rows) != geom.OffsetBits {
-		return nil, fmt.Errorf("mapping: hash has %d rows, want %d", len(rows), geom.OffsetBits)
-	}
-	var h XORHash
-	for i, r := range rows {
-		h.rows[i] = r & offMask
-	}
-	inv, ok := invertGF2(h.rows)
-	if !ok {
-		return nil, fmt.Errorf("mapping: hash matrix is singular (not invertible)")
-	}
-	h.inv = inv
-	if name == "" {
-		name = "HM"
-	}
-	h.name = name
-	return &h, nil
 }
 
 // DefaultXORHash returns the entropy-concentrating hash used by the
@@ -179,7 +156,7 @@ func NewXORHash(rows []uint32, name string) (*XORHash, error) {
 // what makes HM a compromise: common strides spread well, but patterns
 // whose variation lives entirely above the window still collapse onto
 // one channel — the residual underutilization visible in Fig 11(b).
-func DefaultXORHash() *XORHash {
+func DefaultXORHash() *Linear {
 	rows := make([]uint32, geom.OffsetBits)
 	for i := 0; i < geom.OffsetBits; i++ {
 		rows[i] = 1 << i
@@ -194,25 +171,36 @@ func DefaultXORHash() *XORHash {
 	return h
 }
 
-// MapOffset applies the GF(2) linear map.
-func (h *XORHash) MapOffset(off uint32) uint32 {
-	return applyGF2(&h.rows, off&offMask)
+// MapOffset converts a PA chunk offset to the HA chunk offset. Bits
+// above the offset are ignored.
+//
+//sdam:noalloc
+func (m *Linear) MapOffset(off uint32) uint32 {
+	return m.lo[off&(1<<loBits-1)] ^ m.hi[off>>loBits&(1<<hiBits-1)]
 }
 
-// UnmapOffset applies the inverse map.
-func (h *XORHash) UnmapOffset(off uint32) uint32 {
-	return applyGF2(&h.inv, off&offMask)
+// Map applies m to a full line address, preserving the chunk number.
+func (m *Linear) Map(l geom.LineAddr) geom.LineAddr {
+	return geom.Join(l.Chunk(), m.MapOffset(l.Offset()))
 }
 
-// Name implements Mapping.
-func (h *XORHash) Name() string { return h.name }
+// Linear returns m itself, so a *Linear is a Mapping.
+func (m *Linear) Linear() *Linear { return m }
 
-func applyGF2(rows *[geom.OffsetBits]uint32, off uint32) uint32 {
-	var out uint32
-	for i := 0; i < geom.OffsetBits; i++ {
-		out |= uint32(bits.OnesCount32(rows[i]&off)&1) << i
+// Name identifies the mapping for reports.
+func (m *Linear) Name() string { return m.name }
+
+// Rows returns the matrix: Rows()[i] is the mask of PA offset bits XORed
+// into HA offset bit i. The array is comparable, so it keys maps.
+func (m *Linear) Rows() [geom.OffsetBits]uint32 { return m.rows }
+
+// Inverse returns the HA→PA map, with the same name.
+func (m *Linear) Inverse() *Linear {
+	inv, err := newLinear(m.inv, m.name)
+	if err != nil {
+		panic("mapping: inverse of an invertible matrix must be invertible")
 	}
-	return out
+	return inv
 }
 
 // invertGF2 inverts a square bit matrix by Gauss-Jordan elimination.
@@ -307,7 +295,7 @@ func (v BFRV) Dist2(o BFRV) float64 {
 // become channel bits so concurrent accesses spread across channels; the
 // next group feeds the column (row-buffer locality), then banks, and the
 // lowest-flipping bits select rows.
-func FromBFRV(v BFRV, g geom.Geometry, name string) *Shuffle {
+func FromBFRV(v BFRV, g geom.Geometry, name string) *Linear {
 	b := g.Bits()
 	chBits, colBits, bankBits, rowBits := b.OffsetFields()
 
@@ -356,7 +344,7 @@ func FromBFRV(v BFRV, g geom.Geometry, name string) *Shuffle {
 // those become the channel bits. This is the closed-form the paper uses
 // for the synthetic benchmark where "the optimal address mapping can be
 // derived from the strides directly" (§7.4).
-func ForStride(strideLines int, g geom.Geometry) *Shuffle {
+func ForStride(strideLines int, g geom.Geometry) *Linear {
 	if strideLines < 1 {
 		strideLines = 1
 	}

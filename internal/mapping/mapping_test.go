@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,11 +11,32 @@ import (
 
 func randPerm(r *rand.Rand) []int { return r.Perm(geom.OffsetBits) }
 
+// refShuffle is the per-bit crossbar loop the compiled tables replace:
+// HA bit i takes PA bit perm[i].
+func refShuffle(perm []int, off uint32) uint32 {
+	var out uint32
+	for i := 0; i < geom.OffsetBits; i++ {
+		out |= (off >> perm[i] & 1) << i
+	}
+	return out
+}
+
+// applyGF2 is the row-by-row matrix product the compiled tables
+// replace: HA bit i is the parity of the PA bits in rows[i].
+func applyGF2(rows [geom.OffsetBits]uint32, off uint32) uint32 {
+	var out uint32
+	for i := 0; i < geom.OffsetBits; i++ {
+		out |= uint32(bits.OnesCount32(rows[i]&off)&1) << i
+	}
+	return out
+}
+
 func TestIdentityRoundTrip(t *testing.T) {
-	m := Identity{}
+	m := Identity{}.Linear()
+	inv := m.Inverse()
 	f := func(off uint32) bool {
 		off &= offMask
-		return m.UnmapOffset(m.MapOffset(off)) == off && m.MapOffset(off) == off
+		return inv.MapOffset(m.MapOffset(off)) == off && m.MapOffset(off) == off
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -24,16 +46,21 @@ func TestIdentityRoundTrip(t *testing.T) {
 func TestShuffleIsBijection(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
-		s := MustShuffle(randPerm(r), "t")
+		perm := randPerm(r)
+		s := MustShuffle(perm, "t")
+		inv := s.Inverse()
 		seen := make([]bool, 1<<geom.OffsetBits)
 		for off := uint32(0); off < 1<<geom.OffsetBits; off++ {
 			m := s.MapOffset(off)
+			if want := refShuffle(perm, off); m != want {
+				t.Fatalf("trial %d: offset %#x: compiled %#x, loop %#x", trial, off, m, want)
+			}
 			if seen[m] {
 				t.Fatalf("trial %d: offset %#x collides", trial, off)
 			}
 			seen[m] = true
-			if s.UnmapOffset(m) != off {
-				t.Fatalf("trial %d: unmap(map(%#x)) = %#x", trial, off, s.UnmapOffset(m))
+			if inv.MapOffset(m) != off {
+				t.Fatalf("trial %d: unmap(map(%#x)) = %#x", trial, off, inv.MapOffset(m))
 			}
 		}
 	}
@@ -56,21 +83,34 @@ func TestShuffleRejectsInvalidPerms(t *testing.T) {
 	}
 }
 
+// TestShufflePermAccessor checks that a shuffle's matrix is its
+// permutation: row i selects exactly PA bit perm[i].
 func TestShufflePermAccessor(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	p := randPerm(r)
-	s := MustShuffle(p, "t")
-	got := s.Perm()
+	got := MustShuffle(p, "t").Rows()
 	for i := range p {
-		if got[i] != p[i] {
-			t.Fatalf("Perm()[%d] = %d, want %d", i, got[i], p[i])
+		if got[i] != 1<<p[i] {
+			t.Fatalf("Rows()[%d] = %#x, want PA bit %d", i, got[i], p[i])
 		}
 	}
 }
 
+// TestIdentityShuffleMatchesIdentity checks that Identity lowers to the
+// identity permutation named DM and moves no offset.
 func TestIdentityShuffleMatchesIdentity(t *testing.T) {
-	s := IdentityShuffle()
-	for off := uint32(0); off < 1<<geom.OffsetBits; off += 97 {
+	s := Identity{}.Linear()
+	if s.Name() != "DM" {
+		t.Fatalf("identity is named %q, want DM", s.Name())
+	}
+	perm := make([]int, geom.OffsetBits)
+	for i := range perm {
+		perm[i] = i
+	}
+	if s.Rows() != MustShuffle(perm, "DM").Rows() {
+		t.Fatalf("identity rows %#x", s.Rows())
+	}
+	for off := uint32(0); off < 1<<geom.OffsetBits; off++ {
 		if s.MapOffset(off) != off {
 			t.Fatalf("identity shuffle moved %#x", off)
 		}
@@ -79,9 +119,10 @@ func TestIdentityShuffleMatchesIdentity(t *testing.T) {
 
 func TestXORHashRoundTrip(t *testing.T) {
 	h := DefaultXORHash()
+	inv := h.Inverse()
 	f := func(off uint32) bool {
 		off &= offMask
-		return h.UnmapOffset(h.MapOffset(off)) == off
+		return inv.MapOffset(h.MapOffset(off)) == off
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -103,6 +144,9 @@ func TestXORHashIsBijectionExhaustive(t *testing.T) {
 	seen := make([]bool, 1<<geom.OffsetBits)
 	for off := uint32(0); off < 1<<geom.OffsetBits; off++ {
 		m := h.MapOffset(off)
+		if want := applyGF2(h.Rows(), off); m != want {
+			t.Fatalf("offset %#x: compiled %#x, matrix product %#x", off, m, want)
+		}
 		if seen[m] {
 			t.Fatalf("offset %#x collides", off)
 		}
@@ -112,14 +156,14 @@ func TestXORHashIsBijectionExhaustive(t *testing.T) {
 
 func TestMapPreservesChunkNumber(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	maps := []Mapping{Identity{}, MustShuffle(randPerm(r), "s"), DefaultXORHash()}
+	maps := []*Linear{Identity{}.Linear(), MustShuffle(randPerm(r), "s"), DefaultXORHash()}
 	f := func(raw uint64) bool {
 		l := geom.LineAddr(raw % geom.Default().TotalLines())
 		for _, m := range maps {
-			if Map(m, l).Chunk() != l.Chunk() {
+			if m.Map(l).Chunk() != l.Chunk() {
 				return false
 			}
-			if Unmap(m, Map(m, l)) != l {
+			if m.Inverse().Map(m.Map(l)) != l {
 				return false
 			}
 		}
@@ -197,10 +241,8 @@ func TestFromBFRVStreamingYieldsIdentity(t *testing.T) {
 		trace[i] = geom.LineAddr(i)
 	}
 	s := FromBFRV(ComputeBFRV(trace), geom.Default(), "")
-	for i, p := range s.Perm() {
-		if p != i {
-			t.Fatalf("streaming trace should produce identity mapping, got perm[%d]=%d", i, p)
-		}
+	if s.Rows() != (Identity{}).Linear().Rows() {
+		t.Fatalf("streaming trace should produce identity mapping, got rows %#x", s.Rows())
 	}
 }
 
@@ -211,11 +253,10 @@ func TestFromBFRVStride16MovesChannelBits(t *testing.T) {
 	for i := range trace {
 		trace[i] = geom.LineAddr(i * 16)
 	}
-	s := FromBFRV(ComputeBFRV(trace), geom.Default(), "")
-	perm := s.Perm()
+	rows := FromBFRV(ComputeBFRV(trace), geom.Default(), "").Rows()
 	for i := 0; i < 5; i++ {
-		if perm[i] < 4 {
-			t.Fatalf("channel HA bit %d fed from dead PA bit %d", i, perm[i])
+		if rows[i] < 1<<4 {
+			t.Fatalf("channel HA bit %d fed from dead PA bits %#x", i, rows[i])
 		}
 	}
 }
@@ -227,7 +268,7 @@ func TestForStrideSpreadsAccesses(t *testing.T) {
 		channels := make(map[int]bool)
 		for i := 0; i < 256; i++ {
 			l := geom.LineAddr(i * stride)
-			ha := g.Decode(Map(m, l))
+			ha := g.Decode(m.Map(l))
 			channels[ha.Channel] = true
 		}
 		if len(channels) < g.Channels {
@@ -251,11 +292,11 @@ func TestIdentityUnderStrideCausesContention(t *testing.T) {
 	// Sanity-check the motivating problem (Fig 2/3): the default mapping
 	// under stride 32 uses a single channel.
 	g := geom.Default()
-	m := Identity{}
+	m := Identity{}.Linear()
 	channels := make(map[int]bool)
 	for i := 0; i < 256; i++ {
 		l := geom.LineAddr(i * 32)
-		ha := g.Decode(Map(m, l))
+		ha := g.Decode(m.Map(l))
 		channels[ha.Channel] = true
 	}
 	if len(channels) != 1 {
@@ -264,16 +305,23 @@ func TestIdentityUnderStrideCausesContention(t *testing.T) {
 }
 
 // FuzzShuffleRoundTrip drives random permutations and offsets through
-// the crossbar transform, asserting bijectivity from the fuzzing corpus.
+// the crossbar transform: the compiled tables must agree with the
+// per-bit shuffle loop on every input, including bits above the
+// offset, and the inverse must undo them.
 func FuzzShuffleRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint32(0x1234))
 	f.Add(int64(99), uint32(0x7fff))
 	f.Fuzz(func(t *testing.T, seed int64, off uint32) {
 		r := rand.New(rand.NewSource(seed))
-		s := MustShuffle(r.Perm(geom.OffsetBits), "fuzz")
+		perm := r.Perm(geom.OffsetBits)
+		s := MustShuffle(perm, "fuzz")
+		got := s.MapOffset(off)
 		off &= offMask
-		if got := s.UnmapOffset(s.MapOffset(off)); got != off {
-			t.Fatalf("roundtrip %#x -> %#x", off, got)
+		if want := refShuffle(perm, off); got != want {
+			t.Fatalf("perm %v offset %#x: compiled %#x, loop %#x", perm, off, got, want)
+		}
+		if back := s.Inverse().MapOffset(got); back != off {
+			t.Fatalf("roundtrip %#x -> %#x", off, back)
 		}
 	})
 }
@@ -292,9 +340,13 @@ func FuzzXORHashRoundTrip(f *testing.F) {
 		if err != nil {
 			return // singular matrices are legitimately rejected
 		}
+		got := h.MapOffset(off)
 		off &= offMask
-		if got := h.UnmapOffset(h.MapOffset(off)); got != off {
-			t.Fatalf("roundtrip %#x -> %#x", off, got)
+		if want := applyGF2(h.Rows(), off); got != want {
+			t.Fatalf("rows %#x offset %#x: compiled %#x, matrix product %#x", rows, off, got, want)
+		}
+		if back := h.Inverse().MapOffset(got); back != off {
+			t.Fatalf("roundtrip %#x -> %#x", off, back)
 		}
 	})
 }

@@ -10,6 +10,8 @@
 //   - SDAM mode: the controller consults the CMT with the chunk number,
 //     feeds the returned crossbar configuration to the AMU, and uses the
 //     remapped offset — the SDM+* configurations.
+//
+// Both modes translate through one compiled *mapping.Linear per access.
 package memctrl
 
 import (
@@ -28,40 +30,35 @@ import (
 type Controller struct {
 	dev *hbm.Device
 
-	// Exactly one of global/table is active.
-	global mapping.Mapping
+	// global is the boot mapping in global mode; table is set instead
+	// in SDAM mode.
+	global *mapping.Linear
 	table  *cmt.Table
 	amu    *amu.AMU
 
-	// chunkCfg memoizes each chunk's compiled crossbar configuration so
-	// the steady-state translation is two table loads instead of a CMT
-	// lock round-trip plus a per-bit shuffle loop. cachedGen is the CMT
-	// generation the cache was filled against; any OS-side table write
-	// advances the generation and flushes the cache on the next access
-	// (the invalidation a real MMIO write would broadcast).
-	chunkCfg  []*amu.Compiled
+	// chunkMap memoizes each chunk's compiled mapping so the
+	// steady-state translation is two table loads instead of a CMT lock
+	// round-trip. cachedGen is the CMT generation the cache was filled
+	// against; any OS-side table write advances the generation and
+	// flushes the cache on the next access (the invalidation a real MMIO
+	// write would broadcast). The CMT's 6 ns SRAM read overlaps the
+	// controller front end, so SDAM mode adds no latency.
+	chunkMap  []*mapping.Linear
 	cachedGen uint64
 
 	// compiles counts per-chunk cache fills — the cold path of resolve.
 	// A plain field (the controller is single-owner); system's metrics
 	// flush reads it through Compiles after the run.
 	compiles uint64
-
-	// cmtPenalty is the extra lookup latency added per access in SDAM
-	// mode. The paper's CMT is a 6 ns SRAM read that proceeds in
-	// parallel with the controller front end (80 ns in the device
-	// timing), so it is fully hidden and the modeled penalty is zero;
-	// the field exists so sensitivity studies can expose it.
-	cmtPenalty float64
 }
 
 // NewGlobal creates a controller applying one fixed mapping to all
-// addresses (the hardware-only baselines).
+// addresses (the hardware-only baselines). A nil m means Identity.
 func NewGlobal(dev *hbm.Device, m mapping.Mapping) *Controller {
 	if m == nil {
 		m = mapping.Identity{}
 	}
-	return &Controller{dev: dev, global: m}
+	return &Controller{dev: dev, global: m.Linear()}
 }
 
 // NewSDAM creates a controller that resolves mappings through the CMT
@@ -72,9 +69,8 @@ func NewSDAM(dev *hbm.Device, table *cmt.Table, unit *amu.AMU) *Controller {
 	}
 	return &Controller{
 		dev: dev, table: table, amu: unit,
-		chunkCfg:   make([]*amu.Compiled, table.Chunks()),
-		cachedGen:  table.Generation(),
-		cmtPenalty: 0,
+		chunkMap:  make([]*mapping.Linear, table.Chunks()),
+		cachedGen: table.Generation(),
 	}
 }
 
@@ -92,47 +88,46 @@ func (c *Controller) Table() *cmt.Table { return c.table }
 //
 //sdam:noalloc
 func (c *Controller) Access(at float64, l geom.LineAddr) (float64, error) {
-	var ha geom.LineAddr
+	m := c.global
 	if c.table != nil {
-		cc, err := c.resolve(l.Chunk())
-		if err != nil {
+		var err error
+		if m, err = c.resolve(l.Chunk()); err != nil {
 			return 0, fmt.Errorf("memctrl: %w", err)
 		}
-		ha = c.amu.TranslateCompiled(cc, l)
-		at += c.cmtPenalty
-	} else {
-		ha = mapping.Map(c.global, l)
 	}
-	return c.dev.AccessLine(at, ha), nil
+	return c.dev.AccessLine(at, m.Map(l)), nil
 }
 
-// resolve returns the chunk's compiled crossbar configuration, filling
-// the per-chunk cache on a miss and flushing it when the CMT has been
-// written since the last fill.
-func (c *Controller) resolve(chunk int) (*amu.Compiled, error) {
+// resolve returns the chunk's compiled mapping, filling the per-chunk
+// cache on a miss and flushing it when the CMT has been written since
+// the last fill.
+func (c *Controller) resolve(chunk int) (*mapping.Linear, error) {
 	if gen := c.table.Generation(); gen != c.cachedGen {
-		clear(c.chunkCfg)
+		clear(c.chunkMap)
 		c.cachedGen = gen
 	}
-	if chunk >= 0 && chunk < len(c.chunkCfg) {
-		if cc := c.chunkCfg[chunk]; cc != nil {
-			return cc, nil
+	if chunk >= 0 && chunk < len(c.chunkMap) {
+		if m := c.chunkMap[chunk]; m != nil {
+			return m, nil
 		}
 	}
 	cfg, err := c.table.Lookup(chunk)
 	if err != nil {
 		return nil, err
 	}
-	cc := c.amu.Compiled(cfg)
-	c.compiles++
-	if chunk >= 0 && chunk < len(c.chunkCfg) {
-		c.chunkCfg[chunk] = cc
+	m, err := c.amu.Linear(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return cc, nil
+	c.compiles++
+	if chunk >= 0 && chunk < len(c.chunkMap) {
+		c.chunkMap[chunk] = m
+	}
+	return m, nil
 }
 
-// Compiles returns the number of crossbar configurations compiled on
-// CMT-cache misses (zero in global mode).
+// Compiles returns the number of per-chunk cache fills on CMT-cache
+// misses (zero in global mode).
 func (c *Controller) Compiles() uint64 { return c.compiles }
 
 // MustAccess is Access for callers that have already validated the

@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +15,35 @@ import (
 )
 
 func newDev() *hbm.Device { return hbm.New(geom.Default(), hbm.DefaultTiming()) }
+
+// strideConfig is the crossbar setting of the stride-s bit shuffle.
+func strideConfig(t *testing.T, s int) amu.Config {
+	t.Helper()
+	cfg, err := amu.ConfigOf(mapping.ForStride(s, geom.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// bindAll installs m and binds every chunk of table to it, so an SDAM
+// controller over table applies m everywhere, as a global one does.
+func bindAll(t *testing.T, table *cmt.Table, m *mapping.Linear) {
+	t.Helper()
+	cfg, err := amu.ConfigOf(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := table.AllocMappingIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < table.Chunks(); c++ {
+		if err := table.BindChunk(c, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func TestGlobalDefaultsToIdentity(t *testing.T) {
 	c := NewGlobal(newDev(), nil)
@@ -58,7 +89,7 @@ func TestSDAMRoutesPerChunkMappings(t *testing.T) {
 	}
 
 	// Chunk 0 keeps the default mapping; chunk 1 gets a stride-16 shuffle.
-	idx, err := table.AllocMappingIndex(amu.ConfigFromShuffle(mapping.ForStride(16, dev.Geometry())))
+	idx, err := table.AllocMappingIndex(strideConfig(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,35 +170,56 @@ func TestGlobalXORHashSpreadsManyStrides(t *testing.T) {
 	}
 }
 
+// TestSDAMWithDefaultsMatchesGlobalIdentity checks that the two
+// translate paths agree: an SDAM controller with every chunk bound to a
+// mapping behaves exactly like a global controller booted with it —
+// same completion time for every access of any trace, same device
+// statistics. With Identity the CMT keeps only its boot default. XOR
+// maps such as HM are global-only: the paper's CMT stores crossbar
+// settings, which only express bit shuffles.
 func TestSDAMWithDefaultsMatchesGlobalIdentity(t *testing.T) {
-	// Property: an SDAM controller whose CMT still holds only the boot
-	// default must behave identically to a global identity controller —
-	// same completion time for every access of any trace.
-	devA, devB := newDev(), newDev()
-	g := NewGlobal(devA, mapping.Identity{})
-	s := NewSDAM(devB, cmt.New(devB.Geometry().Chunks()), amu.New(8))
-	f := func(raw uint64, gap uint8) bool {
-		l := geom.LineAddr(raw % devA.Geometry().TotalLines())
-		at := float64(gap)
-		return g.MustAccess(at, l) == s.MustAccess(at, l)
+	var flips mapping.BFRV
+	r := rand.New(rand.NewSource(5))
+	for i := range flips {
+		flips[i] = r.Float64()
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := devA.Stats(), devB.Stats()
-	if sa.RowHits != sb.RowHits || sa.Bytes != sb.Bytes {
-		t.Fatalf("diverged: %+v vs %+v", sa, sb)
+	for _, m := range []mapping.Mapping{
+		mapping.Identity{},
+		mapping.ForStride(16, geom.Default()),
+		mapping.FromBFRV(flips, geom.Default(), "BSM-random"),
+	} {
+		lin := m.Linear()
+		t.Run(lin.Name(), func(t *testing.T) {
+			devA, devB := newDev(), newDev()
+			g := NewGlobal(devA, m)
+			table := cmt.New(devB.Geometry().Chunks())
+			if _, ok := m.(mapping.Identity); !ok {
+				bindAll(t, table, lin)
+			}
+			s := NewSDAM(devB, table, amu.New(8))
+			f := func(raw uint64, gap uint8) bool {
+				l := geom.LineAddr(raw % devA.Geometry().TotalLines())
+				at := float64(gap)
+				return g.MustAccess(at, l) == s.MustAccess(at, l)
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Fatal(err)
+			}
+			if sa, sb := devA.Stats(), devB.Stats(); !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("diverged: %+v vs %+v", sa, sb)
+			}
+		})
 	}
 }
 
 // TestIssuePathZeroAllocs pins the steady-state issue path — SDAM and
-// global — at zero allocations per access: the chunk's compiled
-// crossbar is cached, the AMU translation is table loads, and the
-// device's fused AccessLine touches only preallocated SoA planes.
+// global — at zero allocations per access: the chunk's compiled mapping
+// is cached, the translation is table loads, and the device's fused
+// AccessLine touches only preallocated SoA planes.
 func TestIssuePathZeroAllocs(t *testing.T) {
 	dev := newDev()
 	table := cmt.New(dev.Geometry().Chunks())
-	idx, err := table.AllocMappingIndex(amu.ConfigFromShuffle(mapping.ForStride(16, dev.Geometry())))
+	idx, err := table.AllocMappingIndex(strideConfig(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +238,14 @@ func TestIssuePathZeroAllocs(t *testing.T) {
 		t.Fatalf("SDAM issue path allocates %.1f per access, want 0", n)
 	}
 
-	global := NewGlobal(newDev(), mapping.ForStride(16, dev.Geometry()))
-	global.MustAccess(0, 0)
-	if n := testing.AllocsPerRun(500, func() {
-		i++
-		global.MustAccess(float64(i), geom.LineAddr(i*16))
-	}); n != 0 {
-		t.Fatalf("global issue path allocates %.1f per access, want 0", n)
+	for _, m := range []mapping.Mapping{mapping.ForStride(16, dev.Geometry()), mapping.DefaultXORHash()} {
+		global := NewGlobal(newDev(), m)
+		global.MustAccess(0, 0)
+		if n := testing.AllocsPerRun(500, func() {
+			i++
+			global.MustAccess(float64(i), geom.LineAddr(i*16))
+		}); n != 0 {
+			t.Fatalf("global %s issue path allocates %.1f per access, want 0", m.Linear().Name(), n)
+		}
 	}
 }

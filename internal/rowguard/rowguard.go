@@ -9,31 +9,30 @@
 //
 // Which pages of a chunk touch boundary rows depends on the chunk's
 // address mapping: the AMU shuffle decides which offset bits select the
-// row. This package computes the guarded-page set for a given crossbar
-// configuration so the physical allocator can skip those pages.
+// row. This package computes the guarded-page set for a given mapping so
+// the physical allocator can skip those pages.
 package rowguard
 
 import (
-	"repro/internal/amu"
 	"repro/internal/geom"
+	"repro/internal/mapping"
 )
 
-// GuardedPages returns, for a chunk using the given AMU configuration,
+// GuardedPages returns, for a chunk using the given mapping,
 // which of its pages contain at least one cache line mapping to a
 // boundary row (lowest or highest row-low value). Data placed only in
 // unguarded pages is isolated from neighbouring chunks by at least one
 // empty row on each side in every bank. g must satisfy g.Check().
-func GuardedPages(cfg amu.Config, g geom.Geometry) []bool {
+func GuardedPages(m *mapping.Linear, g geom.Geometry) []bool {
 	_, _, _, rowLowBits := g.Bits().OffsetFields()
 	lo := 0
 	hi := 1<<rowLowBits - 1
-	u := amu.New(1)
 	dec := g.NewDecoder()
 	guarded := make([]bool, geom.PagesPerChunk)
 	for p := 0; p < geom.PagesPerChunk; p++ {
 		for l := 0; l < geom.LinesPerPage; l++ {
 			off := uint32(p*geom.LinesPerPage + l)
-			ha := dec.Decode(u.Translate(cfg, geom.Join(0, off)))
+			ha := dec.Decode(geom.Join(0, m.MapOffset(off)))
 			rowLow := ha.Row & hi
 			if rowLow == lo || rowLow == hi {
 				guarded[p] = true
@@ -45,9 +44,9 @@ func GuardedPages(cfg amu.Config, g geom.Geometry) []bool {
 }
 
 // Overhead reports the fraction of a chunk's pages sacrificed to guard
-// rows under the given configuration.
-func Overhead(cfg amu.Config, g geom.Geometry) float64 {
-	guarded := GuardedPages(cfg, g)
+// rows under the given mapping.
+func Overhead(m *mapping.Linear, g geom.Geometry) float64 {
+	guarded := GuardedPages(m, g)
 	n := 0
 	for _, b := range guarded {
 		if b {
@@ -57,23 +56,22 @@ func Overhead(cfg amu.Config, g geom.Geometry) float64 {
 	return float64(n) / float64(len(guarded))
 }
 
-// Isolated verifies the guard property for a configuration: no unguarded
+// Isolated verifies the guard property for a mapping: no unguarded
 // page shares a (channel, bank) row adjacency with a row outside the
 // chunk's row-low range. It returns false if any unguarded line sits in
 // a boundary row. g must satisfy g.Check().
-func Isolated(cfg amu.Config, g geom.Geometry) bool {
+func Isolated(m *mapping.Linear, g geom.Geometry) bool {
 	_, _, _, rowLowBits := g.Bits().OffsetFields()
 	hi := 1<<rowLowBits - 1
-	u := amu.New(1)
 	dec := g.NewDecoder()
-	guarded := GuardedPages(cfg, g)
+	guarded := GuardedPages(m, g)
 	for p := 0; p < geom.PagesPerChunk; p++ {
 		if guarded[p] {
 			continue
 		}
 		for l := 0; l < geom.LinesPerPage; l++ {
 			off := uint32(p*geom.LinesPerPage + l)
-			ha := dec.Decode(u.Translate(cfg, geom.Join(0, off)))
+			ha := dec.Decode(geom.Join(0, m.MapOffset(off)))
 			rowLow := ha.Row & hi
 			if rowLow == 0 || rowLow == hi {
 				return false

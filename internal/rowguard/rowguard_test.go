@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/amu"
 	"repro/internal/geom"
 	"repro/internal/mapping"
 )
@@ -12,20 +11,19 @@ import (
 func TestIdentityGuardOverhead(t *testing.T) {
 	// Under the identity mapping a chunk's 16 row-low values partition
 	// its 512 pages evenly: the two boundary rows cost 2/16 = 12.5 %.
-	cfg := amu.Identity()
+	m := mapping.Identity{}.Linear()
 	g := geom.Default()
-	if got := Overhead(cfg, g); got != 0.125 {
+	if got := Overhead(m, g); got != 0.125 {
 		t.Fatalf("identity guard overhead = %v, want 0.125", got)
 	}
-	if !Isolated(cfg, g) {
+	if !Isolated(m, g) {
 		t.Fatal("identity guard set does not isolate")
 	}
 }
 
 func TestGuardedPagesIdentityShape(t *testing.T) {
-	cfg := amu.Identity()
 	g := geom.Default()
-	guarded := GuardedPages(cfg, g)
+	guarded := GuardedPages(mapping.Identity{}.Linear(), g)
 	if len(guarded) != geom.PagesPerChunk {
 		t.Fatalf("len = %d", len(guarded))
 	}
@@ -55,10 +53,9 @@ func TestArbitraryShufflesRemainIsolated(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := geom.Default()
 	for trial := 0; trial < 10; trial++ {
-		s := mapping.MustShuffle(r.Perm(geom.OffsetBits), "t")
-		cfg := amu.ConfigFromShuffle(s)
-		if !Isolated(cfg, g) {
-			t.Fatalf("trial %d: guard set not isolating for perm %v", trial, s.Perm())
+		perm := r.Perm(geom.OffsetBits)
+		if !Isolated(mapping.MustShuffle(perm, "t"), g) {
+			t.Fatalf("trial %d: guard set not isolating for perm %v", trial, perm)
 		}
 	}
 }
@@ -74,7 +71,7 @@ func TestOverheadDependsOnMapping(t *testing.T) {
 		perm[i] = (i + 4) % geom.OffsetBits
 	}
 	s := mapping.MustShuffle(perm, "rot")
-	over := Overhead(amu.ConfigFromShuffle(s), geom.Default())
+	over := Overhead(s, geom.Default())
 	if over <= 0.125 {
 		t.Fatalf("scattering mapping overhead = %v, expected above identity's 0.125", over)
 	}

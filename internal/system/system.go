@@ -323,9 +323,12 @@ func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection
 		return siteID, nil
 	}
 	ident := amu.Identity()
-	idOf := make(map[*mapping.Shuffle]int)
+	idOf := make(map[*mapping.Linear]int)
 	for _, m := range sel.ClusterMappings {
-		cfg := amu.ConfigFromShuffle(m)
+		cfg, err := amu.ConfigOf(m)
+		if err != nil {
+			return nil, fmt.Errorf("system: installing mapping %s: %w", m.Name(), err)
+		}
 		if cfg == ident {
 			// An identity-permutation cluster is the boot-time default;
 			// routing it to mapping ID 0 keeps its variables in the

@@ -59,11 +59,15 @@ func (k *Kernel) AddAddrMap(cfg amu.Config) (int, error) {
 // be disturbed from — nor disturb — other chunks. The extra capacity
 // cost is the guarded-page fraction of each chunk.
 func (k *Kernel) AddSecureAddrMap(cfg amu.Config, g geom.Geometry) (int, error) {
+	m, err := cfg.Linear("secure")
+	if err != nil {
+		return 0, err
+	}
 	id, err := k.Table.AllocMappingIndex(cfg)
 	if err != nil {
 		return 0, err
 	}
-	guarded := rowguard.GuardedPages(cfg, g)
+	guarded := rowguard.GuardedPages(m, g)
 	if err := k.Phys.SetGuard(id, func(p int) bool { return guarded[p] }); err != nil {
 		return 0, err
 	}

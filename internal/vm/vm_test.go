@@ -12,7 +12,11 @@ import (
 func newKernelWithMap(t *testing.T, stride int) (*Kernel, int) {
 	t.Helper()
 	k := NewKernel(64)
-	id, err := k.AddAddrMap(amu.ConfigFromShuffle(mapping.ForStride(stride, geom.Default())))
+	cfg, err := amu.ConfigOf(mapping.ForStride(stride, geom.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := k.AddAddrMap(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,21 @@ func NewMachine(cfg MachineConfig) *Machine {
 // bit i) and returns its mapping ID — the API of the paper's
 // add_addr_map() (§6.1).
 func (m *Machine) AddAddrMap(perm []int) (int, error) {
-	s, err := mapping.NewShuffle(perm, "user")
+	cfg, err := shuffleConfig(perm)
 	if err != nil {
 		return 0, err
 	}
-	return m.kernel.AddAddrMap(amu.ConfigFromShuffle(s))
+	return m.kernel.AddAddrMap(cfg)
+}
+
+// shuffleConfig checks that perm is a permutation of the offset bits and
+// serializes it to crossbar switch selects.
+func shuffleConfig(perm []int) (amu.Config, error) {
+	s, err := mapping.NewShuffle(perm, "")
+	if err != nil {
+		return amu.Config{}, err
+	}
+	return amu.ConfigOf(s)
 }
 
 // AddStrideMapping installs the mapping that is optimal for a fixed
@@ -79,8 +89,11 @@ func (m *Machine) AddStrideMapping(strideBytes int) (int, error) {
 	if lines < 1 {
 		lines = 1
 	}
-	s := mapping.ForStride(lines, m.dev.Geometry())
-	return m.kernel.AddAddrMap(amu.ConfigFromShuffle(s))
+	cfg, err := amu.ConfigOf(mapping.ForStride(lines, m.dev.Geometry()))
+	if err != nil {
+		return 0, err
+	}
+	return m.kernel.AddAddrMap(cfg)
 }
 
 // AddSecureAddrMap installs a bit-shuffle mapping whose chunk group is
@@ -89,11 +102,11 @@ func (m *Machine) AddStrideMapping(strideBytes int) (int, error) {
 // adjacent to another chunk's rows. GuardOverhead reports the capacity
 // cost.
 func (m *Machine) AddSecureAddrMap(perm []int) (int, error) {
-	s, err := mapping.NewShuffle(perm, "secure")
+	cfg, err := shuffleConfig(perm)
 	if err != nil {
 		return 0, err
 	}
-	return m.kernel.AddSecureAddrMap(amu.ConfigFromShuffle(s), m.dev.Geometry())
+	return m.kernel.AddSecureAddrMap(cfg, m.dev.Geometry())
 }
 
 // GuardOverhead returns the fraction of chunk capacity a secure group
@@ -103,7 +116,7 @@ func (m *Machine) GuardOverhead(perm []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return rowguard.Overhead(amu.ConfigFromShuffle(s), m.dev.Geometry()), nil
+	return rowguard.Overhead(s, m.dev.Geometry()), nil
 }
 
 // IdentityPerm returns the identity permutation of the offset bits —

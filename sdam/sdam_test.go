@@ -61,6 +61,21 @@ func TestMachineAddAddrMapValidation(t *testing.T) {
 	for i := range perm {
 		perm[i] = (i + 5) % 15
 	}
+	for _, bad := range [][]int{
+		append([]int{perm[1]}, perm[1:]...), // PA bit repeated
+		append([]int{15}, perm[1:]...),      // PA bit out of range
+		append([]int{-1}, perm[1:]...),
+	} {
+		if _, err := m.AddAddrMap(bad); err == nil {
+			t.Fatalf("bad permutation %v accepted", bad)
+		}
+		if _, err := m.AddSecureAddrMap(bad); err == nil {
+			t.Fatalf("bad permutation %v accepted by AddSecureAddrMap", bad)
+		}
+		if _, err := m.GuardOverhead(bad); err == nil {
+			t.Fatalf("bad permutation %v accepted by GuardOverhead", bad)
+		}
+	}
 	id, err := m.AddAddrMap(perm)
 	if err != nil {
 		t.Fatal(err)
