@@ -85,25 +85,33 @@ func TestCoRunGlobalConfigs(t *testing.T) {
 }
 
 func TestCoRunCMTExhaustion(t *testing.T) {
-	// Many co-running apps, each demanding a big cluster budget: the
-	// shared 256-slot CMT must eventually refuse — surfaced as an error,
-	// not a corruption.
-	var ws []workload.Workload
-	for i := 0; i < 6; i++ {
-		ws = append(ws, workload.NewStrideCopy(
-			[]int{1 << uint(i+1), 1 << uint(i+2), 1 << uint(i+3), 1 << uint(i+4)}, 2_000, 32<<20))
-	}
-	// Install filler mappings so only a handful of slots remain.
-	res, err := CoRun(ws, Options{Kind: SDMBSMML, Clusters: 64})
-	if err == nil {
-		// With dedup the mix may legitimately fit; then the CMT must
-		// still be consistent.
-		if res.MappingsInstalled > 256 {
-			t.Fatalf("mappings installed = %d", res.MappingsInstalled)
+	// Co-running apps divide the one 256-slot CMT among themselves and
+	// nothing dedupes across apps: each copy of this eight-stride app
+	// installs its own ML selection of about six mappings. 42 copies fit
+	// (253 live mappings); the 43rd must be refused with an error that
+	// names the app whose install failed, not a corrupted table.
+	mix := func(n int) []workload.Workload {
+		ws := make([]workload.Workload, n)
+		for i := range ws {
+			ws[i] = workload.NewStrideCopy([]int{2, 4, 8, 16, 32, 64, 128, 256}, 500, 1<<20)
 		}
-		return
+		return ws
 	}
-	if !strings.Contains(err.Error(), "mapping") && !strings.Contains(err.Error(), "slots") {
-		t.Fatalf("unexpected error: %v", err)
+	o := Options{Kind: SDMBSMML, Clusters: 8}
+	res, err := CoRun(mix(42), o)
+	if err != nil {
+		t.Fatalf("42 apps: %v", err)
+	}
+	if res.MappingsInstalled != 253 {
+		t.Fatalf("42 apps: mappings installed = %d, want 253", res.MappingsInstalled)
+	}
+	_, err = CoRun(mix(43), o)
+	if err == nil {
+		t.Fatal("43 apps fit in the 256-slot CMT")
+	}
+	for _, want := range []string{"cmt: all 256 mapping slots in use", "stridecopy-[2 4 8 16 32 64 128 256]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -188,9 +188,10 @@ var updateSweepGolden = flag.Bool("update", false, "rewrite the testdata/*.golde
 // benchmark harness's job (bench/README.md).
 func TestSweepGoldenSimulatedWork(t *testing.T) {
 	checkSweepGolden(t, "testdata/sweep_bfs_accel.golden",
-		func() workload.Workload { return apps.NewBFS(apps.Options{MaxRefs: 80_000}) },
-		Options{Engine: cpu.AcceleratorConfig(4), Clusters: 32},
-		[]Kind{BSDM, BSBSM, BSHM, SDMBSM, SDMBSMML, SDMBSMDL},
+		func() ([]Result, error) {
+			return Compare(apps.NewBFS(apps.Options{MaxRefs: 80_000}),
+				Options{Engine: cpu.AcceleratorConfig(4), Clusters: 32}, AllKinds)
+		},
 		func(r Result) string {
 			return fmt.Sprintf("%s %s time_ns=%s refs=%d", r.Workload, r.Config,
 				strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64), r.Run.References)
@@ -207,9 +208,10 @@ func TestSweepGoldenSimulatedWorkWriteBack(t *testing.T) {
 	eng := cpu.CPUConfig(4)
 	eng.WriteBack = true
 	checkSweepGolden(t, "testdata/sweep_hashjoin_cpu_wb.golden",
-		func() workload.Workload { return apps.NewHashJoin(apps.Options{MaxRefs: 40_000}) },
-		Options{Engine: eng},
-		[]Kind{BSDM, BSHM, SDMBSM, SDMBSMML},
+		func() ([]Result, error) {
+			return Compare(apps.NewHashJoin(apps.Options{MaxRefs: 40_000}),
+				Options{Engine: eng}, []Kind{BSDM, BSHM, SDMBSM, SDMBSMML})
+		},
 		func(r Result) string {
 			return fmt.Sprintf("%s %s time_ns=%s refs=%d external=%d writes=%d cache_hits=%d",
 				r.Workload, r.Config, strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64),
@@ -217,11 +219,47 @@ func TestSweepGoldenSimulatedWorkWriteBack(t *testing.T) {
 		})
 }
 
-// checkSweepGolden runs Compare over a fresh workload at -jobs 1 and 4
-// from fresh-process state and requires each run's cell lines followed
-// by the Deterministic() snapshot to equal the golden file byte for
-// byte; -update rewrites the file from the -jobs 1 run.
-func checkSweepGolden(t *testing.T, path string, newWork func() workload.Workload, opts Options, kinds []Kind, cell func(Result) string) {
+// TestCoRunGoldenSimulatedWork is the same pin for co-runs: abl-corun's
+// one- and four-app stride mixes on the 4-unit accelerator with 4
+// clusters per app, under all six configurations. Each cell's makespan,
+// external references, installed CMT mappings and per-channel bytes
+// are fixed, so a change to how the apps share one machine — the
+// shared CMT's slot order, the per-app seeds, the interleaving of the
+// apps' streams — moves a line.
+func TestCoRunGoldenSimulatedWork(t *testing.T) {
+	mixes := [][]int{{32}, {32, 128, 1024, 4096}}
+	type corunCell struct {
+		strides []int
+		kind    Kind
+	}
+	var cells []corunCell
+	for _, strides := range mixes {
+		for _, k := range AllKinds {
+			cells = append(cells, corunCell{strides, k})
+		}
+	}
+	checkSweepGolden(t, "testdata/corun_strides_accel.golden",
+		func() ([]Result, error) {
+			return parallel.Map(cells, func(_ int, c corunCell) (Result, error) {
+				ws := make([]workload.Workload, len(c.strides))
+				for i, st := range c.strides {
+					ws[i] = workload.NewStrideCopy([]int{st, st}, 3000, 256<<20)
+				}
+				return CoRun(ws, Options{Kind: c.kind, Engine: cpu.AcceleratorConfig(4), Clusters: 4})
+			})
+		},
+		func(r Result) string {
+			return fmt.Sprintf("%s %s time_ns=%s external=%d mappings=%d channel_bytes=%v",
+				r.Workload, r.Config, strconv.FormatFloat(r.Run.TimeNs, 'g', -1, 64),
+				r.Run.External, r.MappingsInstalled, r.HBM.ChannelBytes)
+		})
+}
+
+// checkSweepGolden calls run at -jobs 1 and 4 from fresh-process state
+// and requires each call's cell lines followed by the Deterministic()
+// snapshot to equal the golden file byte for byte; -update rewrites the
+// file from the -jobs 1 call.
+func checkSweepGolden(t *testing.T, path string, run func() ([]Result, error), cell func(Result) string) {
 	t.Helper()
 	obs.EnableMetrics()
 	t.Cleanup(func() {
@@ -231,10 +269,10 @@ func checkSweepGolden(t *testing.T, path string, newWork func() workload.Workloa
 	for i, jobs := range []int{1, 4} {
 		obsFreshProcess()
 		prev := parallel.SetJobs(jobs)
-		res, err := Compare(newWork(), opts, kinds)
+		res, err := run()
 		parallel.SetJobs(prev)
 		if err != nil {
-			t.Fatalf("Compare at -jobs %d: %v", jobs, err)
+			t.Fatalf("-jobs %d: %v", jobs, err)
 		}
 		var buf bytes.Buffer
 		for _, r := range res {
