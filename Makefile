@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: lint lint-json docs build test race bench
+.PHONY: lint lint-json docs build test race bench examples
 
 # lint is the one gate for static checks: go vet plus the repository's
 # own determinism & concurrency suite (cmd/sdamvet, 9 rules — see
@@ -26,6 +26,11 @@ docs:
 
 build:
 	$(GO) build ./...
+
+# examples runs every program under examples/ to completion: `build`
+# only compiles them. The first one that exits non-zero fails the target.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d"; done
 
 test:
 	$(GO) test ./...

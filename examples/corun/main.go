@@ -46,6 +46,7 @@ func main() {
 			res.SpeedupOver(base), res.MappingsInstalled)
 	}
 
-	fmt.Println("\nthe CMT column counts live mappings (boot default + one per distinct")
-	fmt.Println("pattern across ALL apps — identical patterns dedup into one entry)")
+	fmt.Println("\nthe CMT column counts live mappings: the boot default plus each app's")
+	fmt.Println("own entries — an app's same-stride buffers share one, but apps never")
+	fmt.Println("share, so identical patterns in two apps take two entries")
 }

@@ -24,7 +24,7 @@ import (
 //     field of one, like releaseMachine's hbm.Release(m.dev)) is a
 //     *releaser* of that parameter, transitively;
 //   - a function whose returned value carries the result of an Acquire
-//     (directly, or inside a returned composite like bootGlobal's
+//     (directly, or inside a returned composite like system.boot's
 //     &machine{dev: dev}) is an *acquirer*, transitively — ownership
 //     transfers to its caller.
 //
@@ -233,7 +233,7 @@ func (pp *poolPair) computeAcquirers() {
 // returnsAcquired reports whether fn returns the result of an acquire
 // call, directly or through a local that carries it into a return
 // expression (including a wrapper struct built around it, like
-// bootGlobal's &machine{dev: dev}).
+// system.boot's &machine{dev: dev}).
 func (pp *poolPair) returnsAcquired(fn *ppFunc) bool {
 	returns := returnSpans(fn.fd.Body)
 	inReturn := func(pos token.Pos) bool {
@@ -362,7 +362,7 @@ func returnStmts(body *ast.BlockStmt) []*ast.ReturnStmt {
 }
 
 // boundVar returns the local variable an acquire call's result is bound
-// to (d := hbm.Acquire(...), m = bootSDAM(o)), or nil when the result
+// to (d := hbm.Acquire(...), m := boot(o, nil)), or nil when the result
 // is discarded or stored into a non-identifier lvalue.
 func boundVar(pkg *Package, body *ast.BlockStmt, call *ast.CallExpr) types.Object {
 	var v types.Object

@@ -20,6 +20,7 @@ package system
 import (
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"repro/internal/amu"
@@ -143,31 +144,28 @@ type Result struct {
 // of the same workload.
 func (r Result) SpeedupOver(base Result) float64 { return r.Run.SpeedupOver(base.Run) }
 
-// machine bundles one bootable instance.
+// machine bundles one bootable instance. Its programs' address spaces
+// and heaps belong to the apps that run on it.
 type machine struct {
 	kernel *vm.Kernel
-	as     *vm.AddressSpace
-	heap   *heap.Allocator
 	dev    *hbm.Device
 	ctrl   *memctrl.Controller
 }
 
-// bootGlobal builds a machine with a fixed global mapping. Devices come
-// from the hbm pool; the machine's owner must hand them back with
+// boot builds a machine whose controller applies the fixed global
+// mapping, or the CMT+AMU datapath when global is nil. The device comes
+// from the hbm pool; the machine's owner must hand it back with
 // releaseMachine once done with m.dev.
-func bootGlobal(o Options, m mapping.Mapping) *machine {
+func boot(o Options, global mapping.Mapping) *machine {
 	dev := hbm.Acquire(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
 	k := vm.NewKernel(o.Geometry.Chunks())
-	as := k.NewAddressSpace()
-	return &machine{kernel: k, as: as, heap: heap.New(as), dev: dev, ctrl: memctrl.NewGlobal(dev, m)}
-}
-
-// bootSDAM builds a machine with the CMT+AMU datapath.
-func bootSDAM(o Options) *machine {
-	dev := hbm.Acquire(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
-	k := vm.NewKernel(o.Geometry.Chunks())
-	as := k.NewAddressSpace()
-	return &machine{kernel: k, as: as, heap: heap.New(as), dev: dev, ctrl: memctrl.NewSDAM(dev, k.Table, amu.New(8))}
+	var ctrl *memctrl.Controller
+	if global == nil {
+		ctrl = memctrl.NewSDAM(dev, k.Table, amu.New(8))
+	} else {
+		ctrl = memctrl.NewGlobal(dev, global)
+	}
+	return &machine{kernel: k, dev: dev, ctrl: ctrl}
 }
 
 // releaseMachine returns the machine's pooled resources. Callers must
@@ -177,22 +175,52 @@ func releaseMachine(m *machine) {
 	m.dev = nil
 }
 
-// runOn executes the workload on a machine with the given mapping
-// policy, returning the engine result and optionally collecting a trace.
-// The reference streams come from the process-wide tape cache: the
-// cell's allocation layout is captured during Setup, and the first cell
-// of a {workload, seed} records the stream emission once for every
-// later cell to replay (rebased onto its own layout) — bit-identical to
-// live generation, minus the repeated generator work.
-func runOn(m *machine, w workload.Workload, o Options, seed int64, policy func(site string) int, col *trace.Collector) (cpu.Result, error) {
-	var lay tape.Layout
-	env := &workload.Env{AS: m.as, Heap: m.heap, MapIDFor: policy, Collector: col, OnAlloc: lay.Note}
-	if err := w.Setup(env); err != nil {
-		return cpu.Result{}, err
+// app is one program of a run: its workload, its profile and selection
+// where the configuration chooses mappings per app, and the address
+// space and heap runOn gives it.
+type app struct {
+	w    workload.Workload
+	prof profile.Profile
+	sel  *cluster.Selection
+	as   *vm.AddressSpace
+	heap *heap.Allocator
+}
+
+// runOn sets every app up on m and runs them together to completion,
+// returning the engine result; col, when set, receives the external
+// access trace (the profiling pass). Each app in turn installs its
+// selection into the one CMT (exhausting the 256 slots is an error the
+// caller must handle by shrinking Clusters), gets its own address space
+// and heap, and runs Setup. App i's reference streams for seed+i come
+// from the process-wide tape cache: its allocation layout is captured
+// during Setup, and the first run of a {workload, seed} records the
+// emission once for every later run to replay (rebased onto its own
+// layout) — bit-identical to live generation, minus the repeated
+// generator work.
+func runOn(m *machine, apps []app, o Options, seed int64, col *trace.Collector) (cpu.Result, error) {
+	procs := make([]cpu.Proc, len(apps))
+	for i := range apps {
+		a := &apps[i]
+		var policy func(site string) int
+		if a.sel != nil {
+			siteID, err := installSelection(m.kernel, a.prof, a.sel)
+			if err != nil {
+				return cpu.Result{}, fmt.Errorf("system: app %s: %w", a.w.Name(), err)
+			}
+			policy = func(site string) int { return siteID[site] }
+		}
+		a.as = m.kernel.NewAddressSpace()
+		a.heap = heap.New(a.as)
+		var lay tape.Layout
+		env := &workload.Env{AS: a.as, Heap: a.heap, MapIDFor: policy, Collector: col, OnAlloc: lay.Note}
+		if err := a.w.Setup(env); err != nil {
+			return cpu.Result{}, fmt.Errorf("system: app %s: %w", a.w.Name(), err)
+		}
+		procs[i] = cpu.Proc{AS: a.as, Streams: tape.StreamsFor(a.w, seed+int64(i), &lay)}
 	}
-	eng := cpu.New(o.Engine, m.ctrl, m.as)
+	eng := cpu.New(o.Engine, m.ctrl, nil)
 	eng.Collector = col
-	return eng.Run(tape.StreamsFor(w, seed, &lay))
+	return eng.RunProcs(procs)
 }
 
 // Profile runs the workload once on the BS+DM baseline with the profiler
@@ -209,99 +237,148 @@ func Profile(w workload.Workload, opts Options) (profile.Profile, *trace.Collect
 func profileFresh(w workload.Workload, o Options) (profile.Profile, *trace.Collector, error) {
 	defer obs.Span2("profile", w.Name()).End()
 	statProfPass.Add(1)
-	m := bootGlobal(o, mapping.Identity{})
+	m := boot(o, mapping.Identity{})
 	defer releaseMachine(m)
 	col := trace.NewCollector(0)
-	if _, err := runOn(m, w, o, o.ProfileSeed, nil, col); err != nil {
+	if _, err := runOn(m, []app{{w: w}}, o, o.ProfileSeed, col); err != nil {
 		return profile.Profile{}, nil, fmt.Errorf("system: profiling pass: %w", err)
 	}
 	return profile.FromCollector(w.Name(), col), col, nil
 }
 
-// Run executes one workload under one configuration. A panic anywhere
-// in the run (the workload, the engine, a selector) fails it with an
-// error like any other failed run; see containPanic.
+// Run executes one workload under one configuration: a co-run of one
+// app, which also reports that app's profile and selection. A panic
+// anywhere in the run (the workload, the engine, a selector) fails it
+// with an error like any other failed run; see containPanic.
 func Run(w workload.Workload, opts Options) (res Result, err error) {
 	defer containPanic(&err)
 	o := opts.withDefaults()
 	res = Result{Config: o.Kind.String(), Workload: w.Name()}
-
-	// Offline profiling + mapping selection where the config needs it.
-	var sel *cluster.Selection
-	var prof profile.Profile
-	var globalMapping mapping.Mapping
-	if o.Kind.NeedsProfiling() {
-		var col *trace.Collector
-		prof, col, err = Profile(w, o)
-		if err != nil {
-			return res, err
-		}
-		res.Profile = &prof
-		start := wallclock.Now()
-		if o.Kind == BSBSM {
-			globalMapping = mapping.FromBFRV(col.GlobalBFRV(), o.Geometry, "BSM-global")
-		} else {
-			sel, err = cachedSelection(o, prof, col.Deltas())
-			if err != nil {
-				return res, err
-			}
-		}
-		res.ProfilingTime = wallclock.Since(start)
-		res.Selection = sel
+	apps, err := evaluate(&res, []workload.Workload{w}, o, "sim", statRuns)
+	if apps != nil && o.Kind.NeedsProfiling() {
+		// A copy: a pointer into apps would keep the evaluation pass's
+		// address space and heap alive as long as the Result.
+		prof := apps[0].prof
+		res.Profile, res.Selection = &prof, apps[0].sel
 	}
+	return res, err
+}
 
-	// Evaluation pass on a fresh machine (pooled device, returned after
-	// the integrity checks below; Stats() deep-copies first).
-	var m *machine
-	var policy func(site string) int
+// CoRun executes several workloads concurrently on one machine — each in
+// its own address space, all sharing the memory system and, in the SDAM
+// configurations, the single hardware CMT. This is the paper's co-run
+// scenario: the 256-mapping budget and the chunk pool are machine-global
+// resources the applications divide among themselves (§3 experiment 2,
+// §6.2's cluster-budget discussion). Each app installs its own
+// selection; nothing dedupes identical mappings across apps.
+//
+// Per-application profiling and selection run exactly as in Run; the
+// Clusters option is the per-application budget. A panic fails the
+// co-run with an error, as in Run.
+func CoRun(ws []workload.Workload, opts Options) (res Result, err error) {
+	defer containPanic(&err)
+	o := opts.withDefaults()
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name()
+	}
+	res = Result{Config: o.Kind.String(), Workload: "corun(" + strings.Join(names, "+") + ")"}
+	if len(ws) == 0 {
+		return res, fmt.Errorf("system: co-run of zero workloads")
+	}
+	_, err = evaluate(&res, ws, o, "corun", statCoRuns)
+	return res, err
+}
+
+// evaluate runs ws together on one fresh machine under o.Kind and fills
+// res, whose Config and Workload the caller has set: the offline
+// profiling and selection where the configuration needs them, the
+// evaluation pass under a phase span (counted by done on success), and
+// the integrity checks. It returns the apps, with each one's profile and
+// selection, once selection has succeeded.
+func evaluate(res *Result, ws []workload.Workload, o Options, phase string, done *obs.Counter) ([]app, error) {
+	apps := make([]app, len(ws))
+	for i, w := range ws {
+		apps[i].w = w
+	}
+	var global mapping.Mapping
 	switch o.Kind {
 	case BSDM:
-		m = bootGlobal(o, mapping.Identity{})
-	case BSBSM:
-		m = bootGlobal(o, globalMapping)
+		global = mapping.Identity{}
 	case BSHM:
-		m = bootGlobal(o, mapping.DefaultXORHash())
-	default:
-		m = bootSDAM(o)
+		global = mapping.DefaultXORHash()
 	}
-	defer releaseMachine(m)
-	if o.Kind != BSDM && o.Kind != BSBSM && o.Kind != BSHM {
-		// Install each cluster's mapping once and route sites to IDs.
-		// This runs after the defer above: an install error must still
-		// return the booted machine's device to the pool.
-		siteID, err := installSelection(m.kernel, prof, sel)
-		if err != nil {
-			return res, err
+	if o.Kind.NeedsProfiling() {
+		var err error
+		if global, res.ProfilingTime, err = selectMappings(apps, o); err != nil {
+			return nil, err
 		}
-		policy = func(site string) int { return siteID[site] }
 	}
 
-	sim := obs.Span3("sim", w.Name(), o.Kind.String())
-	run, err := runOn(m, w, o, o.EvalSeed, policy, nil)
+	// The pooled device goes back on every return, an install error's
+	// included, after the integrity checks (Stats() deep-copies first).
+	m := boot(o, global)
+	defer releaseMachine(m)
+	sim := obs.Span3(phase, res.Workload, o.Kind.String())
+	run, err := runOn(m, apps, o, o.EvalSeed, nil)
 	sim.End()
 	if err != nil {
-		return res, fmt.Errorf("system: evaluation pass: %w", err)
+		return apps, fmt.Errorf("system: evaluation pass: %w", err)
 	}
 	res.Run = run
 	res.HBM = m.dev.Stats()
 	res.MappingsInstalled = m.kernel.Table.LiveMappings()
-	statRuns.Add(1)
-	flushRunMetrics(&res, m)
+	done.Add(1)
+	flushRunMetrics(res, m)
 
 	// Integrity checks: the run must leave every layer consistent.
 	if err := m.dev.CheckConservation(); err != nil {
-		return res, err
-	}
-	if err := m.as.CheckInvariants(); err != nil {
-		return res, err
+		return apps, err
 	}
 	if err := m.kernel.Phys.CheckInvariants(); err != nil {
-		return res, err
+		return apps, err
 	}
-	if err := m.heap.CheckInvariants(); err != nil {
-		return res, err
+	for _, a := range apps {
+		if err := a.as.CheckInvariants(); err != nil {
+			return apps, err
+		}
+		if err := a.heap.CheckInvariants(); err != nil {
+			return apps, err
+		}
 	}
-	return res, nil
+	return apps, nil
+}
+
+// selectMappings profiles every app (the memoized offline pass) and
+// chooses its mappings: for BS+BSM one global mapping from the apps'
+// averaged flip rates (the workload-mix profiling of §7.3; over one app,
+// exactly its own), otherwise one selection per app. It returns the
+// global mapping (nil for the SDAM configurations) and the selection
+// time, which excludes the profiling passes.
+func selectMappings(apps []app, o Options) (mapping.Mapping, time.Duration, error) {
+	cols := make([]*trace.Collector, len(apps))
+	for i := range apps {
+		var err error
+		if apps[i].prof, cols[i], err = cachedProfile(apps[i].w, o); err != nil {
+			return nil, 0, err
+		}
+	}
+	start := wallclock.Now()
+	if o.Kind == BSBSM {
+		var bfrv mapping.BFRV
+		for _, col := range cols {
+			bfrv.Add(col.GlobalBFRV())
+		}
+		bfrv.Scale(1 / float64(len(apps)))
+		return mapping.FromBFRV(bfrv, o.Geometry, "BSM-global"), wallclock.Since(start), nil
+	}
+	for i := range apps {
+		var err error
+		if apps[i].sel, err = cachedSelection(o, apps[i].prof, cols[i].Deltas()); err != nil {
+			return nil, 0, err
+		}
+	}
+	return nil, wallclock.Since(start), nil
 }
 
 // containPanic turns a panic in the run that defers it into the run's
@@ -319,9 +396,6 @@ func containPanic(err *error) {
 // (via add_addr_map) and returns the site→mapping-ID routing table.
 func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection) (map[string]int, error) {
 	siteID := make(map[string]int)
-	if sel == nil {
-		return siteID, nil
-	}
 	ident := amu.Identity()
 	idOf := make(map[*mapping.Linear]int)
 	for _, m := range sel.ClusterMappings {
