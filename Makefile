@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: lint lint-json docs build test race bench examples
+.PHONY: lint lint-json docs build test race fuzz bench examples
 
 # lint is the one gate for static checks: go vet plus the repository's
-# own determinism & concurrency suite (cmd/sdamvet, 9 rules — see
+# own determinism & concurrency suite (cmd/sdamvet, 8 rules — see
 # `go run ./cmd/sdamvet -list`).
 lint:
 	$(GO) vet ./...
@@ -37,6 +37,18 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# fuzz runs every Fuzz* target in the root module's tests for 10 s of
+# coverage-guided fuzzing each. Targets are found by name in each
+# package's _test.go files, so a new one is never left out; the seed
+# corpora already run as ordinary tests under `test`.
+fuzz:
+	@set -e; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for n in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$d/*_test.go 2>/dev/null); do \
+			echo "== $$n ($$d)"; \
+			$(GO) test -run='^$$' -fuzz="^$$n\$$" -fuzztime=10s "$$d"; \
+		done; \
+	done
 
 # bench smoke: the simulator hot path, the DL selector's two
 # training-cost benchmarks (cluster.select_dl_ms is mostly internal/f64's

@@ -4,7 +4,7 @@
 // per finding.
 //
 //	go run ./cmd/sdamvet ./...
-//	go run ./cmd/sdamvet -rules slotwrite,poolpair ./...
+//	go run ./cmd/sdamvet -rules slotwrite,noalloc ./...
 //	go run ./cmd/sdamvet -json ./... > findings.json
 //
 // Exit status: 0 clean, 1 findings, 2 load/usage error. Suppress an

@@ -58,7 +58,6 @@ func NewAnalyzers() []Analyzer {
 		newCloneSafety(),
 		newSlotWrite(),
 		newNoAlloc(),
-		newPoolPair(),
 		newTapeMut(),
 		newPkgDoc(),
 	}
@@ -98,9 +97,8 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	return dedupDiagnostics(diags)
 }
 
-// dedupDiagnostics drops exact duplicates from a sorted slice — an
-// interprocedural analyzer (poolpair) can rediscover the same finding
-// once per related call site.
+// dedupDiagnostics drops exact duplicates from a sorted slice, so an
+// analyzer that reaches one finding along two paths reports it once.
 func dedupDiagnostics(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for i, d := range diags {

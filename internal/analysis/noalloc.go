@@ -19,10 +19,8 @@ import (
 // most likely to introduce:
 //
 //   - make / new
-//   - append (growth reallocates; the grow-guard idiom
-//     `if cap(x) < n { x = make(...) }` is recognized and allowed, and
-//     an append provably within a fixed capacity can carry a
-//     lint:ignore with its justification)
+//   - append (growth reallocates; an append provably within a fixed
+//     capacity can carry a lint:ignore with its justification)
 //   - function literals (the capture environment allocates)
 //   - &CompositeLit and slice/map composite literals
 //   - string concatenation (+ / +=) and string<->[]byte/[]rune
@@ -97,15 +95,6 @@ func (a *noAlloc) flag(pkg *Package, pos token.Pos, fd *ast.FuncDecl, format str
 }
 
 func (a *noAlloc) checkFunc(pkg *Package, fd *ast.FuncDecl) {
-	guards := growGuardSpans(pkg, fd.Body)
-	inGuard := func(pos token.Pos) bool {
-		for _, g := range guards {
-			if pos >= g[0] && pos <= g[1] {
-				return true
-			}
-		}
-		return false
-	}
 	results := fd.Type.Results
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -113,7 +102,7 @@ func (a *noAlloc) checkFunc(pkg *Package, fd *ast.FuncDecl) {
 			a.flag(pkg, x.Pos(), fd, "function literal allocates its capture environment")
 			return false // its body is the closure's problem
 		case *ast.CallExpr:
-			a.checkCall(pkg, fd, x, inGuard)
+			a.checkCall(pkg, fd, x)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if _, lit := ast.Unparen(x.X).(*ast.CompositeLit); lit {
@@ -147,7 +136,7 @@ func (a *noAlloc) checkFunc(pkg *Package, fd *ast.FuncDecl) {
 
 // checkCall handles make/new/append, string conversions, and argument
 // boxing for one call expression.
-func (a *noAlloc) checkCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, inGuard func(token.Pos) bool) {
+func (a *noAlloc) checkCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr) {
 	// Type conversions: string <-> []byte / []rune copy and allocate.
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to, from := tv.Type, pkg.Info.TypeOf(call.Args[0])
@@ -160,17 +149,11 @@ func (a *noAlloc) checkCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, 
 		if _, isBuiltin := objOf(pkg, id).(*types.Builtin); isBuiltin {
 			switch id.Name {
 			case "make":
-				if !inGuard(call.Pos()) {
-					a.flag(pkg, call.Pos(), fd, "make allocates")
-				}
+				a.flag(pkg, call.Pos(), fd, "make allocates")
 			case "new":
-				if !inGuard(call.Pos()) {
-					a.flag(pkg, call.Pos(), fd, "new allocates")
-				}
+				a.flag(pkg, call.Pos(), fd, "new allocates")
 			case "append":
-				if !inGuard(call.Pos()) {
-					a.flag(pkg, call.Pos(), fd, "append may grow and reallocate; preallocate the capacity (or justify a fixed-cap append with a lint:ignore)")
-				}
+				a.flag(pkg, call.Pos(), fd, "append may grow and reallocate; preallocate the capacity (or justify a fixed-cap append with a lint:ignore)")
 			}
 			return
 		}
@@ -298,39 +281,6 @@ func boxes(to, from types.Type) bool {
 func isConstExpr(pkg *Package, e ast.Expr) bool {
 	tv, ok := pkg.Info.Types[e]
 	return ok && tv.Value != nil
-}
-
-// growGuardSpans returns the body spans of if-blocks whose condition
-// consults cap() or len() — the `if cap(x) < n { x = make(...) }`
-// grow-guard idiom, which allocates only on the cold resize path and is
-// therefore sanctioned inside //sdam:noalloc functions (the pool-reuse
-// steady state never enters the guard).
-func growGuardSpans(pkg *Package, body *ast.BlockStmt) [][2]token.Pos {
-	var spans [][2]token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || ifs.Cond == nil {
-			return true
-		}
-		usesCap := false
-		ast.Inspect(ifs.Cond, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "cap" || id.Name == "len") {
-				if _, isBuiltin := objOf(pkg, id).(*types.Builtin); isBuiltin {
-					usesCap = true
-				}
-			}
-			return true
-		})
-		if usesCap {
-			spans = append(spans, [2]token.Pos{ifs.Body.Pos(), ifs.Body.End()})
-		}
-		return true
-	})
-	return spans
 }
 
 func isStringType(t types.Type) bool {

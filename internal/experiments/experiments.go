@@ -10,10 +10,9 @@
 //
 // Every experiment drives its cells through system.Run/Compare/CoRun,
 // so the cross-cell caches underneath — one recorded reference tape
-// per {workload, seed}, one profiling pass per content key, pooled
-// HBM devices (DESIGN.md §12) — apply to all of them without the
-// experiments knowing: a figure's sweep pays stream generation once,
-// not once per cell.
+// per {workload, seed}, one profiling pass per content key (DESIGN.md
+// §12) — apply to all of them without the experiments knowing: a
+// figure's sweep pays stream generation once, not once per cell.
 package experiments
 
 import (

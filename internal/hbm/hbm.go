@@ -109,12 +109,26 @@ type Stats struct {
 	ChannelBusy  []float64
 }
 
-// New creates a device with the given geometry and timing.
+// New creates a device with the given geometry and timing. The bank
+// planes and per-channel stats are sized here, once: a device's
+// geometry never changes, so Reset only has to clear them.
 func New(g geom.Geometry, t Timing) *Device {
 	if err := g.Check(); err != nil {
 		panic("hbm: " + err.Error())
 	}
-	d := &Device{geom: g, dec: g.NewDecoder(), timing: t, banks: g.Banks}
+	ch, nb := g.Channels, g.Channels*g.Banks
+	b := make([]float64, 2*ch+2*nb)
+	d := &Device{
+		geom: g, dec: g.NewDecoder(), timing: t, banks: g.Banks,
+		busFree:     b[:ch:ch],
+		nextRefresh: b[ch : 2*ch : 2*ch],
+		bankBusy:    b[2*ch : 2*ch+nb : 2*ch+nb],
+		colReady:    b[2*ch+nb:],
+		openRow:     make([]int32, nb),
+		backing:     b,
+	}
+	d.stats.ChannelBytes = make([]uint64, ch)
+	d.stats.ChannelBusy = make([]float64, ch)
 	d.Reset()
 	return d
 }
@@ -130,47 +144,21 @@ func (d *Device) Decode(l geom.LineAddr) geom.HardwareAddress { return d.dec.Dec
 // Timing returns the device timing.
 func (d *Device) Timing() Timing { return d.timing }
 
-// Reset clears all bank state and statistics. The backing arrays are
-// reused when already sized (the device-pool path), so a pooled device
-// resets with zero allocations.
+// Reset clears all bank state and statistics, restoring the state New
+// produces without allocating.
 //
 //sdam:noalloc
 func (d *Device) Reset() {
-	g := d.geom
-	nb := g.Channels * g.Banks
-	need := 2*g.Channels + 2*nb
-	if cap(d.backing) < need {
-		d.backing = make([]float64, need)
-	}
-	b := d.backing[:need]
-	clear(b)
-	d.busFree = b[:g.Channels:g.Channels]
-	d.nextRefresh = b[g.Channels : 2*g.Channels : 2*g.Channels]
-	d.bankBusy = b[2*g.Channels : 2*g.Channels+nb : 2*g.Channels+nb]
-	d.colReady = b[2*g.Channels+nb : need:need]
-	if cap(d.openRow) < nb {
-		d.openRow = make([]int32, nb)
-	}
-	d.openRow = d.openRow[:nb]
+	clear(d.backing)
 	for i := range d.openRow {
 		d.openRow[i] = -1
 	}
 	for c := range d.nextRefresh {
 		d.nextRefresh[c] = d.timing.TREFI
 	}
-	cb := d.stats.ChannelBytes
-	if cap(cb) < g.Channels {
-		cb = make([]uint64, g.Channels)
-	}
-	cb = cb[:g.Channels]
-	clear(cb)
-	busy := d.stats.ChannelBusy
-	if cap(busy) < g.Channels {
-		busy = make([]float64, g.Channels)
-	}
-	busy = busy[:g.Channels]
-	clear(busy)
-	d.stats = Stats{ChannelBytes: cb, ChannelBusy: busy}
+	clear(d.stats.ChannelBytes)
+	clear(d.stats.ChannelBusy)
+	d.stats = Stats{ChannelBytes: d.stats.ChannelBytes, ChannelBusy: d.stats.ChannelBusy}
 }
 
 // Access issues one 64 B line access to hardware address ha arriving at

@@ -130,18 +130,6 @@ func (c *Controller) resolve(chunk int) (*mapping.Linear, error) {
 // misses (zero in global mode).
 func (c *Controller) Compiles() uint64 { return c.compiles }
 
-// MustAccess is Access for callers that have already validated the
-// address range; lookup errors indicate a harness bug and panic.
-//
-//sdam:noalloc
-func (c *Controller) MustAccess(at float64, l geom.LineAddr) float64 {
-	t, err := c.Access(at, l)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Describe names the active policy for reports.
 func (c *Controller) Describe() string {
 	if c.table != nil {

@@ -16,6 +16,16 @@ import (
 
 func newDev() *hbm.Device { return hbm.New(geom.Default(), hbm.DefaultTiming()) }
 
+// mustAccess issues one access and fails the test on a lookup error.
+func mustAccess(t *testing.T, c *Controller, at float64, l geom.LineAddr) float64 {
+	t.Helper()
+	done, err := c.Access(at, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
 // strideConfig is the crossbar setting of the stride-s bit shuffle.
 func strideConfig(t *testing.T, s int) amu.Config {
 	t.Helper()
@@ -62,7 +72,7 @@ func TestStrideContentionUnderGlobalDM(t *testing.T) {
 	run := func(m mapping.Mapping) hbm.Stats {
 		c := NewGlobal(newDev(), m)
 		for i := 0; i < 2048; i++ {
-			c.MustAccess(0, geom.LineAddr(i*32))
+			mustAccess(t, c, 0, geom.LineAddr(i*32))
 		}
 		return c.Device().Stats()
 	}
@@ -99,7 +109,7 @@ func TestSDAMRoutesPerChunkMappings(t *testing.T) {
 
 	// Stride-16 accesses within chunk 1 must fan out across channels...
 	for i := 0; i < 1024; i++ {
-		ctrl.MustAccess(0, geom.Join(1, uint32(i*16)%geom.LinesPerChunk))
+		mustAccess(t, ctrl, 0, geom.Join(1, uint32(i*16)%geom.LinesPerChunk))
 	}
 	if n := dev.Stats().ChannelsUsed(); n != 32 {
 		t.Fatalf("chunk with tailored mapping used %d channels, want 32", n)
@@ -108,7 +118,7 @@ func TestSDAMRoutesPerChunkMappings(t *testing.T) {
 	// ...while the same pattern in chunk 0 (default mapping) stays narrow.
 	dev.Reset()
 	for i := 0; i < 1024; i++ {
-		ctrl.MustAccess(0, geom.Join(0, uint32(i*16)%geom.LinesPerChunk))
+		mustAccess(t, ctrl, 0, geom.Join(0, uint32(i*16)%geom.LinesPerChunk))
 	}
 	if n := dev.Stats().ChannelsUsed(); n > 2 {
 		t.Fatalf("default-mapped chunk used %d channels, want ≤2", n)
@@ -121,12 +131,6 @@ func TestAccessRejectsOutOfRangeChunk(t *testing.T) {
 	if _, err := ctrl.Access(0, geom.Join(10, 0)); err == nil {
 		t.Fatal("out-of-range chunk accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustAccess did not panic")
-		}
-	}()
-	ctrl.MustAccess(0, geom.Join(10, 0))
 }
 
 func TestNewSDAMRequiresParts(t *testing.T) {
@@ -145,8 +149,8 @@ func TestCMTLookupIsHiddenByFrontEnd(t *testing.T) {
 	devA, devB := newDev(), newDev()
 	g := NewGlobal(devA, mapping.Identity{})
 	s := NewSDAM(devB, cmt.New(devB.Geometry().Chunks()), amu.New(8))
-	ta := g.MustAccess(0, 0)
-	tb := s.MustAccess(0, 0)
+	ta := mustAccess(t, g, 0, 0)
+	tb := mustAccess(t, s, 0, 0)
 	if tb != ta {
 		t.Fatalf("SDAM path added %v ns over the global path", tb-ta)
 	}
@@ -162,7 +166,7 @@ func TestGlobalXORHashSpreadsManyStrides(t *testing.T) {
 	for _, stride := range []int{1, 2, 4, 8, 16, 32, 64} {
 		c.Device().Reset()
 		for i := 0; i < 1024; i++ {
-			c.MustAccess(0, geom.LineAddr(i*stride)%geom.LineAddr(geom.Default().TotalLines()))
+			mustAccess(t, c, 0, geom.LineAddr(i*stride)%geom.LineAddr(geom.Default().TotalLines()))
 		}
 		if n := c.Device().Stats().ChannelsUsed(); n < 8 {
 			t.Errorf("HM stride %d: only %d channels used", stride, n)
@@ -200,7 +204,7 @@ func TestSDAMWithDefaultsMatchesGlobalIdentity(t *testing.T) {
 			f := func(raw uint64, gap uint8) bool {
 				l := geom.LineAddr(raw % devA.Geometry().TotalLines())
 				at := float64(gap)
-				return g.MustAccess(at, l) == s.MustAccess(at, l)
+				return mustAccess(t, g, at, l) == mustAccess(t, s, at, l)
 			}
 			if err := quick.Check(f, nil); err != nil {
 				t.Fatal(err)
@@ -228,22 +232,26 @@ func TestIssuePathZeroAllocs(t *testing.T) {
 	}
 	sdam := NewSDAM(dev, table, amu.New(8))
 	for i := 0; i < 1024; i++ { // warm the compiled-config cache
-		sdam.MustAccess(0, geom.Join(i%2, uint32(i)%geom.LinesPerChunk))
+		mustAccess(t, sdam, 0, geom.Join(i%2, uint32(i)%geom.LinesPerChunk))
 	}
 	var i int
 	if n := testing.AllocsPerRun(500, func() {
 		i++
-		sdam.MustAccess(float64(i), geom.Join(i%2, uint32(i*7)%geom.LinesPerChunk))
+		if _, err := sdam.Access(float64(i), geom.Join(i%2, uint32(i*7)%geom.LinesPerChunk)); err != nil {
+			t.Fatal(err)
+		}
 	}); n != 0 {
 		t.Fatalf("SDAM issue path allocates %.1f per access, want 0", n)
 	}
 
 	for _, m := range []mapping.Mapping{mapping.ForStride(16, dev.Geometry()), mapping.DefaultXORHash()} {
 		global := NewGlobal(newDev(), m)
-		global.MustAccess(0, 0)
+		mustAccess(t, global, 0, 0)
 		if n := testing.AllocsPerRun(500, func() {
 			i++
-			global.MustAccess(float64(i), geom.LineAddr(i*16))
+			if _, err := global.Access(float64(i), geom.LineAddr(i*16)); err != nil {
+				t.Fatal(err)
+			}
 		}); n != 0 {
 			t.Fatalf("global %s issue path allocates %.1f per access, want 0", m.Linear().Name(), n)
 		}

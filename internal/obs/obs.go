@@ -5,12 +5,11 @@
 //
 // Six performance PRs made the simulator fast but opaque: the only
 // windows into a run were sdambench -json aggregates and ad-hoc prints,
-// so regressions like the refresh-scaling bug (PR 5) or the pooled-
-// device leak (PR 6) were found by accident. The papers this
-// reproduction follows (DReAM, Sudoku — see PAPERS.md) reason about
-// mapping quality from continuously observed per-bank/per-component
-// access statistics; obs exposes the same class of signals as
-// first-class structured telemetry:
+// so regressions like the refresh-scaling bug were found by accident.
+// The papers this reproduction follows (DReAM, Sudoku — see PAPERS.md)
+// reason about mapping quality from continuously observed
+// per-bank/per-component access statistics; obs exposes the same class
+// of signals as first-class structured telemetry:
 //
 //   - Counters, gauges, and histograms register once (package init or
 //     setup paths) and are updated from hot paths through nil-safe,
@@ -28,7 +27,7 @@
 //     schema-versioned JSON (SnapshotSchema) — the -metrics flag on
 //     cmd/sdamsim and cmd/sdambench, and the package API tests assert
 //     counter invariants against ("selection cache hit ⇒ zero optimizer
-//     steps", "pool Acquire/Release balanced").
+//     steps").
 //
 // Everything is disabled by default. The zero-overhead-when-disabled
 // argument is DESIGN.md §15; the metric and span catalog is
@@ -209,7 +208,7 @@ type Counter struct {
 }
 
 // Host marks the counter as host-dependent — its value reflects process
-// or scheduler state (pool reuse after GC, worker count) rather than
+// or scheduler state (worker count, work splitting) rather than
 // simulated work, so Snapshot.Deterministic drops it the way it drops
 // "ns" metrics. Returns the receiver for chaining at registration.
 func (c *Counter) Host() *Counter {

@@ -27,7 +27,7 @@ type Snapshot struct {
 }
 
 // MetricValue is one counter or gauge reading. Host marks a metric
-// whose value reflects process state (pool reuse, worker count) rather
+// whose value reflects process state (worker count, work splitting) rather
 // than simulated work; Deterministic drops it.
 type MetricValue struct {
 	Name  string `json:"name"`

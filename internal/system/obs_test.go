@@ -22,10 +22,10 @@ import (
 
 // These tests are the package-API leg of the observability layer: the
 // same counters the -metrics flag serializes are asserted as run
-// invariants ("a selection cache hit performs zero optimizer steps",
-// "every pooled device acquired is released"), and the Deterministic
-// snapshot of a fixed sweep is pinned byte-stable — the golden contract
-// behind committing -metrics output as a CI artifact.
+// invariants ("a selection cache hit performs zero optimizer steps"),
+// and the Deterministic snapshot of a fixed sweep is pinned byte-stable
+// — the golden contract behind committing -metrics output as a CI
+// artifact.
 
 // resetObsState puts the process-wide caches and the default registry
 // into fresh-process state so counter values are a function of the work
@@ -41,9 +41,7 @@ func resetObsState(t *testing.T) {
 }
 
 // obsFreshProcess clears every cross-run cache a counter value could
-// leak through. The HBM device pool intentionally survives (sync.Pool
-// cannot be drained deterministically), which is why hbm.pool_news is
-// registered Host() and excluded from deterministic snapshots.
+// leak through.
 func obsFreshProcess() {
 	selections.Reset()
 	profiles.Reset()
@@ -108,26 +106,6 @@ func TestObsSelectionCacheHitZeroTrainSteps(t *testing.T) {
 	}
 }
 
-// TestObsPoolAcquireReleaseBalanced pins the pooled-device lifecycle:
-// after a Compare sweep quiesces, every hbm.Acquire has a matching
-// hbm.Release (the PR 6 pooled-device leak class).
-func TestObsPoolAcquireReleaseBalanced(t *testing.T) {
-	resetObsState(t)
-	_, err := Compare(obsTestWorkload(), obsTestOptions, []Kind{BSDM, SDMBSM, SDMBSMML})
-	if err != nil {
-		t.Fatalf("Compare: %v", err)
-	}
-	s := obs.Default.Snapshot()
-	acq := counterValue(t, s, "hbm.pool_acquires")
-	rel := counterValue(t, s, "hbm.pool_releases")
-	if acq == 0 {
-		t.Fatal("sweep acquired no pooled devices; instrumentation is dead")
-	}
-	if acq != rel {
-		t.Fatalf("device pool unbalanced: %d acquires vs %d releases", acq, rel)
-	}
-}
-
 // TestObsDeterministicSnapshotByteStable is the golden test behind the
 // -metrics artifact: the Deterministic() snapshot of a fixed sweep,
 // rerun from fresh-process state at a different -jobs count, must
@@ -164,9 +142,21 @@ func TestObsDeterministicSnapshotByteStable(t *testing.T) {
 			t.Fatalf("snapshot missing %s:\n%s", name, one)
 		}
 	}
-	for _, dropped := range []string{`"parallel.items"`, `"parallel.busy_ns"`, `"hbm.pool_news"`, `"parallel.width"`} {
-		if bytes.Contains(one, []byte(dropped)) {
-			t.Fatalf("host-dependent metric %s survived Deterministic():\n%s", dropped, one)
+	// Every host-dependent counter or gauge — Host-marked or timed in
+	// ns — must be absent from the deterministic bytes.
+	var dropped []string
+	full := obs.Default.Snapshot()
+	for _, m := range append(full.Counters, full.Gauges...) {
+		if m.Host || m.Unit == "ns" {
+			dropped = append(dropped, m.Name)
+		}
+	}
+	if len(dropped) == 0 {
+		t.Fatal("no host-dependent counters or gauges registered; the check below would pass vacuously")
+	}
+	for _, name := range dropped {
+		if bytes.Contains(one, []byte(strconv.Quote(name))) {
+			t.Fatalf("host-dependent metric %q survived Deterministic():\n%s", name, one)
 		}
 	}
 }

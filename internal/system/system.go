@@ -153,11 +153,10 @@ type machine struct {
 }
 
 // boot builds a machine whose controller applies the fixed global
-// mapping, or the CMT+AMU datapath when global is nil. The device comes
-// from the hbm pool; the machine's owner must hand it back with
-// releaseMachine once done with m.dev.
+// mapping, or the CMT+AMU datapath when global is nil, in front of one
+// fresh HBM device.
 func boot(o Options, global mapping.Mapping) *machine {
-	dev := hbm.Acquire(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
+	dev := hbm.New(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
 	k := vm.NewKernel(o.Geometry.Chunks())
 	var ctrl *memctrl.Controller
 	if global == nil {
@@ -166,13 +165,6 @@ func boot(o Options, global mapping.Mapping) *machine {
 		ctrl = memctrl.NewGlobal(dev, global)
 	}
 	return &machine{kernel: k, dev: dev, ctrl: ctrl}
-}
-
-// releaseMachine returns the machine's pooled resources. Callers must
-// have copied any device statistics first (hbm.Stats() deep-copies).
-func releaseMachine(m *machine) {
-	hbm.Release(m.dev)
-	m.dev = nil
 }
 
 // app is one program of a run: its workload, its profile and selection
@@ -238,7 +230,6 @@ func profileFresh(w workload.Workload, o Options) (profile.Profile, *trace.Colle
 	defer obs.Span2("profile", w.Name()).End()
 	statProfPass.Add(1)
 	m := boot(o, mapping.Identity{})
-	defer releaseMachine(m)
 	col := trace.NewCollector(0)
 	if _, err := runOn(m, []app{{w: w}}, o, o.ProfileSeed, col); err != nil {
 		return profile.Profile{}, nil, fmt.Errorf("system: profiling pass: %w", err)
@@ -315,10 +306,7 @@ func evaluate(res *Result, ws []workload.Workload, o Options, phase string, done
 		}
 	}
 
-	// The pooled device goes back on every return, an install error's
-	// included, after the integrity checks (Stats() deep-copies first).
 	m := boot(o, global)
-	defer releaseMachine(m)
 	sim := obs.Span3(phase, res.Workload, o.Kind.String())
 	run, err := runOn(m, apps, o, o.EvalSeed, nil)
 	sim.End()
@@ -384,8 +372,7 @@ func selectMappings(apps []app, o Options) (mapping.Mapping, time.Duration, erro
 // containPanic turns a panic in the run that defers it into the run's
 // error, so a failing sweep cell reports like any other failed cell (an
 // error and a partial Result) instead of unwinding through the fan-out
-// that runs it. Deferred first, it runs after the run's own cleanup has
-// returned the pooled device.
+// that runs it.
 func containPanic(err *error) {
 	if p := recover(); p != nil {
 		*err = fmt.Errorf("system: run panicked: %v\n%s", p, debug.Stack())
