@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: lint lint-json docs build test race fuzz bench examples
+.PHONY: lint lint-json docs build test race fuzz bench examples loc
 
 # lint is the one gate for static checks: go vet plus the repository's
 # own determinism & concurrency suite (cmd/sdamvet, 8 rules — see
@@ -34,6 +34,12 @@ examples:
 
 test:
 	$(GO) test ./...
+
+# loc prints the line count of the root module's non-test Go files,
+# leaving out the benchmark module (bench/) and analyzer fixtures
+# (testdata/): the one number a change reports as its net lines.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l
 
 race:
 	$(GO) test -race -short ./...

@@ -18,8 +18,8 @@ func newTableWithMappings(t *testing.T, n int) *cmt.Table {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.InstallMapping(i, cfg); err != nil {
-			t.Fatal(err)
+		if idx, err := tb.AllocMappingIndex(cfg); err != nil || idx != i {
+			t.Fatalf("AllocMappingIndex = %d, %v; want slot %d", idx, err, i)
 		}
 	}
 	return tb

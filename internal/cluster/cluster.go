@@ -19,7 +19,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -52,66 +51,6 @@ type Selection struct {
 
 // MappingsUsed counts distinct mappings selected.
 func (s Selection) MappingsUsed() int { return len(s.ClusterMappings) }
-
-// channelBalance measures a mapping's effective channel-level
-// parallelism on observed offset samples: over sliding windows of
-// consecutive accesses (the requests that would be in flight together),
-// the average fraction of distinct channels hit. A whole-trace histogram
-// would miss rotating funnels — a stream that hammers one channel at a
-// time but rotates over all of them looks balanced in aggregate while
-// serializing at every instant.
-func channelBalance(m *mapping.Linear, samples [][]uint32, g geom.Geometry) float64 {
-	const window = 32
-	// Windows are scored independently — each worker keeps its own
-	// seen/epoch scratch and writes its window's score to that window's
-	// slot — then the scores reduce serially in the original window
-	// order, so the mean is bit-identical at any worker count.
-	type span struct{ sample, base int }
-	var spans []span
-	for si, s := range samples {
-		for base := 0; base+window <= len(s); base += window {
-			spans = append(spans, span{si, base})
-		}
-	}
-	if len(spans) == 0 {
-		return 0
-	}
-	limit := window
-	if g.Channels < limit {
-		limit = g.Channels
-	}
-	workers := parallel.Jobs()
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	seen := make([][]int, workers)
-	epoch := make([]int, workers)
-	for w := range seen {
-		seen[w] = make([]int, g.Channels)
-	}
-	scores := make([]float64, len(spans))
-	dec := g.NewDecoder()
-	parallel.MapNWorker(workers, spans, func(w, i int, sp span) (struct{}, error) {
-		epoch[w]++
-		e := epoch[w]
-		sn := seen[w]
-		distinct := 0
-		for _, off := range samples[sp.sample][sp.base : sp.base+window] {
-			ch := dec.Decode(geom.Join(0, m.MapOffset(off))).Channel
-			if sn[ch] != e {
-				sn[ch] = e
-				distinct++
-			}
-		}
-		scores[i] = float64(distinct) / float64(limit)
-		return struct{}{}, nil
-	})
-	var total float64
-	for _, s := range scores {
-		total += s
-	}
-	return total / float64(len(spans))
-}
 
 // replaySample measures a mapping by replaying the cluster members'
 // sampled offsets (interleaved round-robin, as concurrent variables
@@ -485,33 +424,4 @@ func SelectSingle(p profile.Profile, g geom.Geometry, guard Guard) (Selection, e
 		sel.VarCluster[v.VID] = 0
 	}
 	return sel, nil
-}
-
-// Quality measures how well a selection matches the per-variable optima:
-// the mean squared distance between each variable's own BFRV and its
-// cluster's mean — lower is better. Used by ablation benches.
-func Quality(p profile.Profile, sel Selection) float64 {
-	vecs, vids := p.BFRVs()
-	if len(vecs) == 0 {
-		return 0
-	}
-	// Recompute cluster means from membership.
-	sums := map[int]*mapping.BFRV{}
-	counts := map[int]int{}
-	for i, vid := range vids {
-		c := sel.VarCluster[vid]
-		if sums[c] == nil {
-			sums[c] = &mapping.BFRV{}
-		}
-		sums[c].Add(vecs[i])
-		counts[c]++
-	}
-	var loss float64
-	for i, vid := range vids {
-		c := sel.VarCluster[vid]
-		mean := *sums[c]
-		mean.Scale(1 / float64(counts[c]))
-		loss += vecs[i].Dist2(mean)
-	}
-	return loss / math.Max(1, float64(len(vecs)))
 }

@@ -49,25 +49,6 @@ func TestChooseMappingBitIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestChannelBalanceBitIdenticalAcrossJobs pins the windowed balance
-// score's fixed-order reduction.
-func TestChannelBalanceBitIdenticalAcrossJobs(t *testing.T) {
-	g := geom.Default()
-	samples := genSamples(3, 400, 17)
-	m := mapping.Identity{}.Linear()
-	run := func(jobs int) float64 {
-		prev := parallel.SetJobs(jobs)
-		defer parallel.SetJobs(prev)
-		return channelBalance(m, samples, g)
-	}
-	serial := run(1)
-	for _, jobs := range []int{2, 8} {
-		if par := run(jobs); par != serial {
-			t.Fatalf("jobs=%d: channelBalance %v != serial %v", jobs, par, serial)
-		}
-	}
-}
-
 // synthetic profile + delta trace exercising the full DL pipeline.
 func genProfileAndDeltas(t *testing.T) (profile.Profile, []trace.DeltaSample) {
 	t.Helper()

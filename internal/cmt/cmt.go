@@ -66,24 +66,6 @@ func New(nChunks int) *Table {
 // Chunks returns the number of chunks the table covers.
 func (t *Table) Chunks() int { return len(t.chunkToIdx) }
 
-// InstallMapping writes an AMU configuration into the level-2 table at
-// the given index. Index 0 is reserved for the boot-time default.
-func (t *Table) InstallMapping(idx int, cfg amu.Config) error {
-	if idx <= 0 || idx >= MaxMappings {
-		return fmt.Errorf("cmt: mapping index %d out of range (1..%d)", idx, MaxMappings-1)
-	}
-	if !cfg.Valid() {
-		return fmt.Errorf("cmt: configuration is not a valid crossbar setting")
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.configs[idx] = cfg
-	t.inUse[idx] = true
-	t.Writes++
-	t.gen.Add(1)
-	return nil
-}
-
 // AllocMappingIndex finds a free level-2 slot, installs cfg there, and
 // returns the index. It fails when all 256 slots are live — the hardware
 // constraint the ML clustering exists to respect.
@@ -103,24 +85,6 @@ func (t *Table) AllocMappingIndex(cfg amu.Config) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("cmt: all %d mapping slots in use", MaxMappings)
-}
-
-// ReleaseMapping frees a level-2 slot. Releasing index 0 or a slot still
-// referenced by some chunk is an error.
-func (t *Table) ReleaseMapping(idx int) error {
-	if idx <= 0 || idx >= MaxMappings {
-		return fmt.Errorf("cmt: mapping index %d out of range", idx)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for c, m := range t.chunkToIdx {
-		if int(m) == idx {
-			return fmt.Errorf("cmt: mapping %d still bound to chunk %d", idx, c)
-		}
-	}
-	t.inUse[idx] = false
-	t.gen.Add(1)
-	return nil
 }
 
 // BindChunk points a chunk's level-1 entry at a mapping index. This is

@@ -36,10 +36,11 @@ func TestNewBootsWithDefaultMapping(t *testing.T) {
 func TestInstallBindLookup(t *testing.T) {
 	tb := New(64)
 	cfg := testConfig(t, 16)
-	if err := tb.InstallMapping(5, cfg); err != nil {
+	idx, err := tb.AllocMappingIndex(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BindChunk(10, 5); err != nil {
+	if err := tb.BindChunk(10, idx); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tb.Lookup(10)
@@ -58,16 +59,12 @@ func TestInstallBindLookup(t *testing.T) {
 
 func TestInstallRejectsBadInputs(t *testing.T) {
 	tb := New(8)
-	cfg := testConfig(t, 4)
-	if err := tb.InstallMapping(0, cfg); err == nil {
-		t.Error("install into reserved slot 0 accepted")
-	}
-	if err := tb.InstallMapping(MaxMappings, cfg); err == nil {
-		t.Error("install past table end accepted")
-	}
 	var bad amu.Config
-	if err := tb.InstallMapping(1, bad); err == nil {
+	if _, err := tb.AllocMappingIndex(bad); err == nil {
 		t.Error("invalid crossbar config accepted")
+	}
+	if tb.LiveMappings() != 1 || tb.WriteCount() != 0 {
+		t.Errorf("rejected install changed the table: %d live, %d writes", tb.LiveMappings(), tb.WriteCount())
 	}
 }
 
@@ -103,29 +100,6 @@ func TestAllocMappingIndexExhaustion(t *testing.T) {
 	}
 	if _, err := tb.AllocMappingIndex(cfg); err == nil {
 		t.Fatal("alloc beyond 256 slots succeeded")
-	}
-}
-
-func TestReleaseMapping(t *testing.T) {
-	tb := New(8)
-	idx, err := tb.AllocMappingIndex(testConfig(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.BindChunk(2, idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.ReleaseMapping(idx); err == nil {
-		t.Fatal("release of still-bound mapping accepted")
-	}
-	if err := tb.BindChunk(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.ReleaseMapping(idx); err != nil {
-		t.Fatalf("release after unbind failed: %v", err)
-	}
-	if err := tb.ReleaseMapping(0); err == nil {
-		t.Fatal("release of reserved slot accepted")
 	}
 }
 
@@ -205,8 +179,8 @@ func TestStorageForPrototype(t *testing.T) {
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	tb := New(256)
-	cfg := testConfig(t, 16)
-	if err := tb.InstallMapping(1, cfg); err != nil {
+	idx, err := tb.AllocMappingIndex(testConfig(t, 16))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -215,7 +189,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(base int) {
 			defer wg.Done()
 			for c := base; c < 256; c += 4 {
-				if err := tb.BindChunk(c, 1); err != nil {
+				if err := tb.BindChunk(c, idx); err != nil {
 					t.Error(err)
 					return
 				}

@@ -2,8 +2,8 @@
 // out-of-order cores with a bounded miss window (MSHRs) and near-memory
 // accelerators with deep request pipelines. Both are "memory request
 // engines": they pull virtual-address streams from workloads, translate
-// through the process address space, filter through the shared LLC, and
-// issue external accesses to the memory controller, advancing a
+// through the process address space, filter through each core's private
+// L1, and issue external accesses to the memory controller, advancing a
 // simulated clock.
 //
 // The performance story the paper tells — SDAM speedups grow with
@@ -108,25 +108,17 @@ type Config struct {
 	// ComputeNs is the non-memory time between consecutive references of
 	// one stream (the compute gap that lets memory latency hide).
 	ComputeNs float64
-	// HitNs is the latency of a cache hit (either level).
+	// HitNs is the latency of an L1 hit.
 	HitNs float64
 	// L1Bytes and L1Ways size each core's private L1 filter; L1Bytes=0
 	// runs without private caches.
 	L1Bytes int
 	L1Ways  int
-	// CacheBytes and CacheWays size the shared last-level cache behind
-	// the L1s; CacheBytes=0 runs without one (the prototype has no LLC).
-	CacheBytes int
-	CacheWays  int
-	// WriteBack enables dirty-victim write-backs from the level closest
-	// to memory: stores mark lines dirty, and evicting a dirty line
-	// issues a posted write to the memory system. Off by default (the
-	// recorded evaluation numbers use write-through-style accounting).
+	// WriteBack enables dirty-victim write-backs from the L1s: stores
+	// mark lines dirty, and evicting a dirty line issues a posted write
+	// to the memory system. Off by default (the recorded evaluation
+	// numbers use write-through-style accounting).
 	WriteBack bool
-	// PrefetchNext issues this many sequential next-line prefetches on
-	// every demand miss (posted: they consume bandwidth and warm the
-	// caches but never stall the core). 0 disables.
-	PrefetchNext int
 }
 
 // CPUConfig returns the prototype's CPU-side parameters: 4 BOOM cores
@@ -168,9 +160,9 @@ func AcceleratorConfig(units int) Config {
 type Result struct {
 	TimeNs     float64
 	References uint64
-	External   uint64 // LLC misses issued to memory
+	External   uint64 // cache misses and write-backs issued to memory
 	Writes     uint64 // posted stores among the external accesses
-	Prefetches uint64 // next-line prefetches issued
+	Prefetches uint64 // always 0: the engine has no prefetcher
 	CacheHits  uint64
 	Faults     uint64
 }
@@ -189,67 +181,35 @@ type Engine struct {
 	ctrl *memctrl.Controller
 	as   *vm.AddressSpace
 	l1   []*cache.Cache // private, one per core
-	llc  *cache.Cache   // shared
 	// Collector, when set, receives every external access — the
 	// profiling hook of §6.2.
 	Collector *trace.Collector
 }
 
-// New creates an engine. The caches are instantiated from the config.
+// New creates an engine. The caches are instantiated from the config;
+// an invalid config is reported by the first run, not here.
 func New(cfg Config, ctrl *memctrl.Controller, as *vm.AddressSpace) *Engine {
 	e := &Engine{cfg: cfg, ctrl: ctrl, as: as}
-	if cfg.L1Bytes > 0 {
+	if cfg.L1Bytes > 0 && cfg.Cores > 0 {
 		e.l1 = make([]*cache.Cache, cfg.Cores)
 		for i := range e.l1 {
 			e.l1[i] = cache.MustNew(cfg.L1Bytes, cfg.L1Ways)
 		}
 	}
-	if cfg.CacheBytes > 0 {
-		e.llc = cache.MustNew(cfg.CacheBytes, cfg.CacheWays)
-	}
 	return e
 }
 
-// lookupCaches walks the hierarchy for core c and reports whether the
-// line hit at any level (filling all levels on the way, the usual
-// inclusive-fill policy). With WriteBack enabled, the level closest to
-// memory tracks dirtiness and returns any dirty victim for the caller
-// to write back.
+// lookupCaches runs core c's L1 lookup and reports whether the line hit
+// (filling it on a miss). With WriteBack enabled the L1 tracks
+// dirtiness and returns any dirty victim for the caller to write back.
+// Without an L1 every reference misses.
 //
 //sdam:noalloc
 func (e *Engine) lookupCaches(c int, line geom.LineAddr, write bool) (hit bool, victim geom.LineAddr, wb bool) {
-	dirty := write && e.cfg.WriteBack
-	if e.l1 != nil {
-		if e.llc == nil {
-			// L1 is the memory-side level.
-			h, v, evicted := e.l1[c].AccessDirty(line, dirty)
-			return h, v, evicted
-		}
-		if e.l1[c].Access(line) {
-			hit = true
-		}
+	if e.l1 == nil {
+		return false, 0, false
 	}
-	if e.llc != nil {
-		h, v, evicted := e.llc.AccessDirty(line, dirty)
-		if h && !hit {
-			hit = true
-		}
-		victim, wb = v, evicted
-	}
-	return hit, victim, wb
-}
-
-// fillCaches inserts a prefetched line into core c's hierarchy without
-// counting it as a demand access outcome.
-//
-//sdam:noalloc
-func (e *Engine) fillCaches(c int, line geom.LineAddr) {
-	if e.l1 != nil {
-		e.l1[c].Access(line)
-	}
-	if e.llc != nil {
-		e.llc.Access(line)
-	}
+	return e.l1[c].AccessDirty(line, write && e.cfg.WriteBack)
 }
 
 // Config returns the engine configuration.
@@ -427,9 +387,16 @@ func (e *Engine) Run(streams []Stream) (Result, error) {
 // RunProcs co-runs several processes: their streams are distributed
 // round-robin over the configured cores, each stream translating through
 // its owner's address space. Cores interleave in global time order so
-// the shared memory system sees a causally ordered request stream.
+// the shared memory system sees a causally ordered request stream. A
+// config with no cores or no MSHRs is an error.
 func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 	var res Result
+	switch {
+	case e.cfg.Cores < 1:
+		return res, fmt.Errorf("cpu: config %q: Cores = %d, want at least 1", e.cfg.Name, e.cfg.Cores)
+	case e.cfg.MSHRs < 1:
+		return res, fmt.Errorf("cpu: config %q: MSHRs = %d, want at least 1", e.cfg.Name, e.cfg.MSHRs)
+	}
 	var bound []boundStream
 	var spaces []*vm.AddressSpace // unique owner spaces, procs order
 	var faultsBefore []uint64
@@ -587,19 +554,6 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 			}
 			if done > c.lastFinish {
 				c.lastFinish = done
-			}
-			// Next-line prefetches: posted fills launched alongside the miss.
-			for k := 1; k <= e.cfg.PrefetchNext; k++ {
-				pline := line + geom.LineAddr(k)
-				e.fillCaches(c.id, pline)
-				pdone, err := e.ctrl.Access(issue, pline)
-				if err != nil {
-					break // off the end of physical memory: stop prefetching
-				}
-				res.Prefetches++
-				if pdone > c.lastFinish {
-					c.lastFinish = pdone
-				}
 			}
 			c.nextReady = issue + e.cfg.ComputeNs
 			if h.canSkip(c.nextReady) {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -49,7 +50,7 @@ func TestRunEmpty(t *testing.T) {
 func TestCacheFiltersRepeats(t *testing.T) {
 	ctrl, as, va := rig(t, nil)
 	e := New(CPUConfig(1), ctrl, as)
-	// Touch 64 lines twice: second pass hits in LLC, so external
+	// Touch 64 lines twice: second pass hits in L1, so external
 	// accesses ≈ 64.
 	s := &SliceStream{}
 	for pass := 0; pass < 2; pass++ {
@@ -121,7 +122,6 @@ func TestMSHRDepthIncreasesOverlap(t *testing.T) {
 		ctrl, as, va := rig(t, nil)
 		cfg := CPUConfig(1)
 		cfg.MSHRs = mshrs
-		cfg.CacheBytes = 0 // isolate the memory system
 		e := New(cfg, ctrl, as)
 		res, err := e.Run([]Stream{strideRefs(va, 8192, 1)})
 		if err != nil {
@@ -140,7 +140,6 @@ func TestMultipleCoresShareBandwidth(t *testing.T) {
 	run := func(cores int) Result {
 		ctrl, as, va := rig(t, nil)
 		cfg := CPUConfig(cores)
-		cfg.CacheBytes = 0
 		e := New(cfg, ctrl, as)
 		streams := make([]Stream, cores)
 		for i := range streams {
@@ -227,7 +226,6 @@ func TestPostedWritesDoNotStall(t *testing.T) {
 		ctrl, as, va := rig(t, nil)
 		cfg := CPUConfig(1)
 		cfg.MSHRs = 1
-		cfg.CacheBytes = 0
 		e := New(cfg, ctrl, as)
 		s := &SliceStream{}
 		for i := 0; i < 2048; i++ {
@@ -334,36 +332,6 @@ func TestPrivateL1sDoNotShareLines(t *testing.T) {
 	}
 }
 
-func TestSharedLLCCatchesCrossCoreReuse(t *testing.T) {
-	// With a shared LLC behind tiny L1s, the second core's pass hits in
-	// the LLC even though its own L1 is cold.
-	ctrl, as, va := rig(t, nil)
-	cfg := CPUConfig(2)
-	cfg.L1Bytes = 4 * geom.LineBytes // too small to matter
-	cfg.L1Ways = 2
-	cfg.CacheBytes = 1 << 20
-	cfg.CacheWays = 8
-	e := New(cfg, ctrl, as)
-	// Core 0 walks the buffer; core 1 then walks the same buffer. The
-	// engine interleaves by time, but with the same cadence both cores
-	// proceed together; the LLC is shared so at most 64 distinct lines
-	// miss overall.
-	mk := func() *SliceStream {
-		s := &SliceStream{}
-		for i := 0; i < 64; i++ {
-			s.Refs = append(s.Refs, Ref{VA: va + vm.VA(i*geom.LineBytes)})
-		}
-		return s
-	}
-	res, err := e.Run([]Stream{mk(), mk()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.External > 70 { // 64 distinct + a little interleave slop
-		t.Fatalf("external=%d, want ≈64 with shared LLC", res.External)
-	}
-}
-
 func TestWriteBackEvictionsReachMemory(t *testing.T) {
 	ctrl, as, va := rig(t, nil)
 	cfg := CPUConfig(1)
@@ -408,32 +376,24 @@ func TestWriteBackOffByDefault(t *testing.T) {
 	}
 }
 
-func TestNextLinePrefetcher(t *testing.T) {
-	run := func(depth int) Result {
+// TestRunRejectsInvalidConfig pins that a config without cores or
+// MSHRs is an error naming the field, not a panic inside the MSHR ring
+// or the core table.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MSHRs", Config{Name: "no-mshrs", Cores: 2}},
+		{"MSHRs", Config{Name: "negative-mshrs", Cores: 1, MSHRs: -1}},
+		{"Cores", Config{Name: "no-cores", MSHRs: 8}},
+		{"Cores", Config{Name: "negative-cores", Cores: -3, MSHRs: 8}},
+		{"Cores", Config{Name: "negative-cores-l1", Cores: -1, MSHRs: 8, L1Bytes: 64 << 10, L1Ways: 8}},
+	} {
 		ctrl, as, va := rig(t, nil)
-		cfg := CPUConfig(1)
-		cfg.MSHRs = 1 // make latency visible so prefetch hits matter
-		cfg.PrefetchNext = depth
-		e := New(cfg, ctrl, as)
-		s := &SliceStream{}
-		for i := 0; i < 1024; i++ {
-			s.Refs = append(s.Refs, Ref{VA: va + vm.VA(i*geom.LineBytes)})
+		_, err := New(tc.cfg, ctrl, as).Run([]Stream{strideRefs(va, 16, 1)})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.cfg.Name, err, tc.field)
 		}
-		res, err := e.Run([]Stream{s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	off := run(0)
-	on := run(2)
-	if on.Prefetches == 0 {
-		t.Fatal("no prefetches issued")
-	}
-	if on.CacheHits <= off.CacheHits {
-		t.Fatalf("prefetching did not raise hits: %d vs %d", on.CacheHits, off.CacheHits)
-	}
-	if on.TimeNs >= off.TimeNs {
-		t.Fatalf("sequential stream not faster with prefetch: %.0f vs %.0f ns", on.TimeNs, off.TimeNs)
 	}
 }

@@ -3,7 +3,6 @@
 // bound to one address mapping. malloc() takes the mapping ID as an
 // extra argument, selects (or creates) a heap with that mapping, and
 // falls back to the ordinary free-list machinery inside the heap.
-// Per-thread arenas reduce contention exactly as glibc's arenas do.
 //
 // Because heaps are whole-page mmap regions and each heap carries one
 // mapping ID, a page never holds data from two mappings — the allocator
@@ -12,6 +11,7 @@ package heap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -81,23 +81,13 @@ type Allocation struct {
 	Site  string
 }
 
-// Arena is one thread's allocation context. glibc keeps one arena per
-// thread to reduce lock contention; here each arena has its own heap
-// list per mapping ID.
-type Arena struct {
-	owner *Allocator
-	heaps map[int][]*heapRegion
-}
-
-// Allocator is the process-wide malloc state shared by its arenas.
+// Allocator is one process's malloc state: its heaps, listed per
+// mapping ID like Fig 8's heap-mapping array, and its live blocks.
 type Allocator struct {
 	mu     sync.Mutex
 	as     *vm.AddressSpace
-	arenas []*Arena
+	heaps  map[int][]*heapRegion
 	blocks map[vm.VA]blockInfo
-	// mapIDs tracks the address mappings the process registered via
-	// AddAddrMap, mirroring the heap-mapping array of Fig 8.
-	mapIDs []int
 }
 
 type blockInfo struct {
@@ -107,64 +97,28 @@ type blockInfo struct {
 	mapID int
 }
 
-// New creates an allocator over an address space with one main arena.
+// New creates an allocator over an address space.
 func New(as *vm.AddressSpace) *Allocator {
-	a := &Allocator{as: as, blocks: make(map[vm.VA]blockInfo)}
-	a.arenas = append(a.arenas, &Arena{owner: a, heaps: make(map[int][]*heapRegion)})
-	return a
+	return &Allocator{as: as, heaps: make(map[int][]*heapRegion), blocks: make(map[vm.VA]blockInfo)}
 }
 
-// MainArena returns the process's first arena.
-func (a *Allocator) MainArena() *Arena { return a.arenas[0] }
-
-// NewArena adds a thread arena.
-func (a *Allocator) NewArena() *Arena {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ar := &Arena{owner: a, heaps: make(map[int][]*heapRegion)}
-	a.arenas = append(a.arenas, ar)
-	return ar
-}
-
-// RegisterMapID records a mapping ID as usable by this process. The ID
-// comes from vm.Kernel.AddAddrMap; this is the user-side half of
-// add_addr_map().
-func (a *Allocator) RegisterMapID(id int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, m := range a.mapIDs {
-		if m == id {
-			return
-		}
-	}
-	a.mapIDs = append(a.mapIDs, id)
-}
-
-// MapIDs returns the registered mapping IDs (plus implicit default 0).
-func (a *Allocator) MapIDs() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]int{0}, a.mapIDs...)
-}
-
-// Malloc allocates size bytes from the main arena.
+// Malloc allocates size bytes bound to mapID. The site string names the
+// allocation call stack for profiling. A size of zero is an error, and
+// so is one whose round-up to whole pages (which covers the alignment
+// round-up) would overflow.
 func (a *Allocator) Malloc(size uint64, mapID int, site string) (vm.VA, error) {
-	return a.arenas[0].Malloc(size, mapID, site)
-}
-
-// Malloc allocates size bytes bound to mapID from this arena. The site
-// string names the allocation call stack for profiling.
-func (ar *Arena) Malloc(size uint64, mapID int, site string) (vm.VA, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("heap: zero-size malloc")
 	}
-	a := ar.owner
+	if size > math.MaxUint64-(geom.PageBytes-1) {
+		return 0, fmt.Errorf("heap: malloc of %d bytes overflows page rounding", size)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
 	size = (size + Align - 1) &^ uint64(Align-1)
 	// First heap with this mapping and room wins, as in Fig 8's flow.
-	for _, h := range ar.heaps[mapID] {
+	for _, h := range a.heaps[mapID] {
 		if va, ok := h.alloc(size); ok {
 			a.blocks[va] = blockInfo{size: size, heap: h, site: site, mapID: mapID}
 			return va, nil
@@ -181,7 +135,7 @@ func (ar *Arena) Malloc(size uint64, mapID int, site string) (vm.VA, error) {
 		return 0, fmt.Errorf("heap: growing mapping %d: %w", mapID, err)
 	}
 	h := &heapRegion{base: base, size: regionSize, mapID: mapID, free: []extent{{0, regionSize}}}
-	ar.heaps[mapID] = append(ar.heaps[mapID], h)
+	a.heaps[mapID] = append(a.heaps[mapID], h)
 	va, ok := h.alloc(size)
 	if !ok {
 		return 0, fmt.Errorf("heap: fresh heap cannot satisfy %d bytes", size)
@@ -202,17 +156,6 @@ func (a *Allocator) Free(va vm.VA) error {
 	delete(a.blocks, va)
 	b.heap.release(uint64(va-b.heap.base), b.size)
 	return nil
-}
-
-// SizeOf returns the usable size of a live block.
-func (a *Allocator) SizeOf(va vm.VA) (uint64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	b, ok := a.blocks[va]
-	if !ok {
-		return 0, fmt.Errorf("heap: %#x is not a live block", uint64(va))
-	}
-	return b.size, nil
 }
 
 // Live returns the live allocations, sorted by address, for the
@@ -263,21 +206,18 @@ func (a *Allocator) CheckInvariants() error {
 		}
 		usedBy[b.heap] += b.size
 	}
-	for _, ar := range a.arenas {
-		mapIDs := make([]int, 0, len(ar.heaps))
-		for mapID := range ar.heaps {
-			mapIDs = append(mapIDs, mapID)
-		}
-		sort.Ints(mapIDs)
-		for _, mapID := range mapIDs {
-			heaps := ar.heaps[mapID]
-			for _, h := range heaps {
-				if h.mapID != mapID {
-					return fmt.Errorf("heap: heap %#x filed under mapping %d but bound to %d", uint64(h.base), mapID, h.mapID)
-				}
-				if h.used != usedBy[h] {
-					return fmt.Errorf("heap: heap %#x used=%d but live blocks sum to %d", uint64(h.base), h.used, usedBy[h])
-				}
+	mapIDs := make([]int, 0, len(a.heaps))
+	for mapID := range a.heaps {
+		mapIDs = append(mapIDs, mapID)
+	}
+	sort.Ints(mapIDs)
+	for _, mapID := range mapIDs {
+		for _, h := range a.heaps[mapID] {
+			if h.mapID != mapID {
+				return fmt.Errorf("heap: heap %#x filed under mapping %d but bound to %d", uint64(h.base), mapID, h.mapID)
+			}
+			if h.used != usedBy[h] {
+				return fmt.Errorf("heap: heap %#x used=%d but live blocks sum to %d", uint64(h.base), h.used, usedBy[h])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package heap
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -27,9 +29,7 @@ func newAllocator(t *testing.T) (*Allocator, *vm.Kernel, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(k.NewAddressSpace())
-	a.RegisterMapID(id)
-	return a, k, id
+	return New(k.NewAddressSpace()), k, id
 }
 
 func TestMallocAlignment(t *testing.T) {
@@ -42,10 +42,7 @@ func TestMallocAlignment(t *testing.T) {
 		if uint64(va)%Align != 0 {
 			t.Fatalf("size %d: address %#x not %d-aligned", sz, uint64(va), Align)
 		}
-		got, err := a.SizeOf(va)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := a.blocks[va].size
 		want := (sz + Align - 1) &^ uint64(Align-1)
 		if got != want {
 			t.Fatalf("size %d: usable %d, want %d", sz, got, want)
@@ -62,8 +59,7 @@ func TestBlocksDoNotOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sz, _ := a.SizeOf(va)
-		nb := blk{uint64(va), uint64(va) + sz}
+		nb := blk{uint64(va), uint64(va) + a.blocks[va].size}
 		for _, b := range blocks {
 			if nb.lo < b.hi && b.lo < nb.hi {
 				t.Fatalf("blocks overlap: [%#x,%#x) and [%#x,%#x)", nb.lo, nb.hi, b.lo, b.hi)
@@ -82,17 +78,12 @@ func TestSeparateHeapsPerMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.RegisterMapID(id2)
 	va1, _ := a.Malloc(64, id, "a")
 	va2, _ := a.Malloc(64, id2, "b")
 	va3, _ := a.Malloc(64, 0, "c")
 	// Different mappings must come from different pages.
 	if va1.VPN() == va2.VPN() || va1.VPN() == va3.VPN() || va2.VPN() == va3.VPN() {
 		t.Fatal("allocations with different mappings share a page")
-	}
-	ids := a.MapIDs()
-	if len(ids) != 3 || ids[0] != 0 {
-		t.Fatalf("MapIDs = %v", ids)
 	}
 }
 
@@ -156,8 +147,7 @@ func TestLargeAllocationGetsOwnHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz, _ := a.SizeOf(va)
-	if sz < 3*HeapBytes {
+	if sz := a.blocks[va].size; sz < 3*HeapBytes {
 		t.Fatalf("huge block size %d", sz)
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -169,26 +159,6 @@ func TestZeroSizeRejected(t *testing.T) {
 	a, _, _ := newAllocator(t)
 	if _, err := a.Malloc(0, 0, ""); err == nil {
 		t.Fatal("zero-size malloc accepted")
-	}
-}
-
-func TestArenasAllocateIndependently(t *testing.T) {
-	a, _, id := newAllocator(t)
-	ar2 := a.NewArena()
-	va1, err := a.MainArena().Malloc(64, id, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	va2, err := ar2.Malloc(64, id, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Separate arenas use separate heaps, hence separate pages.
-	if va1.VPN() == va2.VPN() {
-		t.Fatal("two arenas share a heap page")
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -271,8 +241,7 @@ func TestMallocPropertyNoOverlapAcrossMappings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sz, _ := a.SizeOf(va)
-			nb := blk{va, sz, mid}
+			nb := blk{va, a.blocks[va].size, mid}
 			for _, b := range live {
 				if uint64(nb.va) < uint64(b.va)+b.size && uint64(b.va) < uint64(nb.va)+nb.size {
 					t.Fatalf("overlap: [%#x,+%d) mapping %d vs [%#x,+%d) mapping %d",
@@ -307,4 +276,135 @@ func findVMA(t *testing.T, a *Allocator, va vm.VA) *vm.VMA {
 		t.Fatalf("no VMA for block %#x", uint64(va))
 	}
 	return v
+}
+
+// TestMallocRejectsOverflowingSize pins that a size whose alignment or
+// page round-up would overflow is an error, not a wrapped zero-byte
+// block that a second such call would alias.
+func TestMallocRejectsOverflowingSize(t *testing.T) {
+	a, _, id := newAllocator(t)
+	for _, size := range []uint64{
+		math.MaxUint64,
+		math.MaxUint64,                         // a second call must not alias the first
+		math.MaxUint64 - Align + 2,             // the alignment round-up wraps
+		math.MaxUint64 - geom.PageBytes + 2,    // the page round-up wraps
+		math.MaxUint64 - geom.PageBytes + 1,    // rounds to the top page: no room
+		math.MaxUint64 - (uint64(4) << 30) + 1, // larger than the address space left
+	} {
+		if va, err := a.Malloc(size, id, "huge"); err == nil {
+			t.Fatalf("Malloc(%d) = %#x, want an error", size, uint64(va))
+		}
+	}
+	if live := a.Live(); len(live) != 0 {
+		t.Fatalf("rejected mallocs left %d live blocks: %+v", len(live), live)
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Malloc(64, id, "small"); err != nil {
+		t.Fatalf("Malloc after rejections: %v", err)
+	}
+}
+
+// fuzzMaxSize bounds the sizes FuzzHeapOps requests outside the
+// overflow range: it spans the dedicated-heap path (above HeapBytes)
+// while keeping every accepted request's page table small.
+const fuzzMaxSize = 2 * HeapBytes
+
+// fuzzSize maps a fuzzed value to a request size. Values in the top
+// 4 GiB are kept, since no address space has room for them (the mmap
+// cursor starts at 4 GiB) and Malloc must reject them; the rest fold
+// into 0..fuzzMaxSize, where 0 must be rejected and the others succeed.
+func fuzzSize(v uint64) uint64 {
+	if v > math.MaxUint64-(uint64(4)<<30) {
+		return v
+	}
+	return v % (fuzzMaxSize + 1)
+}
+
+// FuzzHeapOps runs a fuzzed Malloc/Free sequence on one allocator and
+// checks it against an oracle that knows only what each call returned:
+// a request in 1..fuzzMaxSize succeeds and an oversized or zero one
+// fails, every successful Malloc appears in Live() with its mapping,
+// site and at least its size until it is freed, and no two live blocks
+// overlap. Each op is three bytes: an opcode and a 16-bit operand.
+// Opcodes 0 and 1 allocate the operand shifted left by the opcode's
+// bits 4-6 from mapping 0 or from a stride mapping, 2 frees the live
+// block the operand selects (or a never-allocated address when none is
+// live), and 3 allocates fuzzSize(huge).
+func FuzzHeapOps(f *testing.F) {
+	f.Add([]byte{0, 0, 64, 1, 1, 0, 2, 0, 0, 0x71, 0xff, 0xff, 3, 0, 0}, uint64(math.MaxUint64))
+	f.Add([]byte{3, 0, 0, 0, 0, 16, 3, 0, 0}, uint64(math.MaxUint64))
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 0, 5, 2, 0, 0}, uint64(HeapBytes+1))
+	f.Fuzz(func(t *testing.T, ops []byte, huge uint64) {
+		a, _, id := newAllocator(t)
+		type block struct {
+			size  uint64
+			mapID int
+			site  string
+		}
+		want := map[vm.VA]block{}
+		var order []vm.VA // live blocks in allocation order
+		for i := 0; i+3 <= len(ops); i += 3 {
+			op, operand := ops[i], uint64(ops[i+1])<<8|uint64(ops[i+2])
+			site := fmt.Sprintf("op%d", i/3)
+			var size uint64
+			mapID := 0
+			switch op & 3 {
+			case 0, 1:
+				size = operand << (op >> 4 & 7)
+				if op&3 == 1 {
+					mapID = id
+				}
+			case 2:
+				if len(order) == 0 {
+					if err := a.Free(vm.VA(operand) << 4); err == nil {
+						t.Fatalf("op %d: free with no live block accepted", i/3)
+					}
+					continue
+				}
+				j := int(operand % uint64(len(order)))
+				va := order[j]
+				if err := a.Free(va); err != nil {
+					t.Fatalf("op %d: free %#x: %v", i/3, uint64(va), err)
+				}
+				if err := a.Free(va); err == nil {
+					t.Fatalf("op %d: double free of %#x accepted", i/3, uint64(va))
+				}
+				delete(want, va)
+				order = append(order[:j], order[j+1:]...)
+				continue
+			case 3:
+				size = fuzzSize(huge)
+			}
+			va, err := a.Malloc(size, mapID, site)
+			if ok := size >= 1 && size <= fuzzMaxSize; ok != (err == nil) {
+				t.Fatalf("op %d: Malloc(%d) = %#x, %v", i/3, size, uint64(va), err)
+			}
+			if err != nil {
+				continue
+			}
+			if _, dup := want[va]; dup {
+				t.Fatalf("op %d: Malloc(%d) returned live address %#x", i/3, size, uint64(va))
+			}
+			want[va] = block{size, mapID, site}
+			order = append(order, va)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		live := a.Live()
+		if len(live) != len(want) {
+			t.Fatalf("Live() has %d blocks, the oracle %d", len(live), len(want))
+		}
+		for i, l := range live {
+			w, ok := want[l.VA]
+			if !ok || l.Size < w.size || l.MapID != w.mapID || l.Site != w.site {
+				t.Fatalf("Live() block %+v, oracle %+v (known %v)", l, w, ok)
+			}
+			if i > 0 && uint64(live[i-1].VA)+live[i-1].Size > uint64(l.VA) {
+				t.Fatalf("live blocks overlap: %+v and %+v", live[i-1], l)
+			}
+		}
+	})
 }

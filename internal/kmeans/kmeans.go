@@ -234,17 +234,6 @@ func dist2(a, b []float64) float64 {
 
 func clone(p []float64) []float64 { return append([]float64(nil), p...) }
 
-// AssignLoss computes the clustering loss of an assignment against
-// centroids — the quantity the DL pipeline's joint objective adds to the
-// reconstruction loss.
-func AssignLoss(points [][]float64, centroids [][]float64, assign []int) float64 {
-	var loss float64
-	for i, p := range points {
-		loss += dist2(p, centroids[assign[i]])
-	}
-	return loss
-}
-
 // Silhouette returns the mean silhouette coefficient of a clustering —
 // the standard [-1, 1] quality score comparing each point's cohesion to
 // its separation. Single-member clusters contribute zero.

@@ -111,15 +111,19 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestAssignLossMatchesClusterLoss(t *testing.T) {
+func TestClusterLossMatchesRecomputedLoss(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	pts, _ := gaussianBlobs(r, [][]float64{{0, 0}, {6, 6}}, 25, 1)
 	res, err := Cluster(pts, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := AssignLoss(pts, res.Centroids, res.Assignment); got != res.Loss {
-		t.Fatalf("AssignLoss = %v, Cluster loss = %v", got, res.Loss)
+	var got float64
+	for i, p := range pts {
+		got += dist2(p, res.Centroids[res.Assignment[i]])
+	}
+	if got != res.Loss {
+		t.Fatalf("recomputed loss = %v, Cluster loss = %v", got, res.Loss)
 	}
 }
 

@@ -280,16 +280,6 @@ func (v *BFRV) Scale(s float64) {
 	}
 }
 
-// Dist2 returns the squared Euclidean distance to o.
-func (v BFRV) Dist2(o BFRV) float64 {
-	var d float64
-	for i := range v {
-		x := v[i] - o[i]
-		d += x * x
-	}
-	return d
-}
-
 // FromBFRV derives the bit-shuffle mapping for an access pattern from
 // its BFRV, following the paper's rule (§6.2): the highest-flipping bits
 // become channel bits so concurrent accesses spread across channels; the

@@ -228,11 +228,6 @@ func TestBFRVArithmetic(t *testing.T) {
 	if a[0] != 2 || a[1] != 3 {
 		t.Fatalf("Scale wrong: %v", a[:2])
 	}
-	var c BFRV
-	c[0] = 2
-	if d := a.Dist2(c); d != 9 {
-		t.Fatalf("Dist2 = %v, want 9", d)
-	}
 }
 
 func TestFromBFRVStreamingYieldsIdentity(t *testing.T) {

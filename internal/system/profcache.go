@@ -2,7 +2,6 @@ package system
 
 import (
 	"repro/internal/cpu"
-	"repro/internal/geom"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -14,10 +13,10 @@ import (
 // pass up to four times: BS+BSM, SDM+BSM, SDM+BSM+ML, and SDM+BSM+DL
 // all profile the workload on the same baseline machine with the same
 // seed, and the pass is a pure function of the workload's parameters,
-// the profiling seed, the engine, the geometry, and the HBM timing
-// scale. Like the selection cache (selcache.go), this cache memoizes
-// the pass process-wide under exactly that content key; a hit returns
-// the same bytes a fresh pass would. The shared *trace.Collector is
+// the profiling seed, the engine, and the HBM timing scale. Like the
+// selection cache (selcache.go), this cache memoizes the pass
+// process-wide under exactly that content key; a hit returns the same
+// bytes a fresh pass would. The shared *trace.Collector is
 // read-only after the pass (its lazy interval sort is already settled
 // by the pass's own attribution), so concurrent cells may consult
 // Deltas()/GlobalBFRV() without synchronization.
@@ -28,7 +27,6 @@ type profKey struct {
 	tapeKey  string
 	seed     int64
 	engine   cpu.Config
-	geom     geom.Geometry
 	hbmScale float64
 }
 
@@ -59,7 +57,6 @@ func cachedProfile(w workload.Workload, o Options) (profile.Profile, *trace.Coll
 		tapeKey:  k.TapeKey(),
 		seed:     o.ProfileSeed,
 		engine:   o.Engine,
-		geom:     o.Geometry,
 		hbmScale: o.HBMScale,
 	}
 	p, err := profiles.Do(key, func() (profPass, error) {

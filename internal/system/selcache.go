@@ -16,7 +16,7 @@ import (
 // Compare passes) profiles to the same bytes and would retrain the same
 // model to the same mapping. The cache memoizes selections process-wide,
 // keyed strictly by the content the selection is a pure function of —
-// the selector and its tuning, the geometry, the profile bytes, and (for
+// the selector and its tuning, the profile bytes, and (for
 // the DL selector) the delta trace bytes — so a hit returns exactly what
 // a fresh computation would, and anything that could change the result
 // (a different profiling interleaving, the guard ablation) changes the
@@ -26,7 +26,6 @@ import (
 type selKey struct {
 	kind     Kind
 	clusters int
-	geom     geom.Geometry
 	dl       cluster.DLOptions
 	noGuard  bool
 	profFP   uint64
@@ -49,7 +48,6 @@ func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample
 	key := selKey{
 		kind:     o.Kind,
 		clusters: o.Clusters,
-		geom:     o.Geometry,
 		noGuard:  o.NoGuard,
 		profFP:   prof.Fingerprint(),
 	}
@@ -64,11 +62,11 @@ func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample
 		var err error
 		switch o.Kind {
 		case SDMBSM:
-			s, err = cluster.SelectSingle(prof, o.Geometry, guard)
+			s, err = cluster.SelectSingle(prof, geom.Default(), guard)
 		case SDMBSMML:
-			s, err = cluster.SelectKMeans(prof, o.Clusters, o.Geometry, guard)
+			s, err = cluster.SelectKMeans(prof, o.Clusters, geom.Default(), guard)
 		case SDMBSMDL:
-			s, err = cluster.SelectDL(prof, deltas, o.Clusters, o.Geometry, o.DL, guard)
+			s, err = cluster.SelectDL(prof, deltas, o.Clusters, geom.Default(), o.DL, guard)
 		default:
 			err = fmt.Errorf("system: %s selects no per-variable mapping", o.Kind)
 		}

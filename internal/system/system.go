@@ -93,9 +93,6 @@ type Options struct {
 	// ProfileSeed and EvalSeed are the program inputs for the two passes
 	// (different by default, per §7.3).
 	ProfileSeed, EvalSeed int64
-	// Geometry overrides the device geometry (Fig 1 sweeps); zero value
-	// means the 8 GB / 32-channel prototype.
-	Geometry geom.Geometry
 	// DL tunes the DL selector's training budget.
 	DL cluster.DLOptions
 	// NoGuard turns off the selectors' do-no-harm guard, so every
@@ -118,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvalSeed == 0 {
 		o.EvalSeed = 2
-	}
-	if o.Geometry.Channels == 0 {
-		o.Geometry = geom.Default()
 	}
 	return o
 }
@@ -154,10 +148,11 @@ type machine struct {
 
 // boot builds a machine whose controller applies the fixed global
 // mapping, or the CMT+AMU datapath when global is nil, in front of one
-// fresh HBM device.
+// fresh HBM device of the prototype's geometry.
 func boot(o Options, global mapping.Mapping) *machine {
-	dev := hbm.New(o.Geometry, hbm.DefaultTiming().Scale(o.HBMScale))
-	k := vm.NewKernel(o.Geometry.Chunks())
+	g := geom.Default()
+	dev := hbm.New(g, hbm.DefaultTiming().Scale(o.HBMScale))
+	k := vm.NewKernel(g.Chunks())
 	var ctrl *memctrl.Controller
 	if global == nil {
 		ctrl = memctrl.NewSDAM(dev, k.Table, amu.New(8))
@@ -358,7 +353,7 @@ func selectMappings(apps []app, o Options) (mapping.Mapping, time.Duration, erro
 			bfrv.Add(col.GlobalBFRV())
 		}
 		bfrv.Scale(1 / float64(len(apps)))
-		return mapping.FromBFRV(bfrv, o.Geometry, "BSM-global"), wallclock.Since(start), nil
+		return mapping.FromBFRV(bfrv, geom.Default(), "BSM-global"), wallclock.Since(start), nil
 	}
 	for i := range apps {
 		var err error

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -43,6 +44,19 @@ func TestBSDMRuns(t *testing.T) {
 	}
 	if res.Profile != nil || res.Selection != nil {
 		t.Fatal("baseline should not profile")
+	}
+}
+
+// TestRunRejectsInvalidEngineConfig pins that an engine config without
+// MSHRs fails the run with a config error naming the field, not a
+// contained panic, in the evaluation pass (BS+DM) and in the profiling
+// pass (SDM+BSM).
+func TestRunRejectsInvalidEngineConfig(t *testing.T) {
+	for _, k := range []Kind{BSDM, SDMBSM} {
+		_, err := Run(strideWorkload([]int{1, 32}), Options{Kind: k, Engine: cpu.Config{Cores: 2}})
+		if err == nil || !strings.Contains(err.Error(), "MSHRs") || strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("%s: err = %v, want a config error naming MSHRs", k, err)
+		}
 	}
 }
 

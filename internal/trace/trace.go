@@ -15,7 +15,6 @@
 package trace
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -36,9 +35,10 @@ type Access struct {
 type Variable struct {
 	VID  int
 	Site string
-	// LiveBytes / PeakBytes track the footprint; Refs counts external
-	// accesses attributed to the variable.
-	LiveBytes uint64
+	// PeakBytes is the footprint: the sum of the variable's blocks,
+	// which stay live to the end of a profiled run (workloads allocate
+	// in Setup and never free). Refs counts external accesses
+	// attributed to the variable.
 	PeakBytes uint64
 	Refs      uint64
 
@@ -89,7 +89,6 @@ type Collector struct {
 	vars      []*Variable
 	intervals []interval // sorted by start (lazily), non-overlapping
 	dirty     bool       // intervals need re-sorting before lookup
-	allocs    map[vm.VA]interval
 
 	// Global delta sequence (bounded) for DL training.
 	deltas    []DeltaSample
@@ -116,7 +115,6 @@ func NewCollector(maxDeltas int) *Collector {
 	}
 	return &Collector{
 		siteVID:   make(map[string]int),
-		allocs:    make(map[vm.VA]interval),
 		maxDeltas: maxDeltas,
 	}
 }
@@ -141,12 +139,7 @@ func (c *Collector) NoteAlloc(site string, va vm.VA, size uint64) {
 	iv := interval{start: va, end: va + vm.VA(size), vid: vid}
 	c.intervals = append(c.intervals, iv)
 	c.dirty = true
-	c.allocs[va] = iv
-	v := c.vars[vid]
-	v.LiveBytes += size
-	if v.LiveBytes > v.PeakBytes {
-		v.PeakBytes = v.LiveBytes
-	}
+	c.vars[vid].PeakBytes += size
 }
 
 func (c *Collector) ensureSorted() {
@@ -155,26 +148,6 @@ func (c *Collector) ensureSorted() {
 	}
 	sort.Slice(c.intervals, func(i, j int) bool { return c.intervals[i].start < c.intervals[j].start })
 	c.dirty = false
-}
-
-// NoteFree records deallocation of the block at va.
-func (c *Collector) NoteFree(va vm.VA) error {
-	iv, ok := c.allocs[va]
-	if !ok {
-		return fmt.Errorf("trace: free of untracked block %#x", uint64(va))
-	}
-	delete(c.allocs, va)
-	c.ensureSorted()
-	i := sort.Search(len(c.intervals), func(i int) bool { return c.intervals[i].start >= iv.start })
-	for i < len(c.intervals) && c.intervals[i].start == iv.start {
-		if c.intervals[i].end == iv.end && c.intervals[i].vid == iv.vid {
-			c.intervals = append(c.intervals[:i], c.intervals[i+1:]...)
-			break
-		}
-		i++
-	}
-	c.vars[iv.vid].LiveBytes -= uint64(iv.end - iv.start)
-	return nil
 }
 
 // Attribute finds the variable owning va, or -1.

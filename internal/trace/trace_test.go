@@ -47,23 +47,6 @@ func TestAttributeIntervalLookup(t *testing.T) {
 	}
 }
 
-func TestFreeStopsAttribution(t *testing.T) {
-	c := NewCollector(0)
-	c.NoteAlloc("a", 0x1000, 0x100)
-	if err := c.NoteFree(0x1000); err != nil {
-		t.Fatal(err)
-	}
-	if vid := c.Attribute(0x1000); vid >= 0 {
-		t.Fatal("freed block still attributed")
-	}
-	if err := c.NoteFree(0x1000); err == nil {
-		t.Fatal("double free accepted")
-	}
-	if v := c.Variables()[0]; v.LiveBytes != 0 || v.PeakBytes != 0x100 {
-		t.Fatalf("live=%d peak=%d", v.LiveBytes, v.PeakBytes)
-	}
-}
-
 func TestRecordBuildsOnlineBFRV(t *testing.T) {
 	c := NewCollector(0)
 	c.NoteAlloc("streamvar", 0x10000, 1<<20)
@@ -114,16 +97,11 @@ func TestDeltaSequenceBounded(t *testing.T) {
 func TestPeakTracksHighWaterMark(t *testing.T) {
 	c := NewCollector(0)
 	c.NoteAlloc("v", 0x1000, 100)
+	c.NoteAlloc("w", 0x5000, 70)
 	c.NoteAlloc("v", 0x2000, 200)
-	if err := c.NoteFree(0x1000); err != nil {
-		t.Fatal(err)
-	}
 	c.NoteAlloc("v", 0x3000, 50)
-	v := c.Variables()[0]
-	if v.PeakBytes != 300 {
-		t.Fatalf("peak = %d, want 300", v.PeakBytes)
-	}
-	if v.LiveBytes != 250 {
-		t.Fatalf("live = %d, want 250", v.LiveBytes)
+	vars := c.Variables()
+	if vars[0].PeakBytes != 350 || vars[1].PeakBytes != 70 {
+		t.Fatalf("peaks = %d, %d, want 350 (every block of v) and 70", vars[0].PeakBytes, vars[1].PeakBytes)
 	}
 }

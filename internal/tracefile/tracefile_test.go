@@ -68,6 +68,22 @@ func TestLoadValidation(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsOverflowingVariable: a trace is outside input, and a
+// variable whose size overflows the allocator's round-up must fail the
+// run with an error, not wrap into aliased zero-byte blocks.
+func TestReplayRejectsOverflowingVariable(t *testing.T) {
+	f, err := Load(strings.NewReader(`{"version":1,"name":"huge","vars":[` +
+		`{"site":"a","bytes":18446744073709551615},{"site":"b","bytes":18446744073709551615}],` +
+		`"threads":[[{"v":0,"o":0},{"v":1,"o":64}]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = system.Run(f.Workload(), system.Options{Kind: system.BSDM})
+	if err == nil || !strings.Contains(err.Error(), "overflows") || strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want the allocator's overflow error", err)
+	}
+}
+
 func TestReplayRunsUnderSDAM(t *testing.T) {
 	// A recorded trace replays under any configuration; the funneled
 	// stride in the recording still funnels on replay under BS+DM and is

@@ -10,6 +10,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/amu"
@@ -144,7 +145,9 @@ func (as *AddressSpace) PID() int { return as.pid }
 // Mmap reserves length bytes of virtual space bound to mapID, rounding
 // up to whole pages. Pages are populated on first touch (demand paging),
 // exactly as the modified mmap() in the paper. The label names the
-// allocation site for the profiler.
+// allocation site for the profiler. A length whose page round-up, or
+// whose area plus guard page, would run past the top of the address
+// space is an error.
 func (as *AddressSpace) Mmap(length uint64, mapID int, label string) (VA, error) {
 	if length == 0 {
 		return 0, fmt.Errorf("vm: zero-length mmap")
@@ -152,8 +155,13 @@ func (as *AddressSpace) Mmap(length uint64, mapID int, label string) (VA, error)
 	if mapID < 0 || mapID >= cmt.MaxMappings {
 		return 0, fmt.Errorf("vm: mapping ID %d out of range", mapID)
 	}
-	pages := (length + geom.PageBytes - 1) / geom.PageBytes
 	start := as.cursor
+	// Rounding adds under a page and the guard page one more, so two
+	// pages of headroom keep the new cursor from wrapping.
+	if room := math.MaxUint64 - uint64(start); length > room || room-length < 2*geom.PageBytes {
+		return 0, fmt.Errorf("vm: mmap of %d bytes overflows the address space", length)
+	}
+	pages := (length + geom.PageBytes - 1) / geom.PageBytes
 	end := start + VA(pages*geom.PageBytes)
 	as.cursor = end + geom.PageBytes // guard page between areas
 	as.vmas = append(as.vmas, VMA{Start: start, End: end, MapID: mapID, Label: label})
@@ -189,27 +197,6 @@ func (as *AddressSpace) frameFor(vpn uint64) (chunk.Frame, bool) {
 		return chunk.Frame(as.frames[idx] - 1), true
 	}
 	return 0, false
-}
-
-// Munmap releases a VMA created by Mmap, freeing any populated frames.
-func (as *AddressSpace) Munmap(start VA) error {
-	for i, v := range as.vmas {
-		if v.Start != start {
-			continue
-		}
-		for vpn := v.Start.VPN(); vpn < v.End.VPN(); vpn++ {
-			if f, ok := as.frameFor(vpn); ok {
-				if err := as.kernel.Phys.FreeFrame(f); err != nil {
-					return err
-				}
-				as.frames[vpn-as.ptBase] = 0
-				as.mapped--
-			}
-		}
-		as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-		return nil
-	}
-	return fmt.Errorf("vm: no VMA starts at %#x", start)
 }
 
 // FindVMA returns the VMA containing va, or nil.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/amu"
@@ -118,28 +119,29 @@ func TestMmapRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func TestMunmapFreesFrames(t *testing.T) {
-	k, id := newKernelWithMap(t, 4)
+// TestMmapRejectsOverflowingLength pins that a length whose page
+// round-up, or whose end plus guard page, would wrap past the top of
+// the address space is an error that leaves the space unchanged.
+func TestMmapRejectsOverflowingLength(t *testing.T) {
+	k := NewKernel(8)
 	as := k.NewAddressSpace()
-	freeBefore := k.Phys.FreeChunks()
-	va, _ := as.Mmap(geom.ChunkBytes, id, "big") // exactly one chunk of pages
-	if err := as.Populate(va); err != nil {
-		t.Fatal(err)
+	start := as.cursor
+	room := math.MaxUint64 - uint64(start)
+	for _, length := range []uint64{
+		math.MaxUint64,
+		math.MaxUint64 - geom.PageBytes + 2, // the page round-up wraps
+		room,                                // the area ends at the top
+		room - 2*geom.PageBytes + 1,         // the guard page wraps the cursor
+	} {
+		if va, err := as.Mmap(length, 0, "huge"); err == nil {
+			t.Fatalf("Mmap(%d) = %#x, want an overflow error", length, uint64(va))
+		}
 	}
-	if k.Phys.FreeChunks() >= freeBefore {
-		t.Fatal("populate consumed no chunks")
+	if as.cursor != start || len(as.vmas) != 0 {
+		t.Fatalf("rejected mmaps changed the space: cursor %#x, %d VMAs", uint64(as.cursor), len(as.vmas))
 	}
-	if err := as.Munmap(va); err != nil {
-		t.Fatal(err)
-	}
-	if k.Phys.FreeChunks() != freeBefore {
-		t.Fatalf("chunks not all returned: %d vs %d", k.Phys.FreeChunks(), freeBefore)
-	}
-	if _, err := as.Translate(va); err == nil {
-		t.Fatal("translation after munmap succeeded")
-	}
-	if err := as.Munmap(va); err == nil {
-		t.Fatal("double munmap accepted")
+	if va, err := as.Mmap(geom.PageBytes, 0, "x"); err != nil || va != start {
+		t.Fatalf("Mmap after rejections = %#x, %v; want %#x", uint64(va), err, uint64(start))
 	}
 }
 
