@@ -59,7 +59,9 @@ fuzz:
 # bench smoke: the simulator hot path, the DL selector's two
 # training-cost benchmarks (cluster.select_dl_ms is mostly internal/f64's
 # lane-fused kernels; TrainJoint isolates the training loop, SelectDL
-# times the whole selection pipeline) and each paper kernel's input
-# construction (KernelStreams, one sub-benchmark per kernel).
+# times the whole selection pipeline), each paper kernel's input
+# construction (KernelStreams, one sub-benchmark per kernel), tape
+# recording (TapeRecord: one proxy, one kernel) and the profiling
+# collector (CollectorRecord).
 bench:
-	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps
+	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams|TapeRecord|CollectorRecord' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps ./internal/tape ./internal/trace

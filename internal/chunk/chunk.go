@@ -13,6 +13,7 @@ package chunk
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cmt"
@@ -165,14 +166,11 @@ func (a *Allocator) acquireChunk(mapIdx int) (int, error) {
 
 func (a *Allocator) takePage(c int, guard func(page int) bool) (Frame, error) {
 	st := &a.chunks[c]
-	for w := range st.bitmap {
-		if st.bitmap[w] == ^uint64(0) {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if st.bitmap[w]>>b&1 != 0 {
-				continue
-			}
+	for w, word := range st.bitmap[:] {
+		// Visit the word's free (zero) bits in ascending order, so the
+		// guard sees candidate pages lowest first.
+		for free := ^word; free != 0; free &= free - 1 {
+			b := bits.TrailingZeros64(free)
 			page := w*64 + b
 			if guard != nil && guard(page) {
 				continue

@@ -1,13 +1,16 @@
 package chunk
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/amu"
 	"repro/internal/cmt"
 	"repro/internal/geom"
 	"repro/internal/mapping"
+	"repro/internal/rowguard"
 )
 
 func newTableWithMappings(t *testing.T, n int) *cmt.Table {
@@ -285,5 +288,87 @@ func TestSetGuardValidation(t *testing.T) {
 	}
 	if err := a.SetGuard(3, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// takePageRef is the straightforward scan takePage must agree with:
+// every page in ascending order, skipping taken and guarded ones.
+func takePageRef(bitmap *[geom.PagesPerChunk / 64]uint64, guard func(page int) bool) (int, bool) {
+	for page := 0; page < geom.PagesPerChunk; page++ {
+		if bitmap[page/64]>>(page%64)&1 != 0 {
+			continue
+		}
+		if guard != nil && guard(page) {
+			continue
+		}
+		bitmap[page/64] |= 1 << (page % 64)
+		return page, true
+	}
+	return 0, false
+}
+
+// TestTakePageMatchesPerPageScan drains chunks with random occupancy
+// under random guard sets and under rowguard's boundary-row guards:
+// takePage must hand out the same page as the per-page scan every time,
+// offer pages to the guard in ascending order, and leave the same
+// bitmap behind.
+func TestTakePageMatchesPerPageScan(t *testing.T) {
+	guardOf := func(guarded []bool) func(int) bool {
+		return func(p int) bool { return guarded[p] }
+	}
+	type namedGuard struct {
+		name  string
+		guard func(int) bool
+	}
+	guards := []namedGuard{{"none", nil}}
+	for _, m := range []*mapping.Linear{mapping.Identity{}.Linear(), mapping.ForStride(1, geom.Default()), mapping.ForStride(64, geom.Default())} {
+		guards = append(guards, namedGuard{"rowguard/" + m.Name(), guardOf(rowguard.GuardedPages(m, geom.Default()))})
+	}
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 4; i++ {
+		guarded := make([]bool, geom.PagesPerChunk)
+		for p := range guarded {
+			guarded[p] = r.Intn(4) == 0 || (i == 3 && p < geom.PagesPerChunk-1)
+		}
+		guards = append(guards, namedGuard{fmt.Sprintf("random%d", i), guardOf(guarded)})
+	}
+	for _, g := range guards {
+		name, guard := g.name, g.guard
+		for trial := 0; trial < 20; trial++ {
+			a := NewAllocator(1, nil)
+			st := &a.chunks[0]
+			var ref [geom.PagesPerChunk / 64]uint64
+			density := r.Intn(8) // 0 = empty chunk, 7 = mostly full
+			for p := 0; p < geom.PagesPerChunk; p++ {
+				if r.Intn(8) < density {
+					ref[p/64] |= 1 << (p % 64)
+					st.usedPages++
+				}
+			}
+			st.bitmap = ref
+			for {
+				var offered []int
+				want, ok := takePageRef(&ref, guard)
+				got, err := a.takePage(0, func(p int) bool {
+					offered = append(offered, p)
+					return guard != nil && guard(p)
+				})
+				if !ok {
+					if err == nil {
+						t.Fatalf("%s: takePage returned frame %d where the scan finds no page", name, got)
+					}
+					break
+				}
+				if err != nil || int(got) != want {
+					t.Fatalf("%s trial %d: takePage = %d, %v; per-page scan takes %d", name, trial, got, err, want)
+				}
+				if !sort.IntsAreSorted(offered) {
+					t.Fatalf("%s: pages offered to the guard out of order: %v", name, offered)
+				}
+				if st.bitmap != ref {
+					t.Fatalf("%s: bitmaps diverge after taking page %d", name, want)
+				}
+			}
+		}
 	}
 }

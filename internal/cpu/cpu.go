@@ -40,6 +40,13 @@ type BatchStream interface {
 	NextBatch(buf []Ref) int
 }
 
+// Sized is an optional Stream extension: Remaining reports exactly how
+// many references the stream has left to emit, so a consumer that
+// drains it can size its buffers once up front.
+type Sized interface {
+	Remaining() int
+}
+
 // LineBatchStream is an optional BatchStream extension for replay
 // streams that already know each reference's physical line address —
 // sealed reference tapes (internal/tape), whose VAs were pre-translated
@@ -92,6 +99,9 @@ func (s *SliceStream) NextBatch(buf []Ref) int {
 	s.pos += n
 	return n
 }
+
+// Remaining implements Sized.
+func (s *SliceStream) Remaining() int { return len(s.Refs) - s.pos }
 
 // Reset rewinds the stream so it can be replayed without re-cloning the
 // workload that produced it.
@@ -384,6 +394,21 @@ func (e *Engine) Run(streams []Stream) (Result, error) {
 	return e.RunProcs([]Proc{{AS: e.as, Streams: streams}})
 }
 
+// reserveDeltas sizes the collector's delta sequence for this run: at
+// most one delta per reference, when every stream can say how many it
+// has left.
+func (e *Engine) reserveDeltas(bound []boundStream) {
+	n := 0
+	for _, b := range bound {
+		s, ok := b.src.(Sized)
+		if !ok {
+			return
+		}
+		n += s.Remaining()
+	}
+	e.Collector.Reserve(n)
+}
+
 // RunProcs co-runs several processes: their streams are distributed
 // round-robin over the configured cores, each stream translating through
 // its owner's address space. Cores interleave in global time order so
@@ -429,6 +454,10 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 	}
 	if len(bound) == 0 {
 		return res, nil
+	}
+	if e.Collector != nil {
+		e.reserveDeltas(bound)
+		defer e.Collector.Trim()
 	}
 	cores := make([]*coreState, e.cfg.Cores)
 	for i := range cores {

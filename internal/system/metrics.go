@@ -18,7 +18,7 @@ var (
 	statCoRuns    = obs.NewCounter("system.coruns", "runs", "co-run evaluation passes completed")
 	statProfPass  = obs.NewCounter("system.profile_passes", "passes", "fresh (uncached) offline profiling passes")
 	statEngRefs   = obs.NewCounter("engine.refs", "refs", "memory references executed by the engine")
-	statEngExt    = obs.NewCounter("engine.external", "refs", "LLC misses issued to the memory system")
+	statEngExt    = obs.NewCounter("engine.external", "refs", "L1 misses and dirty write-backs issued to the memory system (every reference on an engine without an L1)")
 	statEngHits   = obs.NewCounter("engine.cache_hits", "refs", "references satisfied by the modeled cache")
 	statEngFaults = obs.NewCounter("engine.faults", "faults", "page faults taken during execution")
 	statHBMReqs   = obs.NewCounter("hbm.requests", "reqs", "line requests reaching the HBM device")

@@ -25,10 +25,11 @@ package tape
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/geom"
+	"repro/internal/vaindex"
 	"repro/internal/vm"
 )
 
@@ -122,40 +123,14 @@ func (t *Tape) Bytes() int {
 
 func (t *Tape) isWrite(i int) bool { return t.write[i>>6]>>(uint(i)&63)&1 != 0 }
 
-// slotIndex maps VAs to allocation slots via a base-sorted view of the
-// layout.
-type slotIndex struct {
-	bases []uint64 // sorted allocation bases
-	ends  []uint64
-	slots []int32 // original allocation order index
-}
-
-func newSlotIndex(l *Layout) *slotIndex {
-	idx := &slotIndex{
-		bases: make([]uint64, len(l.Allocs)),
-		ends:  make([]uint64, len(l.Allocs)),
-		slots: make([]int32, len(l.Allocs)),
+// newSlotIndex maps VAs to allocation slots: each allocation is a
+// range whose value is its index in the layout's allocation order.
+func newSlotIndex(l *Layout) vaindex.Index {
+	ranges := make([]vaindex.Range, len(l.Allocs))
+	for i, a := range l.Allocs {
+		ranges[i] = vaindex.Range{Start: uint64(a.Base), End: uint64(a.Base) + a.Bytes, Val: int32(i)}
 	}
-	order := make([]int, len(l.Allocs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return l.Allocs[order[a]].Base < l.Allocs[order[b]].Base })
-	for i, o := range order {
-		idx.bases[i] = uint64(l.Allocs[o].Base)
-		idx.ends[i] = uint64(l.Allocs[o].Base) + l.Allocs[o].Bytes
-		idx.slots[i] = int32(o)
-	}
-	return idx
-}
-
-// find returns the slot containing va, or -1.
-func (x *slotIndex) find(va uint64) int32 {
-	i := sort.Search(len(x.bases), func(i int) bool { return x.bases[i] > va })
-	if i > 0 && va < x.ends[i-1] {
-		return x.slots[i-1]
-	}
-	return -1
+	return vaindex.New(ranges)
 }
 
 // Record drains the given streams — the value of Workload.Streams(seed)
@@ -174,7 +149,7 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 				if n == 0 {
 					break
 				}
-				t.append(buf[:n], idx)
+				t.append(buf[:n], &idx)
 			}
 		} else {
 			for {
@@ -183,7 +158,7 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 					break
 				}
 				buf[0] = r
-				t.append(buf[:1], idx)
+				t.append(buf[:1], &idx)
 			}
 		}
 		t.starts = append(t.starts, len(t.va))
@@ -191,19 +166,20 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 	return t
 }
 
-// presize reserves the columns' exact final size when every stream is a
-// materialized *cpu.SliceStream (all the paper kernels), so recording
-// keeps what it allocates instead of growing each column by append's
+// presize reserves the columns' exact final size when every stream
+// reports how many references it has left (cpu.Sized: the paper
+// kernels' materialized streams and the proxies' mix streams), so
+// recording keeps what it allocates instead of growing each column in
 // ~1.25× steps, which allocates about five times the retained bytes.
-// Streams of any other type keep the append growth.
+// If any stream cannot say, the columns grow as they fill.
 func (t *Tape) presize(streams []cpu.Stream) {
 	n := 0
 	for _, s := range streams {
-		ss, ok := s.(*cpu.SliceStream)
+		ss, ok := s.(cpu.Sized)
 		if !ok {
 			return
 		}
-		n += len(ss.Refs)
+		n += ss.Remaining()
 	}
 	t.va = make([]uint64, 0, n)
 	t.pc = make([]uint64, 0, n)
@@ -211,19 +187,27 @@ func (t *Tape) presize(streams []cpu.Stream) {
 	t.slot = make([]int32, 0, n)
 }
 
-func (t *Tape) append(refs []cpu.Ref, idx *slotIndex) {
-	for _, r := range refs {
-		i := len(t.va)
-		t.va = append(t.va, uint64(r.VA))
-		t.pc = append(t.pc, r.PC)
-		if i>>6 >= len(t.write) {
-			t.write = append(t.write, 0)
-		}
+// append adds one batch of references to the columns. Each column grows
+// once per batch (a no-op when presized) and is then filled by index.
+func (t *Tape) append(refs []cpu.Ref, idx *vaindex.Index) {
+	i0, n := len(t.va), len(refs)
+	t.va = slices.Grow(t.va, n)[:i0+n]
+	t.pc = slices.Grow(t.pc, n)[:i0+n]
+	t.slot = slices.Grow(t.slot, n)[:i0+n]
+	if words := (i0 + n + 63) / 64; words > len(t.write) {
+		w0 := len(t.write)
+		t.write = slices.Grow(t.write, words-w0)[:words]
+		clear(t.write[w0:])
+	}
+	for k, r := range refs {
+		i := i0 + k
+		t.va[i] = uint64(r.VA)
+		t.pc[i] = r.PC
 		if r.Write {
 			t.write[i>>6] |= 1 << (uint(i) & 63)
 		}
-		s := idx.find(uint64(r.VA))
-		t.slot = append(t.slot, s)
+		s := idx.Find(uint64(r.VA))
+		t.slot[i] = s
 		if s < 0 {
 			t.rebasable = false
 		}
@@ -314,6 +298,9 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 	r.pos += n
 	return n
 }
+
+// Remaining implements cpu.Sized.
+func (r *replayStream) Remaining() int { return r.end - r.pos }
 
 // Reset rewinds the view for replay.
 func (r *replayStream) Reset() { r.pos = r.start }

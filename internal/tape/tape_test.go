@@ -1,9 +1,11 @@
 package tape
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
@@ -328,5 +330,78 @@ func TestRecordPresizesSliceStreams(t *testing.T) {
 	// growing the columns by append instead makes about 120.
 	if allocs > 24 {
 		t.Fatalf("Record allocated %.0f times for a %d-ref tape, want ≤ 24 (columns presized)", allocs, tp.Refs())
+	}
+}
+
+// unsized hides a stream's Remaining, so Record cannot presize and
+// grows every column batch by batch instead.
+type unsized struct{ cpu.BatchStream }
+
+func hideSizes(ss []cpu.Stream) []cpu.Stream {
+	out := make([]cpu.Stream, len(ss))
+	for i, s := range ss {
+		out[i] = unsized{s.(cpu.BatchStream)}
+	}
+	return out
+}
+
+// presizeWorkloads are one proxy (mix streams) and one paper kernel
+// (materialized slice streams), the two stream shapes Record presizes.
+func presizeWorkloads(tb testing.TB) []workload.Workload {
+	proxy, err := workload.NewProxyByName("gcc", workload.ProxyOptions{Refs: 40_000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []workload.Workload{proxy, apps.NewBFS(apps.Options{MaxRefs: 40_000})}
+}
+
+// TestRecordPresizeMatchesGrowth: presizing only changes how the
+// columns are allocated, never what they hold. A tape recorded from
+// streams that report their size must equal, column for column, one
+// recorded from the same streams with the size hidden.
+func TestRecordPresizeMatchesGrowth(t *testing.T) {
+	for _, w := range presizeWorkloads(t) {
+		lay, _ := setup(t, w, 0)
+		ss := w.Streams(5)
+		for _, s := range ss {
+			if _, ok := s.(cpu.Sized); !ok {
+				t.Fatalf("%s: stream %T does not report its size", w.Name(), s)
+			}
+		}
+		sized := Record(ss, lay)
+		grown := Record(hideSizes(w.Streams(5)), lay)
+		if cap(sized.va) != len(sized.va) || cap(sized.slot) != len(sized.slot) {
+			t.Errorf("%s: presized columns hold %d/%d refs, want exact", w.Name(), len(sized.va), cap(sized.va))
+		}
+		if sized.Refs() != grown.Refs() || sized.Bytes() != grown.Bytes() || sized.rebasable != grown.rebasable {
+			t.Fatalf("%s: presized Refs/Bytes/rebasable = %d/%d/%v, grown %d/%d/%v", w.Name(),
+				sized.Refs(), sized.Bytes(), sized.rebasable, grown.Refs(), grown.Bytes(), grown.rebasable)
+		}
+		if !slices.Equal(sized.va, grown.va) || !slices.Equal(sized.pc, grown.pc) || !slices.Equal(sized.write, grown.write) ||
+			!slices.Equal(sized.slot, grown.slot) || !slices.Equal(sized.starts, grown.starts) {
+			t.Fatalf("%s: presized and grown tapes differ", w.Name())
+		}
+	}
+}
+
+// BenchmarkTapeRecord times recording one proxy's and one kernel's
+// streams: stream generation, the slot lookup and the column writes.
+func BenchmarkTapeRecord(b *testing.B) {
+	for _, w := range presizeWorkloads(b) {
+		b.Run(w.Name(), func(b *testing.B) {
+			k := vm.NewKernel(geom.Default().Chunks())
+			var lay Layout
+			env := &workload.Env{AS: k.NewAddressSpace(), OnAlloc: lay.Note}
+			env.Heap = heap.New(env.AS)
+			if err := w.Setup(env); err != nil {
+				b.Fatal(err)
+			}
+			refs := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				refs += Record(w.Streams(5), lay).Refs()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
+		})
 	}
 }

@@ -16,10 +16,11 @@ package trace
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/mapping"
+	"repro/internal/vaindex"
 	"repro/internal/vm"
 )
 
@@ -70,11 +71,6 @@ func (v *Variable) BFRV() mapping.BFRV {
 	return out
 }
 
-type interval struct {
-	start, end vm.VA
-	vid        int
-}
-
 // DeltaSample is one element of the DL training sequence: the XOR of two
 // consecutive physical line addresses and the variable of the latter
 // access (paper Fig 9's (Δ, VID) input pairs).
@@ -85,10 +81,11 @@ type DeltaSample struct {
 
 // Collector observes allocations and accesses for one process.
 type Collector struct {
-	siteVID   map[string]int
-	vars      []*Variable
-	intervals []interval // sorted by start (lazily), non-overlapping
-	dirty     bool       // intervals need re-sorting before lookup
+	siteVID map[string]int
+	vars    []*Variable
+	allocs  []vaindex.Range // every block noted, in allocation order; Val = VID
+	index   vaindex.Index   // lookup over allocs, rebuilt lazily
+	dirty   bool            // allocs changed since index was built
 
 	// Global delta sequence (bounded) for DL training.
 	deltas    []DeltaSample
@@ -132,36 +129,50 @@ func (c *Collector) VIDOf(site string) int {
 }
 
 // NoteAlloc records that [va, va+size) now belongs to site's variable.
-// Insertion is O(1); the interval index is (re)sorted lazily on the next
-// lookup, so registering tens of thousands of variables stays cheap.
+// Blocks never overlap (the heap hands out disjoint ones). Insertion is
+// O(1); the lookup index is rebuilt lazily on the next lookup, so
+// registering tens of thousands of variables stays cheap.
 func (c *Collector) NoteAlloc(site string, va vm.VA, size uint64) {
 	vid := c.VIDOf(site)
-	iv := interval{start: va, end: va + vm.VA(size), vid: vid}
-	c.intervals = append(c.intervals, iv)
+	c.allocs = append(c.allocs, vaindex.Range{Start: uint64(va), End: uint64(va) + size, Val: int32(vid)})
 	c.dirty = true
 	c.vars[vid].PeakBytes += size
 }
 
-func (c *Collector) ensureSorted() {
-	if !c.dirty {
-		return
-	}
-	sort.Slice(c.intervals, func(i, j int) bool { return c.intervals[i].start < c.intervals[j].start })
-	c.dirty = false
-}
-
 // Attribute finds the variable owning va, or -1.
 func (c *Collector) Attribute(va vm.VA) int {
-	c.ensureSorted()
-	i := sort.Search(len(c.intervals), func(i int) bool { return c.intervals[i].end > va })
-	if i < len(c.intervals) && c.intervals[i].start <= va {
-		return c.intervals[i].vid
+	if c.dirty {
+		c.index = vaindex.New(c.allocs)
+		c.dirty = false
 	}
-	return -1
+	return int(c.index.Find(uint64(va)))
+}
+
+// Reserve sizes the delta sequence for a pass of at most refs more
+// external accesses, capped at the retention bound, so recording the
+// pass never regrows it. The engine calls it with its streams'
+// reference count before a run; Trim gives back what the pass left
+// unused.
+func (c *Collector) Reserve(refs int) {
+	c.deltas = slices.Grow(c.deltas, min(refs, c.maxDeltas-len(c.deltas)))
+}
+
+// Trim releases the delta sequence's unused capacity. A pass's
+// collector outlives it — the profile memo keeps every one for the
+// life of the process — so what Reserve set aside for references that
+// hit in the caches must not stay with it.
+func (c *Collector) Trim() {
+	if cap(c.deltas) > len(c.deltas) {
+		c.deltas = append([]DeltaSample(nil), c.deltas...)
+	}
 }
 
 // Record attributes one access and folds it into the statistics.
-func (c *Collector) Record(a Access) {
+func (c *Collector) Record(a Access) { c.record(a, c.Attribute(a.VA)) }
+
+// record folds one access, owned by variable vid (-1: none), into the
+// statistics.
+func (c *Collector) record(a Access, vid int) {
 	if c.prevSet {
 		diff := c.prevPA.Offset() ^ a.PA.Offset()
 		for diff != 0 {
@@ -172,7 +183,6 @@ func (c *Collector) Record(a Access) {
 	}
 	c.globalCount++
 
-	vid := c.Attribute(a.VA)
 	if vid < 0 {
 		c.Unattributed++
 		c.prevPA = a.PA

@@ -105,3 +105,28 @@ func TestPeakTracksHighWaterMark(t *testing.T) {
 		t.Fatalf("peaks = %d, %d, want 350 (every block of v) and 70", vars[0].PeakBytes, vars[1].PeakBytes)
 	}
 }
+
+// TestReserveTrimKeepsOnlyTheSequence: Reserve never sets aside more
+// than the retention bound, and Trim leaves no spare capacity for the
+// profile memo to keep alive, not even an empty sequence's array.
+func TestReserveTrimKeepsOnlyTheSequence(t *testing.T) {
+	c := NewCollector(100)
+	c.NoteAlloc("v", 0, 1<<20)
+	c.Reserve(1 << 20)
+	if cap(c.deltas) < 100 || cap(c.deltas) > 128 {
+		t.Fatalf("Reserve(1M) with a bound of 100 left cap %d", cap(c.deltas))
+	}
+	for i := 0; i < 11; i++ {
+		c.Record(Access{VA: vm.VA(i * geom.LineBytes), PA: geom.LineAddr(i)})
+	}
+	c.Trim()
+	if len(c.Deltas()) != 10 || cap(c.deltas) != 10 {
+		t.Fatalf("after Trim: len %d cap %d, want 10 and 10", len(c.Deltas()), cap(c.deltas))
+	}
+	empty := NewCollector(0)
+	empty.Reserve(1000)
+	empty.Trim()
+	if empty.deltas != nil {
+		t.Fatalf("Trim of an empty sequence kept cap %d", cap(empty.deltas))
+	}
+}

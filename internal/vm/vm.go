@@ -11,6 +11,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/amu"
@@ -187,7 +188,9 @@ func (as *AddressSpace) growTable(lo, hi uint64) {
 		as.ptBase = lo
 	}
 	if n := hi - as.ptBase; n > uint64(len(as.frames)) {
-		as.frames = append(as.frames, make([]uint64, n-uint64(len(as.frames)))...)
+		// Nothing writes past len(frames) and the table never shrinks,
+		// so the entries the reslice exposes are still zero (unmapped).
+		as.frames = slices.Grow(as.frames, int(n)-len(as.frames))[:n]
 	}
 }
 

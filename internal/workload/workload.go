@@ -404,6 +404,14 @@ func (ms *mixStream) NextBatch(buf []cpu.Ref) int {
 	return n
 }
 
+// Remaining implements cpu.Sized.
+func (ms *mixStream) Remaining() int {
+	if len(ms.schedule) == 0 {
+		return 0
+	}
+	return ms.remaining
+}
+
 // Reset rewinds the stream to its initial state: the schedule is
 // already a pure function of the construction seed, and the pattern
 // states are rebuilt from it.
