@@ -14,7 +14,7 @@ package chunk
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/cmt"
 	"repro/internal/geom"
@@ -36,18 +36,31 @@ type chunkState struct {
 	bitmap    [geom.PagesPerChunk / 64]uint64
 }
 
+// group is the chunk group of one mapping index.
+type group struct {
+	chunks []int // bound chunks in acquisition order, the first-fit order
+	// open is the position in chunks of the first chunk that may have a
+	// free page: every chunk before it is full.
+	open int
+	// guard is the guarded-page predicate of a secure
+	// (row-hammer-isolated) group, nil otherwise; pages it marks are
+	// never handed out (paper §4's guard rows). guarded counts them.
+	guard   func(page int) bool
+	guarded int
+}
+
+// usable returns how many pages of each of the group's chunks are
+// allocatable.
+func (g *group) usable() int { return geom.PagesPerChunk - g.guarded }
+
 // Allocator manages the physical chunks of one device.
 type Allocator struct {
 	table  *cmt.Table
 	chunks []chunkState
-	// freeList holds free chunk numbers LIFO; groups maps mapping index
-	// to the chunks currently bound to it.
+	// freeList holds free chunk numbers LIFO; groups is indexed by
+	// mapping index.
 	freeList []int
-	groups   map[int][]int
-	// guards maps a mapping index to its guarded-page predicate for
-	// secure (row-hammer-isolated) chunk groups; pages the predicate
-	// marks are never handed out (paper §4's guard rows).
-	guards map[int]func(page int) bool
+	groups   []group
 }
 
 // NewAllocator creates an allocator over nChunks chunks. The CMT may be
@@ -57,8 +70,7 @@ func NewAllocator(nChunks int, table *cmt.Table) *Allocator {
 	a := &Allocator{
 		table:  table,
 		chunks: make([]chunkState, nChunks),
-		groups: make(map[int][]int),
-		guards: make(map[int]func(page int) bool),
+		groups: make([]group, cmt.MaxMappings),
 	}
 	// LIFO from high to low so chunk 0 is handed out first.
 	for c := nChunks - 1; c >= 0; c-- {
@@ -75,7 +87,12 @@ func (a *Allocator) Chunks() int { return len(a.chunks) }
 func (a *Allocator) FreeChunks() int { return len(a.freeList) }
 
 // GroupSize returns how many chunks are bound to a mapping index.
-func (a *Allocator) GroupSize(mapIdx int) int { return len(a.groups[mapIdx]) }
+func (a *Allocator) GroupSize(mapIdx int) int {
+	if mapIdx < 0 || mapIdx >= len(a.groups) {
+		return 0
+	}
+	return len(a.groups[mapIdx].chunks)
+}
 
 // SetGuard marks a mapping's chunk group as secure: pages for which the
 // predicate returns true (the guard-row pages computed by the rowguard
@@ -85,40 +102,23 @@ func (a *Allocator) SetGuard(mapIdx int, guard func(page int) bool) error {
 	if mapIdx < 0 || mapIdx >= cmt.MaxMappings {
 		return fmt.Errorf("chunk: mapping index %d out of range", mapIdx)
 	}
-	if len(a.groups[mapIdx]) > 0 {
+	g := &a.groups[mapIdx]
+	if len(g.chunks) > 0 {
 		return fmt.Errorf("chunk: group %d already holds chunks; guards must precede allocation", mapIdx)
 	}
-	if guard == nil {
-		delete(a.guards, mapIdx)
-		return nil
-	}
-	free := 0
-	for p := 0; p < geom.PagesPerChunk; p++ {
-		if !guard(p) {
-			free++
+	guarded := 0
+	if guard != nil {
+		for p := 0; p < geom.PagesPerChunk; p++ {
+			if guard(p) {
+				guarded++
+			}
+		}
+		if guarded == geom.PagesPerChunk {
+			return fmt.Errorf("chunk: guard predicate leaves no allocatable pages")
 		}
 	}
-	if free == 0 {
-		return fmt.Errorf("chunk: guard predicate leaves no allocatable pages")
-	}
-	a.guards[mapIdx] = guard
+	g.guard, g.guarded = guard, guarded
 	return nil
-}
-
-// usablePages returns how many pages of a chunk in the given group are
-// allocatable (all of them for non-secure groups).
-func (a *Allocator) usablePages(mapIdx int) int {
-	guard, ok := a.guards[mapIdx]
-	if !ok {
-		return geom.PagesPerChunk
-	}
-	n := 0
-	for p := 0; p < geom.PagesPerChunk; p++ {
-		if !guard(p) {
-			n++
-		}
-	}
-	return n
 }
 
 // AllocFrame hands out one page frame whose chunk is bound to mapIdx,
@@ -127,19 +127,20 @@ func (a *Allocator) AllocFrame(mapIdx int) (Frame, error) {
 	if mapIdx < 0 || mapIdx >= cmt.MaxMappings {
 		return 0, fmt.Errorf("chunk: mapping index %d out of range", mapIdx)
 	}
-	// First fit within the existing group.
-	usable := a.usablePages(mapIdx)
-	for _, c := range a.groups[mapIdx] {
-		if a.chunks[c].usedPages < usable {
-			return a.takePage(c, a.guards[mapIdx])
+	// First fit within the existing group, starting past the chunks
+	// known to be full.
+	g := &a.groups[mapIdx]
+	for ; g.open < len(g.chunks); g.open++ {
+		if c := g.chunks[g.open]; a.chunks[c].usedPages < g.usable() {
+			return a.takePage(c, g.guard)
 		}
 	}
-	// Grow the group.
+	// Grow the group: the new chunk lands at position g.open.
 	c, err := a.acquireChunk(mapIdx)
 	if err != nil {
 		return 0, err
 	}
-	return a.takePage(c, a.guards[mapIdx])
+	return a.takePage(c, g.guard)
 }
 
 // acquireChunk moves a chunk from the global free list into a group and
@@ -160,7 +161,7 @@ func (a *Allocator) acquireChunk(mapIdx int) (int, error) {
 		}
 	}
 	a.chunks[c].group = mapIdx
-	a.groups[mapIdx] = append(a.groups[mapIdx], c)
+	a.groups[mapIdx].chunks = append(a.groups[mapIdx].chunks, c)
 	return c, nil
 }
 
@@ -201,6 +202,14 @@ func (a *Allocator) FreeFrame(f Frame) error {
 	if st.bitmap[w]>>b&1 == 0 {
 		return fmt.Errorf("chunk: double free of frame %d", f)
 	}
+	g := &a.groups[st.group]
+	if st.usedPages >= g.usable() {
+		// A full chunk may sit before the group's open position; the
+		// free makes it the first fit again if it does.
+		if i := slices.Index(g.chunks, c); i < g.open {
+			g.open = i
+		}
+	}
 	st.bitmap[w] &^= 1 << uint(b)
 	st.usedPages--
 	if st.usedPages == 0 {
@@ -210,13 +219,11 @@ func (a *Allocator) FreeFrame(f Frame) error {
 }
 
 func (a *Allocator) releaseChunk(c int) {
-	g := a.chunks[c].group
-	list := a.groups[g]
-	for i, cc := range list {
-		if cc == c {
-			a.groups[g] = append(list[:i], list[i+1:]...)
-			break
-		}
+	g := &a.groups[a.chunks[c].group]
+	// An empty chunk is not full, so it sits at or after g.open, and
+	// removing it leaves the full chunks before g.open in place.
+	if i := slices.Index(g.chunks, c); i >= 0 {
+		g.chunks = slices.Delete(g.chunks, i, i+1)
 	}
 	a.chunks[c].group = -1
 	if a.table != nil {
@@ -273,22 +280,24 @@ func (a *Allocator) Fragmentation() Fragmentation {
 // disjoint group membership, free-list/group partition of all chunks,
 // and CMT agreement.
 func (a *Allocator) CheckInvariants() error {
-	// Group IDs in sorted order: the first violation reported must not
-	// depend on map iteration order.
-	gids := make([]int, 0, len(a.groups))
-	for g := range a.groups {
-		gids = append(gids, g)
+	// owner[c] records where chunk c was met: 0 not yet, g+1 in group g,
+	// -1 on the free list. Groups are walked in mapping-index order, so
+	// the first violation reported is the same run to run.
+	owner := make([]int, len(a.chunks))
+	where := func(o int) string {
+		if o < 0 {
+			return "free list"
+		}
+		return fmt.Sprintf("group %d", o-1)
 	}
-	sort.Ints(gids)
-	seen := make(map[int]string, len(a.chunks))
-	for _, g := range gids {
-		list := a.groups[g]
-		for _, c := range list {
-			where := fmt.Sprintf("group %d", g)
-			if prev, dup := seen[c]; dup {
-				return fmt.Errorf("chunk: chunk %d in both %s and %s", c, prev, where)
+	met := 0
+	for g := range a.groups {
+		for _, c := range a.groups[g].chunks {
+			if owner[c] != 0 {
+				return fmt.Errorf("chunk: chunk %d in both %s and %s", c, where(owner[c]), where(g+1))
 			}
-			seen[c] = where
+			owner[c] = g + 1
+			met++
 			if a.chunks[c].group != g {
 				return fmt.Errorf("chunk: chunk %d state says group %d, membership says %d", c, a.chunks[c].group, g)
 			}
@@ -304,16 +313,17 @@ func (a *Allocator) CheckInvariants() error {
 		}
 	}
 	for _, c := range a.freeList {
-		if prev, dup := seen[c]; dup {
-			return fmt.Errorf("chunk: chunk %d on free list and in %s", c, prev)
+		if owner[c] != 0 {
+			return fmt.Errorf("chunk: chunk %d on free list and in %s", c, where(owner[c]))
 		}
-		seen[c] = "free list"
+		owner[c] = -1
+		met++
 		if a.chunks[c].group != -1 {
 			return fmt.Errorf("chunk: free chunk %d has group %d", c, a.chunks[c].group)
 		}
 	}
-	if len(seen) != len(a.chunks) {
-		return fmt.Errorf("chunk: %d of %d chunks unaccounted for", len(a.chunks)-len(seen), len(a.chunks))
+	if met != len(a.chunks) {
+		return fmt.Errorf("chunk: %d of %d chunks unaccounted for", len(a.chunks)-met, len(a.chunks))
 	}
 	return nil
 }

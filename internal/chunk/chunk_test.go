@@ -372,3 +372,93 @@ func TestTakePageMatchesPerPageScan(t *testing.T) {
 		}
 	}
 }
+
+// firstFitRef is the scan AllocFrame must agree with: the group's chunks
+// in acquisition order, each with its allocatable pages counted afresh
+// from the guard, then the chunk the free list hands out next; within
+// the chosen chunk, takePageRef's page. ok is false when memory is out.
+func firstFitRef(a *Allocator, mapIdx int, guard func(page int) bool) (f Frame, ok bool) {
+	usable := 0
+	for p := 0; p < geom.PagesPerChunk; p++ {
+		if guard == nil || !guard(p) {
+			usable++
+		}
+	}
+	pick := -1
+	for _, c := range a.groups[mapIdx].chunks {
+		if a.chunks[c].usedPages < usable {
+			pick = c
+			break
+		}
+	}
+	if pick < 0 {
+		if len(a.freeList) == 0 {
+			return 0, false
+		}
+		pick = a.freeList[len(a.freeList)-1]
+	}
+	bitmap := a.chunks[pick].bitmap
+	page, _ := takePageRef(&bitmap, guard)
+	return Frame(uint64(pick)*geom.PagesPerChunk + uint64(page)), true
+}
+
+// TestAllocFrameMatchesFirstFitScan runs random alloc, free and remap
+// (alloc in the new group, then free the old frame, as vm.Remap does)
+// sequences over plain and guarded groups: every AllocFrame must hand
+// out the frame a first-fit scan over the whole group picks, so the
+// open index never changes which frame a fault gets.
+func TestAllocFrameMatchesFirstFitScan(t *testing.T) {
+	guards := map[int]func(int) bool{
+		3: func(p int) bool { return p < 32 || p >= geom.PagesPerChunk-32 },
+		4: func(p int) bool { return p%3 == 0 },
+	}
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 20; trial++ {
+		a := NewAllocator(8, newTableWithMappings(t, 4))
+		for g := 3; g <= 4; g++ {
+			if err := a.SetGuard(g, guards[g]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var live []Frame
+		alloc := func(g int) {
+			want, ok := firstFitRef(a, g, guards[g])
+			got, err := a.AllocFrame(g)
+			if !ok {
+				if err == nil {
+					t.Fatalf("trial %d: AllocFrame(%d) = %d where the scan finds memory out", trial, g, got)
+				}
+				return
+			}
+			if err != nil || got != want {
+				t.Fatalf("trial %d: AllocFrame(%d) = %d, %v; first-fit scan takes %d", trial, g, got, err, want)
+			}
+			live = append(live, got)
+		}
+		free := func(i int) {
+			f := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if err := a.FreeFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Allocations outnumber frees, so groups grow past one full
+		// chunk and frees reopen chunks before the open position.
+		for op := 0; op < 4000; op++ {
+			switch k := r.Intn(10); {
+			case k < 7 || len(live) == 0:
+				alloc(1 + r.Intn(4))
+			case k < 9:
+				free(r.Intn(len(live)))
+			default:
+				i := r.Intn(len(live))
+				alloc(1 + r.Intn(4))
+				free(i)
+			}
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -53,3 +53,39 @@ func BenchmarkHotPathTranslate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHotPathAddressSpaceCell measures the vm cost of one sweep
+// cell outside the reference stream: boot a kernel over the default
+// geometry, mmap a proxy-like layout (eight major variables of 2–16 MB
+// and eight 4 MB heaps of minor variables), fault every page in, and
+// run both integrity checks the cell runs when it ends. ns/op and B/op
+// are per cell, the kernel's boot-time chunk and CMT state included.
+func BenchmarkHotPathAddressSpaceCell(b *testing.B) {
+	var lengths []uint64
+	for i := 1; i <= 8; i++ {
+		lengths = append(lengths, uint64(i)<<21)
+	}
+	for i := 0; i < 8; i++ {
+		lengths = append(lengths, 4<<20)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel(geom.Default().Chunks())
+		as := k.NewAddressSpace()
+		for _, n := range lengths {
+			va, err := as.Mmap(n, 0, "cell")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := as.Populate(va); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := as.CheckInvariants(); err != nil {
+			b.Fatal(err)
+		}
+		if err := k.Phys.CheckInvariants(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -121,23 +121,42 @@ type VMA struct {
 // Len returns the VMA length in bytes.
 func (v VMA) Len() uint64 { return uint64(v.End - v.Start) }
 
+// Page-table geometry: a leaf maps one chunk-sized (2 MB) stretch of VA,
+// leafPages pages.
+const (
+	leafShift = geom.ChunkShift - geom.PageShift
+	leafPages = 1 << leafShift
+	leafMask  = leafPages - 1
+)
+
+// leaf is one second-level page-table node: frame+1 per page, 0 when the
+// page is not populated.
+type leaf [leafPages]uint64
+
+// userTop is the top of the user address space, x86-64 Linux's 2^47
+// bytes: no VMA ends above it.
+const userTop VA = 1 << 47
+
 // AddressSpace is one process's virtual memory.
 //
-// The page table is a dense VPN-indexed slice rather than a map: frames[i]
-// holds frame+1 for VPN ptBase+i (0 = not populated). Mmap grows the table
-// to cover every VMA up front, so the translation hot path is a single
-// bounds-checked load with no hashing and no allocation. The unsigned
-// subtraction in the fast path routes VPNs below ptBase out of range
-// (they wrap to huge indexes) and into the slow path.
+// The page table has two levels, like a radix table with only its last
+// two levels kept: a directory of leaves indexed by VPN >> leafShift,
+// each leaf covering 2 MB of VA. Mmap only records the VMA; the fault
+// handler allocates a leaf on the first fault inside its 2 MB and grows
+// the directory to reach it, so the table costs what a process touches,
+// not what it reserves. A hit is a directory load and a leaf load, with
+// no hashing and no allocation; the unsigned subtraction routes leaf
+// numbers below dirBase out of range (they wrap to huge indexes) and
+// into the slow path.
 type AddressSpace struct {
-	kernel *Kernel
-	pid    int
-	cursor VA
-	vmas   []VMA    // sorted by Start
-	ptBase uint64   // VPN of frames[0]
-	frames []uint64 // frame+1 per VPN; 0 means unmapped
-	mapped int      // populated entries in frames
-	faults uint64
+	kernel  *Kernel
+	pid     int
+	cursor  VA
+	vmas    []VMA   // sorted by Start
+	dirBase uint64  // leaf number (VPN >> leafShift) of dir[0]
+	dir     []*leaf // nil until a fault lands in the leaf's 2 MB
+	mapped  int     // populated page-table entries
+	faults  uint64
 }
 
 // PID returns the process ID.
@@ -146,9 +165,8 @@ func (as *AddressSpace) PID() int { return as.pid }
 // Mmap reserves length bytes of virtual space bound to mapID, rounding
 // up to whole pages. Pages are populated on first touch (demand paging),
 // exactly as the modified mmap() in the paper. The label names the
-// allocation site for the profiler. A length whose page round-up, or
-// whose area plus guard page, would run past the top of the address
-// space is an error.
+// allocation site for the profiler. An area that would end above the
+// 2^47-byte user address-space top is an error.
 func (as *AddressSpace) Mmap(length uint64, mapID int, label string) (VA, error) {
 	if length == 0 {
 		return 0, fmt.Errorf("vm: zero-length mmap")
@@ -157,49 +175,75 @@ func (as *AddressSpace) Mmap(length uint64, mapID int, label string) (VA, error)
 		return 0, fmt.Errorf("vm: mapping ID %d out of range", mapID)
 	}
 	start := as.cursor
-	// Rounding adds under a page and the guard page one more, so two
-	// pages of headroom keep the new cursor from wrapping.
-	if room := math.MaxUint64 - uint64(start); length > room || room-length < 2*geom.PageBytes {
-		return 0, fmt.Errorf("vm: mmap of %d bytes overflows the address space", length)
+	// start and userTop are page-aligned, so a length that fits below
+	// userTop still fits once rounded up to whole pages, and neither the
+	// round-up nor the guard page can wrap.
+	if start >= userTop || length > uint64(userTop-start) {
+		return 0, fmt.Errorf("vm: mmap of %d bytes at %#x would end above the user address-space top %#x", length, uint64(start), uint64(userTop))
 	}
-	pages := (length + geom.PageBytes - 1) / geom.PageBytes
-	end := start + VA(pages*geom.PageBytes)
+	end := start + VA((length+geom.PageBytes-1)&^(geom.PageBytes-1))
 	as.cursor = end + geom.PageBytes // guard page between areas
 	as.vmas = append(as.vmas, VMA{Start: start, End: end, MapID: mapID, Label: label})
-	as.growTable(start.VPN(), end.VPN())
 	return start, nil
 }
 
-// growTable extends the dense frame table to cover VPNs [lo, hi). Guard
-// pages between VMAs leave permanently-zero entries, a small space cost
-// for keeping every lookup a single index.
-func (as *AddressSpace) growTable(lo, hi uint64) {
-	if len(as.frames) == 0 {
-		as.ptBase = lo
-		as.frames = make([]uint64, hi-lo)
-		return
+// entry returns vpn's page-table entry: frame+1, or 0 when the page is
+// not populated. It is small enough to inline into the translate paths.
+func (as *AddressSpace) entry(vpn uint64) uint64 {
+	if d := vpn>>leafShift - as.dirBase; d < uint64(len(as.dir)) {
+		if l := as.dir[d]; l != nil {
+			return l[vpn&leafMask]
+		}
 	}
-	if lo < as.ptBase {
-		// The mmap cursor is monotonic so this does not happen today,
-		// but keep the table correct if VMA placement ever changes.
-		grown := make([]uint64, uint64(len(as.frames))+(as.ptBase-lo))
-		copy(grown[as.ptBase-lo:], as.frames)
-		as.frames = grown
-		as.ptBase = lo
-	}
-	if n := hi - as.ptBase; n > uint64(len(as.frames)) {
-		// Nothing writes past len(frames) and the table never shrinks,
-		// so the entries the reslice exposes are still zero (unmapped).
-		as.frames = slices.Grow(as.frames, int(n)-len(as.frames))[:n]
-	}
+	return 0
 }
 
-// frameFor returns the frame backing vpn, if populated.
-func (as *AddressSpace) frameFor(vpn uint64) (chunk.Frame, bool) {
-	if idx := vpn - as.ptBase; idx < uint64(len(as.frames)) && as.frames[idx] != 0 {
-		return chunk.Frame(as.frames[idx] - 1), true
+// slot returns vpn's page-table entry for writing, growing the directory
+// to reach its leaf and allocating the leaf if it has none yet.
+func (as *AddressSpace) slot(vpn uint64) *uint64 {
+	n := vpn >> leafShift
+	if len(as.dir) == 0 {
+		as.dirBase = n
 	}
-	return 0, false
+	if n < as.dirBase {
+		grown := make([]*leaf, uint64(len(as.dir))+as.dirBase-n)
+		copy(grown[as.dirBase-n:], as.dir)
+		as.dir, as.dirBase = grown, n
+	}
+	d := n - as.dirBase
+	if d >= uint64(len(as.dir)) {
+		// Nothing writes past len(dir) and the directory never shrinks,
+		// so the entries the reslice exposes are still nil.
+		as.dir = slices.Grow(as.dir, int(d)+1-len(as.dir))[:d+1]
+	}
+	if as.dir[d] == nil {
+		as.dir[d] = new(leaf)
+	}
+	return &as.dir[d][vpn&leafMask]
+}
+
+// walk calls fn on every populated entry with a VPN in [lo, hi), in VPN
+// order, skipping the leaves no fault reached. It stops at fn's first
+// error and returns it.
+func (as *AddressSpace) walk(lo, hi uint64, fn func(vpn uint64, e *uint64) error) error {
+	for d := max(lo>>leafShift, as.dirBase) - as.dirBase; d < uint64(len(as.dir)); d++ {
+		l := as.dir[d]
+		if l == nil {
+			continue
+		}
+		base := (as.dirBase + d) << leafShift
+		if base >= hi {
+			break
+		}
+		for i := range l {
+			if vpn := base | uint64(i); l[i] != 0 && lo <= vpn && vpn < hi {
+				if err := fn(vpn, &l[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // FindVMA returns the VMA containing va, or nil.
@@ -212,16 +256,14 @@ func (as *AddressSpace) FindVMA(va VA) *VMA {
 }
 
 // Translate resolves a VA to a physical byte address, faulting the page
-// in on first access. The hit path is a single dense-table load, small
-// enough to inline into callers; misses fall through to translateSlow,
-// the page-fault-handler path of §6.1.
+// in on first access. The hit path is a directory load and a leaf load;
+// misses fall through to translateSlow, the page-fault-handler path of
+// §6.1.
 //
 //sdam:noalloc
 func (as *AddressSpace) Translate(va VA) (uint64, error) {
-	if idx := va.VPN() - as.ptBase; idx < uint64(len(as.frames)) {
-		if e := as.frames[idx]; e != 0 {
-			return (e-1)<<geom.PageShift | va.PageOffset(), nil
-		}
+	if e := as.entry(va.VPN()); e != 0 {
+		return (e-1)<<geom.PageShift | va.PageOffset(), nil
 	}
 	return as.translateSlow(va)
 }
@@ -237,7 +279,7 @@ func (as *AddressSpace) translateSlow(va VA) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("vm: page fault at %#x: %w", uint64(va), err)
 	}
-	as.frames[va.VPN()-as.ptBase] = uint64(f) + 1
+	*as.slot(va.VPN()) = uint64(f) + 1
 	as.mapped++
 	as.faults++
 	return f.PA() | va.PageOffset(), nil
@@ -249,10 +291,8 @@ func (as *AddressSpace) translateSlow(va VA) (uint64, error) {
 //
 //sdam:noalloc
 func (as *AddressSpace) TranslateLine(va VA) (geom.LineAddr, error) {
-	if idx := va.VPN() - as.ptBase; idx < uint64(len(as.frames)) {
-		if e := as.frames[idx]; e != 0 {
-			return geom.LineAddr(((e-1)<<geom.PageShift | va.PageOffset()) >> geom.LineShift), nil
-		}
+	if e := as.entry(va.VPN()); e != 0 {
+		return geom.LineAddr(((e-1)<<geom.PageShift | va.PageOffset()) >> geom.LineShift), nil
 	}
 	pa, err := as.translateSlow(va)
 	if err != nil {
@@ -270,10 +310,8 @@ func (as *AddressSpace) TranslateLine(va VA) (geom.LineAddr, error) {
 //
 //sdam:noalloc
 func (as *AddressSpace) TranslateLinePeek(va VA) (geom.LineAddr, bool) {
-	if idx := va.VPN() - as.ptBase; idx < uint64(len(as.frames)) {
-		if e := as.frames[idx]; e != 0 {
-			return geom.LineAddr(((e-1)<<geom.PageShift | va.PageOffset()) >> geom.LineShift), true
-		}
+	if e := as.entry(va.VPN()); e != 0 {
+		return geom.LineAddr(((e-1)<<geom.PageShift | va.PageOffset()) >> geom.LineShift), true
 	}
 	return 0, false
 }
@@ -302,20 +340,20 @@ func (as *AddressSpace) Remap(start VA, newMapID int) (int, error) {
 		return 0, nil
 	}
 	migrated := 0
-	for vpn := v.Start.VPN(); vpn < v.End.VPN(); vpn++ {
-		old, ok := as.frameFor(vpn)
-		if !ok {
-			continue
-		}
+	err := as.walk(v.Start.VPN(), v.End.VPN(), func(vpn uint64, e *uint64) error {
 		fresh, err := as.kernel.Phys.AllocFrame(newMapID)
 		if err != nil {
-			return migrated, fmt.Errorf("vm: remapping page %#x: %w", vpn, err)
+			return fmt.Errorf("vm: remapping page %#x: %w", vpn, err)
 		}
-		if err := as.kernel.Phys.FreeFrame(old); err != nil {
-			return migrated, err
+		if err := as.kernel.Phys.FreeFrame(chunk.Frame(*e - 1)); err != nil {
+			return err
 		}
-		as.frames[vpn-as.ptBase] = uint64(fresh) + 1
+		*e = uint64(fresh) + 1
 		migrated++
+		return nil
+	})
+	if err != nil {
+		return migrated, err
 	}
 	v.MapID = newMapID
 	return migrated, nil
@@ -348,33 +386,57 @@ func (as *AddressSpace) Faults() uint64 { return as.faults }
 
 // CheckInvariants verifies per-space consistency: every populated page
 // lies in a VMA, its frame's chunk carries the VMA's mapping, and no
-// frame backs two pages (DESIGN.md invariants 4-5).
+// frame backs two pages (DESIGN.md invariants 4-5). It walks only the
+// leaves a fault reached, merging their pages against the sorted VMAs,
+// and marks frames in a bitmap, so it costs what the process touched.
 func (as *AddressSpace) CheckInvariants() error {
-	// The dense table is naturally in VPN order, so the first invariant
-	// violation reported is always the same one, run to run.
-	seen := make(map[chunk.Frame]uint64, as.mapped)
-	for idx, e := range as.frames {
-		if e == 0 {
-			continue
+	// The walk is in VPN order, so the first invariant violation reported
+	// is always the same one, run to run.
+	nFrames := uint64(as.kernel.Phys.Chunks()) * geom.PagesPerChunk
+	var seen []uint64 // frame bitmap, grown to the highest frame met
+	j := 0            // as.vmas[j] is the first VMA ending above vpn
+	return as.walk(0, math.MaxUint64, func(vpn uint64, e *uint64) error {
+		for j < len(as.vmas) && as.vmas[j].End.VPN() <= vpn {
+			j++
 		}
-		vpn := as.ptBase + uint64(idx)
-		f := chunk.Frame(e - 1)
-		va := VA(vpn << geom.PageShift)
-		v := as.FindVMA(va)
-		if v == nil {
+		if j == len(as.vmas) || vpn < as.vmas[j].Start.VPN() {
 			return fmt.Errorf("vm: page %#x populated outside any VMA", vpn)
 		}
-		if prev, dup := seen[f]; dup {
-			return fmt.Errorf("vm: frame %d backs pages %#x and %#x", f, prev, vpn)
+		f := chunk.Frame(*e - 1)
+		// A frame outside physical memory fails MappingOf below on its
+		// first page, so only in-range frames need a bit.
+		if uint64(f) < nFrames {
+			w := int(f / 64)
+			if w >= len(seen) {
+				// As in slot: nothing writes past len(seen), so the
+				// exposed words are still zero.
+				seen = slices.Grow(seen, w+1-len(seen))[:w+1]
+			}
+			if seen[w]>>(f%64)&1 != 0 {
+				return as.duplicateFrame(f, vpn)
+			}
+			seen[w] |= 1 << (f % 64)
 		}
-		seen[f] = vpn
 		m, err := as.kernel.Phys.MappingOf(f)
 		if err != nil {
 			return err
 		}
-		if m != v.MapID {
-			return fmt.Errorf("vm: page %#x frame mapping %d != VMA mapping %d", vpn, m, v.MapID)
+		if m != as.vmas[j].MapID {
+			return fmt.Errorf("vm: page %#x frame mapping %d != VMA mapping %d", vpn, m, as.vmas[j].MapID)
 		}
-	}
-	return nil
+		return nil
+	})
+}
+
+// duplicateFrame reports frame f backing both vpn and the lowest page
+// below it with that frame. Only CheckInvariants' error path needs the
+// first page, so it walks the table again rather than the check
+// recording a page per frame.
+func (as *AddressSpace) duplicateFrame(f chunk.Frame, vpn uint64) error {
+	return as.walk(0, vpn, func(first uint64, e *uint64) error {
+		if *e == uint64(f)+1 {
+			return fmt.Errorf("vm: frame %d backs pages %#x and %#x", f, first, vpn)
+		}
+		return nil
+	})
 }

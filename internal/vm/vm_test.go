@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -326,5 +327,120 @@ func TestRemapValidation(t *testing.T) {
 	}
 	if as.FindVMA(va).MapID != id {
 		t.Fatal("VMA mapping unchanged")
+	}
+}
+
+// TestMmapCapsAtUserTop pins the 2^47-byte user address-space top: an
+// area may end exactly there, and none may end above it.
+func TestMmapCapsAtUserTop(t *testing.T) {
+	k := NewKernel(8)
+	as := k.NewAddressSpace()
+	start := as.cursor
+	if _, err := as.Mmap(uint64(userTop-start)+1, 0, "over"); err == nil {
+		t.Fatal("area ending a byte above the top accepted")
+	}
+	va, err := as.Mmap(uint64(userTop-start), 0, "to-top")
+	if err != nil || va != start {
+		t.Fatalf("area ending at the top = %#x, %v", uint64(va), err)
+	}
+	if _, err := as.Mmap(1, 0, "past"); err == nil {
+		t.Fatal("area above the top accepted")
+	}
+}
+
+// corruptSpace builds a space whose page table tests then corrupt: area
+// a (3 MB, mapping 0, spanning two leaves) and area b (2 pages, mapping
+// id), both populated.
+func corruptSpace(t *testing.T) (k *Kernel, as *AddressSpace, a, b VMA, id int) {
+	t.Helper()
+	k, id = newKernelWithMap(t, 16)
+	as = k.NewAddressSpace()
+	for _, m := range []struct {
+		length uint64
+		id     int
+	}{{3 << 20, 0}, {2 * geom.PageBytes, id}} {
+		va, err := as.Mmap(m.length, m.id, "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Populate(va); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return k, as, as.vmas[0], as.vmas[1], id
+}
+
+// TestCheckInvariantsReportsCorruption corrupts one page-table entry at
+// a time and requires CheckInvariants' exact error for each broken
+// invariant.
+func TestCheckInvariantsReportsCorruption(t *testing.T) {
+	frameOf := func(t *testing.T, as *AddressSpace, va VA) chunk.Frame {
+		t.Helper()
+		pa, err := as.Translate(va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chunk.Frame(pa >> geom.PageShift)
+	}
+	freshFrame := func(t *testing.T, k *Kernel, mapID int) chunk.Frame {
+		t.Helper()
+		f, err := k.Phys.AllocFrame(mapID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string
+	}{
+		{"below every VMA", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			vpn := a.Start.VPN() - 2*leafPages - 1 // a leaf's last page, below the directory
+			as.setEntry(vpn, freshFrame(t, k, 0))
+			return fmt.Sprintf("vm: page %#x populated outside any VMA", vpn)
+		}},
+		{"in the guard gap", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			vpn := a.End.VPN()
+			as.setEntry(vpn, freshFrame(t, k, 0))
+			return fmt.Sprintf("vm: page %#x populated outside any VMA", vpn)
+		}},
+		{"above every VMA", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			vpn := (b.End.VPN()>>leafShift+5)<<leafShift | leafMask // a leaf's last page
+			as.setEntry(vpn, freshFrame(t, k, id))
+			return fmt.Sprintf("vm: page %#x populated outside any VMA", vpn)
+		}},
+		{"one frame, two pages", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			// Page 600 of a lies in a's second leaf; its frame now backs
+			// page 3 too, so the check meets it first at page 3.
+			f := frameOf(t, as, a.Start+600*geom.PageBytes)
+			as.setEntry(a.Start.VPN()+3, f)
+			return fmt.Sprintf("vm: frame %d backs pages %#x and %#x", f, a.Start.VPN()+3, a.Start.VPN()+600)
+		}},
+		{"frame mapping differs from the VMA's", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			as.setEntry(b.Start.VPN()+1, freshFrame(t, k, 0))
+			return fmt.Sprintf("vm: page %#x frame mapping 0 != VMA mapping %d", b.Start.VPN()+1, id)
+		}},
+		{"frame in a free chunk", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			f := chunk.Frame((k.Phys.Chunks() - 1) * geom.PagesPerChunk)
+			as.setEntry(a.Start.VPN(), f)
+			return fmt.Sprintf("chunk: frame %d in free chunk", f)
+		}},
+		{"frame outside physical memory", func(t *testing.T, k *Kernel, as *AddressSpace, a, b VMA, id int) string {
+			f := chunk.Frame(k.Phys.Chunks() * geom.PagesPerChunk)
+			as.setEntry(a.Start.VPN(), f)
+			as.setEntry(a.Start.VPN()+1, f)
+			return fmt.Sprintf("chunk: frame %d outside physical memory", f)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, as, a, b, id := corruptSpace(t)
+			want := tc.corrupt(t, k, as, a, b, id)
+			if err := as.CheckInvariants(); err == nil || err.Error() != want {
+				t.Fatalf("CheckInvariants = %v, want %q", err, want)
+			}
+		})
 	}
 }
