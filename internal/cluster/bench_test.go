@@ -8,7 +8,7 @@ import (
 
 // BenchmarkSelectDL times the whole DL-assisted selection pipeline —
 // window slicing, joint autoencoder training through internal/f64's
-// lane-fused kernels, embedding, clustering, and mapping choice — at
+// row kernels, embedding, clustering, and mapping choice — at
 // the training budget an sdambench sweep's DL cell runs under
 // (Steps 75; window count and batch at the SelectDL defaults). This is
 // the benchmark harness's cluster.select_dl_ms metric (bench/README.md)

@@ -191,19 +191,26 @@ type Engine struct {
 	ctrl *memctrl.Controller
 	as   *vm.AddressSpace
 	l1   []*cache.Cache // private, one per core
+	// l1Err is cache.New's verdict on the config's L1 geometry, kept
+	// for RunProcs to report.
+	l1Err error
 	// Collector, when set, receives every external access — the
 	// profiling hook of §6.2.
 	Collector *trace.Collector
 }
 
 // New creates an engine. The caches are instantiated from the config;
-// an invalid config is reported by the first run, not here.
+// an invalid config — no cores, no MSHRs, or an L1 geometry cache.New
+// rejects — is reported by the first run, not here.
 func New(cfg Config, ctrl *memctrl.Controller, as *vm.AddressSpace) *Engine {
 	e := &Engine{cfg: cfg, ctrl: ctrl, as: as}
 	if cfg.L1Bytes > 0 && cfg.Cores > 0 {
 		e.l1 = make([]*cache.Cache, cfg.Cores)
 		for i := range e.l1 {
-			e.l1[i] = cache.MustNew(cfg.L1Bytes, cfg.L1Ways)
+			if e.l1[i], e.l1Err = cache.New(cfg.L1Bytes, cfg.L1Ways); e.l1Err != nil {
+				e.l1 = nil
+				break
+			}
 		}
 	}
 	return e
@@ -413,7 +420,7 @@ func (e *Engine) reserveDeltas(bound []boundStream) {
 // round-robin over the configured cores, each stream translating through
 // its owner's address space. Cores interleave in global time order so
 // the shared memory system sees a causally ordered request stream. A
-// config with no cores or no MSHRs is an error.
+// config with no cores, no MSHRs or an invalid L1 geometry is an error.
 func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 	var res Result
 	switch {
@@ -421,6 +428,8 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 		return res, fmt.Errorf("cpu: config %q: Cores = %d, want at least 1", e.cfg.Name, e.cfg.Cores)
 	case e.cfg.MSHRs < 1:
 		return res, fmt.Errorf("cpu: config %q: MSHRs = %d, want at least 1", e.cfg.Name, e.cfg.MSHRs)
+	case e.l1Err != nil:
+		return res, fmt.Errorf("cpu: config %q: L1Bytes %d / L1Ways %d: %w", e.cfg.Name, e.cfg.L1Bytes, e.cfg.L1Ways, e.l1Err)
 	}
 	var bound []boundStream
 	var spaces []*vm.AddressSpace // unique owner spaces, procs order

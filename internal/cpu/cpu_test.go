@@ -377,8 +377,9 @@ func TestWriteBackOffByDefault(t *testing.T) {
 }
 
 // TestRunRejectsInvalidConfig pins that a config without cores or
-// MSHRs is an error naming the field, not a panic inside the MSHR ring
-// or the core table.
+// MSHRs, or with an L1 geometry the cache cannot build, is an error
+// naming the field, not a panic inside the MSHR ring, the core table or
+// New.
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -389,6 +390,8 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		{"Cores", Config{Name: "no-cores", MSHRs: 8}},
 		{"Cores", Config{Name: "negative-cores", Cores: -3, MSHRs: 8}},
 		{"Cores", Config{Name: "negative-cores-l1", Cores: -1, MSHRs: 8, L1Bytes: 64 << 10, L1Ways: 8}},
+		{"L1Ways", Config{Name: "three-way-l1", Cores: 2, MSHRs: 8, L1Bytes: 64 << 10, L1Ways: 3}},
+		{"L1Bytes", Config{Name: "non-pow2-l1", Cores: 1, MSHRs: 8, L1Bytes: 48 << 10, L1Ways: 8}},
 	} {
 		ctrl, as, va := rig(t, nil)
 		_, err := New(tc.cfg, ctrl, as).Run([]Stream{strideRefs(va, 16, 1)})

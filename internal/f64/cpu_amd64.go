@@ -40,9 +40,10 @@ func detectAsm() bool {
 	return b7&avx2Bit != 0
 }
 
-// Accelerated reports whether the AVX2 kernel bodies are active. The
-// lockstep trainer uses it to pick between the bulk row kernels (which
-// win only when vectorized) and the lane-fused Go kernels.
+// Accelerated reports whether the AVX2 kernel bodies are active. It
+// only describes the host (the benchmark ledger's fingerprint records
+// it): every kernel dispatches internally, and no caller picks a path
+// by it.
 func Accelerated() bool { return useAsm }
 
 // useAVX512 additionally gates the 512-bit widenings of the bulk

@@ -9,7 +9,9 @@ package f64
 const useAsm = false
 const useAVX512 = false
 
-// Accelerated reports whether the AVX2 kernel bodies are active.
+// Accelerated reports whether the AVX2 kernel bodies are active:
+// never, off amd64. It only describes the host (the benchmark ledger's
+// fingerprint records it).
 func Accelerated() bool { return false }
 
 func axpyAVX(dst, x *float64, a float64, n int) { panic("f64: no asm") }

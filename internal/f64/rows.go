@@ -1,14 +1,14 @@
 package f64
 
-// Bulk timestep kernels: whole weight-matrix passes used by the
-// lockstep trainer whenever the AVX kernels are active. The forward
-// runs AxpyRows per lane; the backward runs DotRows4 over four lane
-// slots — a tile narrower than four pads the rest with an all-zero
-// gradient column — and defers its gradient updates into GradRowsT.
-// Each is bit-identical to issuing the per-row kernels (Axpy/GradDot)
-// row by row — the loops run over the same elements in the same order;
-// only call overhead and, on amd64, vectorization across independent
-// chains change.
+// Bulk timestep kernels: whole weight-matrix passes, the lockstep
+// trainer's only LSTM forward/backward kernels. The forward runs
+// AxpyRows per lane; the backward runs DotRows4 over four lane slots —
+// a slot with no lane, or whose lane is past its own length, reads an
+// all-zero gradient column — and defers its gradient updates into
+// GradRowsT. Each is bit-identical to the per-row scalar loops it
+// replaced (rows_test.go keeps them as references) — the loops run over
+// the same elements in the same order; only call overhead and, on
+// amd64, vectorization across independent chains change.
 
 // AxpyRows applies a whole timestep's forward weight rows for one
 // lane: for each row i with xs[i] != 0 (the load-bearing row skip),
@@ -47,8 +47,8 @@ func AxpyRows(w, dst, xs []float64) {
 //	}
 //
 // with the slot order s chosen by the caller to match the order the
-// per-timestep updates (GradDot's grad[j] += xi*g[j], g[j] != 0) would
-// have run. Bit-identical to that sequence: every element receives the
+// per-timestep updates (grad[j] += xi*g[j] for g[j] != 0) would have
+// run. Bit-identical to that sequence: every element receives the
 // same adds in the same order, and holding the running sum in a
 // register instead of storing it back each timestep cannot change
 // rounding because each intermediate store is exact. What it does change is memory traffic — grad is
@@ -107,8 +107,8 @@ func Interleave4(dst, g0, g1, g2, g3 []float64) {
 
 // DotRows4 computes, for each weight row i and lane k, the serial dot
 // product ok[i] = Σ_j w[i*width+j]*gk[j] over j with gk[j] != 0, in
-// ascending j order — exactly the scalar GradDot association, one
-// serial chain per (row, lane). g4 is the lane-interleaved gradient
+// ascending j order — exactly the scalar backward loop's association,
+// one serial chain per (row, lane). g4 is the lane-interleaved gradient
 // (see Interleave4); rows = len(o0).
 //
 //sdam:noalloc

@@ -24,7 +24,7 @@ func benchSeqs(n, T, numVIDs int) []Sequence {
 
 // BenchmarkTrainJoint measures the DL selector's training loop at the
 // SelectDL defaults (Steps 300, Batch 4, K 32) — the dominant cost of
-// the SDM+BSM+DL sweep cell that internal/f64's lane-fused kernels
+// the SDM+BSM+DL sweep cell that internal/f64's row kernels
 // target. One sub-benchmark per lockstep tile width: lanes=4 is the
 // single four-lane tile a one-worker host builds, lanes=2 the two tiles
 // of a two-worker host, lanes=1 the four one-lane tiles of a host with

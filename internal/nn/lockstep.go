@@ -1,24 +1,25 @@
 package nn
 
-// Lockstep lane-fused training (DESIGN.md §14), the package's only LSTM
-// forward/backward implementation. A lane tile advances up to laneWidth
-// batch slots through the network together, timestep by timestep:
-// every Wx/Wh weight row is loaded once per timestep and feeds all
-// lanes' independent fused-multiply-add chains (f64.Axpy4 /
-// f64.GradDot4). That multiplies the arithmetic intensity of the
-// memory-bound GEMV loops by the lane count and converts batch
-// parallelism into instruction-level parallelism. A batch of one is a
-// one-lane tile.
+// Lockstep training (DESIGN.md §14, §25), the package's only LSTM
+// forward/backward implementation. A lane tile carries up to laneWidth
+// batch slots through the network together. The forward pass runs each
+// lane through one f64.AxpyRows call per weight matrix and timestep.
+// The backward pass advances the lanes timestep by timestep: every
+// Wx/Wh weight row is loaded once per timestep and feeds all four
+// lanes' independent dot-product chains (f64.DotRows4), and the
+// weight-gradient updates are deferred into one f64.GradRowsT pass per
+// Grad matrix. A batch of one is a one-lane tile.
 //
-// Exactness: fusion only interleaves *independent* per-lane operation
+// Exactness: lanes only interleave *independent* per-lane operation
 // chains. Each lane keeps its own pre-activation, gate, gradient, and
 // accumulator buffers, and within a lane every element still receives
 // its contributions in exactly the scalar order (ascending i, with the
 // load-bearing xi == 0 / g == 0 skips applied per lane). Each output
 // element has one serial owner, so every lane is bit-identical to the
 // scalar referee in ref_test.go at any lane count, batch size, or -jobs
-// setting. Ragged sequence lengths are handled by per-lane activity
-// masks: a lane simply stops participating past its own T.
+// setting. Ragged sequence lengths need no second path: a lane past its
+// own T reads an all-zero gradient column, like a pad lane of a narrow
+// tile.
 
 import (
 	"runtime"
@@ -28,7 +29,7 @@ import (
 )
 
 // laneWidth is the maximum number of batch lanes fused through one
-// weight-row stream — matching the widest f64 kernels (Axpy4/GradDot4).
+// weight-row stream — the four lane slots of f64.DotRows4.
 const laneWidth = 4
 
 // hwWorkers returns the number of OS-parallel workers worth spawning:
@@ -60,153 +61,38 @@ func tileWidth(batch int) int {
 	return w
 }
 
-// axpyN dispatches one weight row to m fused lanes.
-//
-//sdam:noalloc
-func axpyN(ds *[laneWidth][]float64, row []float64, as *[laneWidth]float64, m int) {
-	switch m {
-	case 1:
-		f64.Axpy(ds[0], row, as[0])
-	case 2:
-		f64.Axpy2(ds[0], ds[1], row, as[0], as[1])
-	case 3:
-		f64.Axpy3(ds[0], ds[1], ds[2], row, as[0], as[1], as[2])
-	case 4:
-		f64.Axpy4(ds[0], ds[1], ds[2], ds[3], row, as[0], as[1], as[2], as[3])
-	}
-}
-
-// laneLSTMForward runs up to laneWidth lanes of one LSTM layer in
-// lockstep. All lanes share the layer's weights (l); each lane's state
-// carries its own scratch, so per-lane math is exactly the scalar
-// referee's (refLSTMForwardIn in ref_test.go).
+// laneLSTMForward runs up to laneWidth lanes of one LSTM layer. All
+// lanes share the layer's weights (l); each lane's state carries its
+// own scratch, so per-lane math is exactly the scalar referee's
+// (refLSTMForwardIn in ref_test.go). The lanes' chains are independent,
+// so they run one after another.
 func laneLSTMForward(l *LSTM, sts []*LSTMState, xss [][][]float64) {
-	H := l.Hidden
-	n := len(sts)
-	accel := f64.Accelerated()
-	maxT := 0
-	var h, c [laneWidth][]float64
-	for k := 0; k < n; k++ {
-		T := len(xss[k])
-		sts[k].grow(T)
-		sts[k].n = T
-		if T > maxT {
-			maxT = T
-		}
-		h[k], c[k] = sts[k].h0, sts[k].c0
-	}
-	for t := 0; t < maxT; t++ {
-		// Per-lane pre-activation init, with the xw dedup: a lane
-		// whose input row aliases its previous step's row (the decoder's
-		// conditioning-by-repetition) replays the snapshotted B + x·Wx.
-		var fresh [laneWidth]bool
-		for k := 0; k < n; k++ {
-			if t >= len(xss[k]) {
-				continue
-			}
-			x := xss[k][t]
-			st := sts[k]
+	for k, st := range sts {
+		xs := xss[k]
+		st.grow(len(xs))
+		st.n = len(xs)
+		h, c := st.h0, st.c0
+		for t, x := range xs {
 			s := &st.steps[t]
-			s.x, s.hPrev, s.cPrev = x, h[k], c[k]
-			if t > 0 && len(x) > 0 && &x[0] == &xss[k][t-1][0] {
+			s.x, s.hPrev, s.cPrev = x, h, c
+			// Pre-activation init, with the xw dedup: an input row that
+			// aliases the previous step's row (the decoder's
+			// conditioning-by-repetition) replays the snapshotted
+			// B + x·Wx. Otherwise one whole-matrix pass applies the Wx
+			// rows, keeping the load-bearing xi == 0 row skip.
+			if t > 0 && len(x) > 0 && &x[0] == &xs[t-1][0] {
 				copy(st.pre, st.xw)
 			} else {
 				copy(st.pre, l.B.W)
-				fresh[k] = true
+				f64.AxpyRows(l.Wx.W, st.pre, x)
+				copy(st.xw, st.pre)
 			}
-		}
-		// Wx phase: apply the weight rows to every fresh lane, keeping
-		// the load-bearing per-lane xi == 0 row skip. With the AVX
-		// kernels active each lane runs one vectorized whole-matrix pass
-		// (f64.AxpyRows, bit-identical to the per-row kernels); otherwise
-		// each row is streamed once across the fresh lanes with the
-		// lane-fused Go kernels.
-		var ds [laneWidth][]float64
-		var as [laneWidth]float64
-		if accel {
-			for k := 0; k < n; k++ {
-				if fresh[k] {
-					f64.AxpyRows(l.Wx.W, sts[k].pre, xss[k][t])
-				}
-			}
-		} else {
-			for i := 0; i < l.In; i++ {
-				m := 0
-				for k := 0; k < n; k++ {
-					if !fresh[k] {
-						continue
-					}
-					if xi := xss[k][t][i]; xi != 0 {
-						ds[m], as[m] = sts[k].pre, xi
-						m++
-					}
-				}
-				if m > 0 {
-					axpyN(&ds, l.Wx.W[i*4*H:(i+1)*4*H], &as, m)
-				}
-			}
-		}
-		for k := 0; k < n; k++ {
-			if fresh[k] {
-				copy(sts[k].xw, sts[k].pre)
-			}
-		}
-		// Wh phase: same structure over the recurrent rows, hi == 0 skip
-		// per lane.
-		if accel {
-			for k := 0; k < n; k++ {
-				if t >= len(xss[k]) {
-					continue
-				}
-				f64.AxpyRows(l.Wh.W, sts[k].pre, h[k])
-			}
-		} else {
-			for i := 0; i < H; i++ {
-				m := 0
-				for k := 0; k < n; k++ {
-					if t >= len(xss[k]) {
-						continue
-					}
-					if hi := h[k][i]; hi != 0 {
-						ds[m], as[m] = sts[k].pre, hi
-						m++
-					}
-				}
-				if m > 0 {
-					axpyN(&ds, l.Wh.W[i*4*H:(i+1)*4*H], &as, m)
-				}
-			}
-		}
-		for k := 0; k < n; k++ {
-			if t >= len(xss[k]) {
-				continue
-			}
-			st := sts[k]
-			s := &st.steps[t]
-			f64.LSTMGates(s.i, s.f, s.g, s.o, s.c, s.h, s.tc, st.pre, c[k])
-			h[k], c[k] = s.h, s.c
+			// The recurrent rows, with the same hi == 0 row skip.
+			f64.AxpyRows(l.Wh.W, st.pre, h)
+			f64.LSTMGates(s.i, s.f, s.g, s.o, s.c, s.h, s.tc, st.pre, c)
+			h, c = s.h, s.c
 			st.outs[t] = s.h
 		}
-	}
-}
-
-// gradDotN dispatches one weight row to m fused backward lanes, writing
-// each lane's accumulated row·dPre dot into *outs[m][i].
-//
-//sdam:noalloc
-func gradDotN(grads *[laneWidth][]float64, row []float64, gs *[laneWidth][]float64, xis *[laneWidth]float64, dsts *[laneWidth]*float64, m int) {
-	switch m {
-	case 1:
-		*dsts[0] = f64.GradDot(grads[0], row, gs[0], xis[0])
-	case 2:
-		a0, a1 := f64.GradDot2(grads[0], grads[1], row, gs[0], gs[1], xis[0], xis[1])
-		*dsts[0], *dsts[1] = a0, a1
-	case 3:
-		a0, a1, a2 := f64.GradDot3(grads[0], grads[1], grads[2], row, gs[0], gs[1], gs[2], xis[0], xis[1], xis[2])
-		*dsts[0], *dsts[1], *dsts[2] = a0, a1, a2
-	case 4:
-		a0, a1, a2, a3 := f64.GradDot4(grads[0], grads[1], grads[2], grads[3], row, gs[0], gs[1], gs[2], gs[3], xis[0], xis[1], xis[2], xis[3])
-		*dsts[0], *dsts[1], *dsts[2], *dsts[3] = a0, a1, a2, a3
 	}
 }
 
@@ -214,70 +100,62 @@ func gradDotN(grads *[laneWidth][]float64, row []float64, gs *[laneWidth][]float
 // in lockstep. Weight rows are shared across lanes (shadow params alias
 // the master's W); each lane accumulates into its own Grad buffers, so
 // every gradient element keeps one serial owner.
+//
+// Every timestep is one dense pass: dPre is packed lane-interleaved, the
+// lanes' serial dot chains advance together in f64.DotRows4, and the
+// weight-gradient updates are deferred into one f64.GradRowsT pass per
+// Grad matrix. A lane slot with nothing to do at timestep t — a pad
+// slot k >= n of a narrow tile, or a lane past its own length — reads
+// the all-zero dPre column (every g == 0 step is skipped, so its chains
+// stay +0) and writes its dots to a discard row. DotRows4's (row, lane)
+// chains are independent, so the real lanes run exactly the
+// instructions of a full four-lane tile.
 func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 	n := len(sts)
 	l0 := sts[0].lstm
-	H := l0.Hidden
-	maxT := 0
-	minT := sts[0].n
+	H, In := l0.Hidden, l0.In
+	S := 0
 	for k := 0; k < n; k++ {
 		st := sts[k]
 		for j := 0; j < H; j++ {
 			st.dhNext[j] = 0
 			st.dcNext[j] = 0
 		}
-		if st.n > maxT {
-			maxT = st.n
-		}
-		if st.n < minT {
-			minT = st.n
-		}
+		S = max(S, st.n)
 	}
-	// With the AVX kernels active every tile takes the dense path,
-	// whatever its width: dPre is packed lane-interleaved once per
-	// timestep, the lanes' serial dot chains advance together in
-	// f64.DotRows4, and the gradient updates are deferred into one
-	// vectorized pass per Grad matrix — all bit-identical to the per-row
-	// GradDot kernels. A tile of n < laneWidth lanes is padded: lanes
-	// k >= n read an all-zero dPre column (every g == 0 step is skipped,
-	// so their chains stay +0) and write their dots to a discard row.
-	// DotRows4's (row, lane) chains are independent, so the real lanes
-	// run exactly the instructions of a four-lane tile.
-	dense := f64.Accelerated()
-	S := minT
-	if dense {
-		if cap(lsc.aos) < laneWidth*4*H {
-			lsc.aos = make([]float64, laneWidth*4*H)
-			lsc.zero = make([]float64, 4*H)
-		}
-		if w := max(l0.In, H); cap(lsc.discard) < w {
-			lsc.discard = make([]float64, w)
-		}
-		// Deferred-gradient save areas: lane k's slot s holds timestep
-		// t = minT-1-s, so ascending slots replay the backward pass's
-		// descending-t order inside f64.GradRowsT.
-		if need := laneWidth * S * 4 * H; cap(lsc.gsave) < need {
-			lsc.gsave = make([]float64, need)
-		}
-		if need := laneWidth * S * l0.In; cap(lsc.xsave) < need {
-			lsc.xsave = make([]float64, need)
-		}
-		if need := laneWidth * S * H; cap(lsc.hsave) < need {
-			lsc.hsave = make([]float64, need)
-		}
+	if cap(lsc.aos) < laneWidth*4*H {
+		lsc.aos = make([]float64, laneWidth*4*H)
+		lsc.zero = make([]float64, 4*H)
+	}
+	if w := max(In, H); cap(lsc.discard) < w {
+		lsc.discard = make([]float64, w)
+	}
+	// Deferred-gradient save areas, S = maxT slots per lane: lane k's
+	// slot T_k-1-t holds timestep t, so ascending slots replay the
+	// backward pass's descending-t order inside f64.GradRowsT.
+	if need := laneWidth * S * 4 * H; cap(lsc.gsave) < need {
+		lsc.gsave = make([]float64, need)
+	}
+	if need := laneWidth * S * In; cap(lsc.xsave) < need {
+		lsc.xsave = make([]float64, need)
+	}
+	if need := laneWidth * S * H; cap(lsc.hsave) < need {
+		lsc.hsave = make([]float64, need)
 	}
 	aos := lsc.aos[:cap(lsc.aos)]
-	var grads, gs [laneWidth][]float64
-	var xis [laneWidth]float64
-	var dsts [laneWidth]*float64
-	for t := maxT - 1; t >= 0; t-- {
-		var act [laneWidth]bool
+	for t := S - 1; t >= 0; t-- {
+		// Interleave4 and DotRows4 take their lengths from the first
+		// lane, which may be a finished one, so the shared zero column
+		// and discard row are cut to this layer's widths.
+		var dPre, dx, dh [laneWidth][]float64
+		for k := range dPre {
+			dPre[k], dx[k], dh[k] = lsc.zero[:4*H], lsc.discard[:In], lsc.discard[:H]
+		}
 		for k := 0; k < n; k++ {
 			st := sts[k]
 			if t >= st.n {
 				continue
 			}
-			act[k] = true
 			s := &st.steps[t]
 			copy(st.dh, st.dhNext)
 			if t < len(dHs[k]) && dHs[k][t] != nil {
@@ -285,105 +163,47 @@ func laneLSTMBackward(sts []*LSTMState, dHs [][][]float64, lsc *laneScratch) {
 			}
 			f64.LSTMGateBackward(st.dPre, st.dc, st.dh, st.dcNext, s.i, s.f, s.g, s.o, s.tc, s.cPrev)
 			f64.AddSkip(st.lstm.B.Grad, st.dPre)
-		}
-		if dense && t < minT {
-			var dPre, dx, dh [laneWidth][]float64
-			for k := 0; k < laneWidth; k++ {
-				if k < n {
-					st := sts[k]
-					dPre[k], dx[k], dh[k] = st.dPre, st.dxs[t], st.dhNext
-				} else {
-					dPre[k], dx[k], dh[k] = lsc.zero, lsc.discard, lsc.discard
-				}
-			}
-			f64.Interleave4(aos, dPre[0], dPre[1], dPre[2], dPre[3])
+			dPre[k], dx[k], dh[k] = st.dPre, st.dxs[t], st.dhNext
 			// The gradient updates and the dot products touch disjoint
-			// arrays (Grad vs W), so splitting GradDot's fused loop off
-			// leaves every element's contribution order unchanged. The
-			// updates themselves are deferred: stash this timestep's
-			// dPre and inputs, and apply all of them in one pass over
-			// each Grad matrix after the loop (f64.GradRowsT).
-			s := minT - 1 - t
-			for k := 0; k < n; k++ {
-				st := sts[k]
-				copy(lsc.gsave[(k*S+s)*4*H:(k*S+s+1)*4*H], st.dPre)
-				copy(lsc.xsave[(k*S+s)*l0.In:(k*S+s+1)*l0.In], st.steps[t].x)
-				copy(lsc.hsave[(k*S+s)*H:(k*S+s+1)*H], st.steps[t].hPrev)
-			}
-			f64.DotRows4(l0.Wx.W, aos, dx[0], dx[1], dx[2], dx[3], 4*H)
-			f64.DotRows4(l0.Wh.W, aos, dh[0], dh[1], dh[2], dh[3], 4*H)
-			for k := 0; k < n; k++ {
-				st := sts[k]
-				f64.Mul(st.dcNext, st.dc, st.steps[t].f)
-			}
-			continue
+			// arrays (Grad vs W), so deferring the updates leaves every
+			// element's contribution order unchanged: stash this
+			// timestep's dPre and inputs for GradRowsT after the loop.
+			slot := k*S + st.n - 1 - t
+			copy(lsc.gsave[slot*4*H:(slot+1)*4*H], st.dPre)
+			copy(lsc.xsave[slot*In:(slot+1)*In], s.x)
+			copy(lsc.hsave[slot*H:(slot+1)*H], s.hPrev)
 		}
-		// Wx rows: one stream per row across all active lanes. The
-		// per-element g == 0 skip lives inside the kernels, per lane.
-		for i := 0; i < l0.In; i++ {
-			lo, hi := i*4*H, (i+1)*4*H
-			m := 0
-			for k := 0; k < n; k++ {
-				if !act[k] {
-					continue
-				}
-				st := sts[k]
-				grads[m] = st.lstm.Wx.Grad[lo:hi]
-				gs[m] = st.dPre
-				xis[m] = st.steps[t].x[i]
-				dsts[m] = &st.dxs[t][i]
-				m++
-			}
-			gradDotN(&grads, l0.Wx.W[lo:hi], &gs, &xis, &dsts, m)
-		}
-		// Wh rows: dhNext was consumed into dh above, so it can be
-		// overwritten in place, exactly as in the scalar referee.
-		for i := 0; i < H; i++ {
-			lo, hi := i*4*H, (i+1)*4*H
-			m := 0
-			for k := 0; k < n; k++ {
-				if !act[k] {
-					continue
-				}
-				st := sts[k]
-				grads[m] = st.lstm.Wh.Grad[lo:hi]
-				gs[m] = st.dPre
-				xis[m] = st.steps[t].hPrev[i]
-				dsts[m] = &st.dhNext[i]
-				m++
-			}
-			gradDotN(&grads, l0.Wh.W[lo:hi], &gs, &xis, &dsts, m)
-		}
+		f64.Interleave4(aos, dPre[0], dPre[1], dPre[2], dPre[3])
+		// dhNext was consumed into dh above, so it can be overwritten in
+		// place, exactly as in the scalar referee.
+		f64.DotRows4(l0.Wx.W, aos, dx[0], dx[1], dx[2], dx[3], 4*H)
+		f64.DotRows4(l0.Wh.W, aos, dh[0], dh[1], dh[2], dh[3], 4*H)
 		for k := 0; k < n; k++ {
-			if act[k] {
-				st := sts[k]
+			if st := sts[k]; t < st.n {
 				f64.Mul(st.dcNext, st.dc, st.steps[t].f)
 			}
 		}
 	}
-	if dense && S > 0 {
-		// Apply the deferred weight-gradient updates: one pass per Grad
-		// matrix replays all S dense timesteps' rank-1 updates element
-		// by element, in the same descending-t order the per-timestep
-		// calls ran (any t >= minT already went through the gather path
-		// above, before these, matching the original sequence).
-		for k := 0; k < n; k++ {
-			st := sts[k]
-			g := lsc.gsave[k*S*4*H : (k+1)*S*4*H]
-			f64.GradRowsT(st.lstm.Wx.Grad, g, lsc.xsave[k*S*l0.In:(k+1)*S*l0.In], l0.In, 4*H, S)
-			f64.GradRowsT(st.lstm.Wh.Grad, g, lsc.hsave[k*S*H:(k+1)*S*H], H, 4*H, S)
-		}
+	// Apply the deferred weight-gradient updates: one pass per Grad
+	// matrix replays lane k's T_k rank-1 updates element by element, in
+	// the descending-t order the per-timestep updates would have run.
+	for k := 0; k < n; k++ {
+		st := sts[k]
+		lo, T := k*S, st.n
+		g := lsc.gsave[lo*4*H : (lo+T)*4*H]
+		f64.GradRowsT(st.lstm.Wx.Grad, g, lsc.xsave[lo*In:(lo+T)*In], In, 4*H, T)
+		f64.GradRowsT(st.lstm.Wh.Grad, g, lsc.hsave[lo*H:(lo+T)*H], H, 4*H, T)
 	}
 }
 
-// laneScratch holds one lockstep group's per-layer gather buffers so
+// laneScratch holds one lockstep group's per-layer backward buffers so
 // stack sweeps allocate nothing in steady state.
 type laneScratch struct {
 	states  [laneWidth]*LSTMState
 	cur     [laneWidth][][]float64
-	aos     []float64 // lane-interleaved dPre scratch for the dense backward
-	zero    []float64 // all-zero dPre column for the dense backward's pad lanes
-	discard []float64 // sink for the pad lanes' DotRows4 outputs
+	aos     []float64 // lane-interleaved dPre scratch
+	zero    []float64 // all-zero dPre column for pad lanes and finished lanes
+	discard []float64 // sink for those lanes' DotRows4 outputs
 	gsave   []float64 // deferred-gradient dPre slots (lane-major, then slot)
 	xsave   []float64 // deferred-gradient x slots
 	hsave   []float64 // deferred-gradient hPrev slots
@@ -435,7 +255,7 @@ type laneTile struct {
 }
 
 // run computes the gradients of the tile's slots for one optimizer
-// step: encoder and decoder sweeps are lane-fused, the small
+// step: encoder and decoder sweeps run in lockstep, the small
 // output/embedding layers run per lane. Per-slot losses land in
 // tr.losses. Steady state allocates nothing.
 //
@@ -445,7 +265,7 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 	n := ti.hi - ti.lo
 	E := tr.master.cfg.EmbDim
 
-	// Input embeddings (per lane), then the lane-fused encoder sweep.
+	// Input embeddings (per lane), then the lockstep encoder sweep.
 	for k := 0; k < n; k++ {
 		b := ti.lo + k
 		trainSteps.Add(1)
@@ -505,7 +325,7 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		ti.dss[k] = dDecOuts
 	}
 
-	// Lane-fused decoder backward, then the per-lane embedding-gradient
+	// Lockstep decoder backward, then the per-lane embedding-gradient
 	// fan-in, loss, and clustering pull.
 	ti.lsc.stackBackward(ti.sstates[:n], ti.dss[:n])
 	for k := 0; k < n; k++ {
@@ -541,7 +361,7 @@ func (ti *laneTile) run(seqs []Sequence, idx []int, centroids [][]float64, assig
 		ti.sstates[k] = sc.enc
 	}
 
-	// Lane-fused encoder backward, then the per-lane split of the
+	// Lockstep encoder backward, then the per-lane split of the
 	// concatenated embedding gradient.
 	ti.lsc.stackBackward(ti.sstates[:n], ti.dss[:n])
 	for k := 0; k < n; k++ {

@@ -13,9 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"repro/internal/f64"
 )
 
 // refLinearForwardIn is the original j-outer scalar loop.
@@ -331,9 +330,8 @@ func laneBackward(st *LSTMState, dH [][]float64) [][]float64 {
 
 // TestLSTMForwardBackwardMatchesScalarRef runs 1-4 lanes of one LSTM
 // layer in lockstep and pins every lane bit-for-bit against the scalar
-// referee run on that lane alone: equal lengths (the dense
-// DotRows4/GradRowsT path at four lanes with the AVX kernels), ragged
-// lengths (the gather path past the shortest lane), and the decoder's
+// referee run on that lane alone: equal lengths, ragged lengths (a lane
+// past its own length rides along as a pad lane), and the decoder's
 // repeated input row (the xw dedup).
 func TestLSTMForwardBackwardMatchesScalarRef(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
@@ -352,8 +350,9 @@ func TestLSTMForwardBackwardMatchesScalarRef(t *testing.T) {
 	} {
 		// One scratch serves every lane count, widest first, so the
 		// padded narrow tiles run on buffers a four-lane tile has
-		// already filled.
-		lsc := &laneScratch{}
+		// already filled. The discard row is sized up front so it can
+		// be poisoned before each backward.
+		lsc := &laneScratch{discard: make([]float64, max(tc.in, tc.hidden))}
 		for n := laneWidth; n >= 1; n-- {
 			l := NewLSTM("lstm", tc.in, tc.hidden, r)
 			sts := make([]*LSTMState, n)
@@ -377,13 +376,17 @@ func TestLSTMForwardBackwardMatchesScalarRef(t *testing.T) {
 					dHs[k][tt] = seasonedVec(r, tc.hidden)
 				}
 			}
+			for i := range lsc.discard {
+				lsc.discard[i] = math.NaN()
+			}
 			laneLSTMBackward(sts, dHs, lsc)
-			// A padded tile's pad lanes read an all-zero dPre column, so
+			// A padded tile's pad lanes, and on ragged inputs the lanes
+			// past their own length, read an all-zero dPre column, so
 			// every dot they wrote to the discard row is +0.
-			if f64.Accelerated() && n < laneWidth {
+			if n < laneWidth || slices.Min(tc.lens[:n]) < slices.Max(tc.lens[:n]) {
 				for i, v := range lsc.discard {
 					if math.Float64bits(v) != 0 {
-						t.Fatalf("%s lanes=%d: pad-lane dot %d is %v, want +0", tc.name, n, i, v)
+						t.Fatalf("%s lanes=%d: discarded dot %d is %v, want +0", tc.name, n, i, v)
 					}
 				}
 			}

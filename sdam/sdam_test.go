@@ -107,6 +107,22 @@ func TestMachineRunRefs(t *testing.T) {
 	}
 }
 
+// TestMachineRejectsBadL1Geometry pins that an engine whose L1 the
+// cache cannot build boots anyway and reports the geometry from its
+// first run, instead of panicking in NewMachine.
+func TestMachineRejectsBadL1Geometry(t *testing.T) {
+	cfg := CPUEngine(2)
+	cfg.L1Bytes, cfg.L1Ways = 64<<10, 3
+	m := NewMachine(MachineConfig{Engine: cfg})
+	buf, err := m.Malloc(1<<20, 0, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunRefs([]VA{buf}); err == nil || !strings.Contains(err.Error(), "L1Ways") {
+		t.Fatalf("RunRefs err = %v, want an error naming L1Ways", err)
+	}
+}
+
 func TestMachineFree(t *testing.T) {
 	m := NewMachine(MachineConfig{})
 	va, err := m.Malloc(4096, 0, "x")
