@@ -5,8 +5,8 @@
 // results (the PR-1 DL-selector modal-VID bug), unseeded or wall-clock
 // randomness inside deterministic simulation paths, struct fields
 // accessed both atomically and plainly (the cmt.Table.Reads race), and
-// shared workloads mutated inside parallel.Map thunks without going
-// through workload.Cloner.
+// shared workloads mutated inside parallel.Map thunks without a
+// per-cell Clone.
 //
 // The engine type-checks every package it analyzes, resolving
 // module-local imports recursively from source (see Loader), so the

@@ -15,8 +15,8 @@ import (
 // Workload.Setup records the run's allocations on the workload value,
 // so two sweep cells running the same captured workload race on that
 // state and — worse — silently share allocation records, skewing
-// results without crashing. The sanctioned idiom is workload.Cloner:
-// clone per cell, inside the thunk. The analyzer flags, inside a thunk
+// results without crashing. The sanctioned idiom is w.Clone(): clone
+// per cell, inside the thunk. The analyzer flags, inside a thunk
 // literal passed to the parallel package:
 //
 //   - writes through variables captured from the enclosing function
@@ -25,9 +25,9 @@ import (
 //     the intended way to collect per-cell results; and
 //
 //   - captured values of a workload type (implementing
-//     workload.Workload or workload.Cloner) passed as a call argument
-//     or used as a method receiver — given to code that may mutate
-//     them — unless the call is the Clone() itself.
+//     workload.Workload) passed as a call argument or used as a method
+//     receiver — given to code that may mutate them — unless the call
+//     is the Clone() itself.
 //
 // The parallel package's own internals are exempt: it is the one place
 // allowed to coordinate shared state (it owns the WaitGroup and the
@@ -51,7 +51,7 @@ func (c *cloneSafety) Check(p *Pass) {
 	if strings.HasSuffix(pkg.Path, "internal/parallel") {
 		return
 	}
-	wl := workloadInterfaces(pkg)
+	wl := workloadInterface(pkg)
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -102,7 +102,7 @@ func parallelThunks(pkg *Package, call *ast.CallExpr) []ast.Expr {
 
 // checkThunk inspects one thunk literal for unsafe uses of captured
 // state.
-func (c *cloneSafety) checkThunk(pkg *Package, lit *ast.FuncLit, wl []*types.Interface) {
+func (c *cloneSafety) checkThunk(pkg *Package, lit *ast.FuncLit, wl *types.Interface) {
 	captured := func(id *ast.Ident) *types.Var {
 		obj, _ := pkg.Info.Uses[id].(*types.Var)
 		if obj == nil || obj.IsField() || obj.Pkg() == nil {
@@ -127,7 +127,7 @@ func (c *cloneSafety) checkThunk(pkg *Package, lit *ast.FuncLit, wl []*types.Int
 			c.diags = append(c.diags, Diagnostic{
 				Pos:  pkg.Fset.Position(target.Pos()),
 				Rule: "clonesafety",
-				Message: fmt.Sprintf("write to %q captured from the enclosing function inside a parallel thunk; cells race on it — keep per-cell state local (or clone via workload.Cloner)",
+				Message: fmt.Sprintf("write to %q captured from the enclosing function inside a parallel thunk; cells race on it — keep per-cell state local (or clone via w.Clone())",
 					root.Name),
 			})
 		}
@@ -154,8 +154,8 @@ func (c *cloneSafety) checkThunk(pkg *Package, lit *ast.FuncLit, wl []*types.Int
 // inside the thunk — as an argument or as the method receiver — since
 // the callee may run Setup on them; the Clone() call itself is the
 // sanctioned exception.
-func (c *cloneSafety) checkCall(pkg *Package, call *ast.CallExpr, wl []*types.Interface, captured func(*ast.Ident) *types.Var) {
-	if len(wl) == 0 || isCloneCall(pkg, call) {
+func (c *cloneSafety) checkCall(pkg *Package, call *ast.CallExpr, wl *types.Interface, captured func(*ast.Ident) *types.Var) {
+	if wl == nil || isCloneCall(call) {
 		return
 	}
 	flagUse := func(e ast.Expr) {
@@ -168,13 +168,13 @@ func (c *cloneSafety) checkCall(pkg *Package, call *ast.CallExpr, wl []*types.In
 			return
 		}
 		tv, ok := pkg.Info.Types[e]
-		if !ok || !isWorkloadType(tv.Type, wl) {
+		if !ok || !(types.Implements(tv.Type, wl) || types.Implements(types.NewPointer(tv.Type), wl)) {
 			return
 		}
 		c.diags = append(c.diags, Diagnostic{
 			Pos:  pkg.Fset.Position(e.Pos()),
 			Rule: "clonesafety",
-			Message: fmt.Sprintf("workload %q captured from the enclosing function is used by a call inside a parallel thunk; Setup mutates workloads, so concurrent cells must each use their own copy — clone via workload.Cloner inside the thunk first",
+			Message: fmt.Sprintf("workload %q captured from the enclosing function is used by a call inside a parallel thunk; Setup mutates workloads, so concurrent cells must each use their own copy — clone via w.Clone() inside the thunk first",
 				root.Name),
 		})
 	}
@@ -186,49 +186,26 @@ func (c *cloneSafety) checkCall(pkg *Package, call *ast.CallExpr, wl []*types.In
 	}
 }
 
-// isWorkloadType reports whether t (or *t) implements any of the
-// workload interfaces.
-func isWorkloadType(t types.Type, wl []*types.Interface) bool {
-	for _, iface := range wl {
-		if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
-			return true
-		}
-	}
-	return false
-}
-
 // isCloneCall reports whether call is itself the sanctioned cloning
-// operation: a method named Clone, or workload.Clone-style helpers.
-func isCloneCall(pkg *Package, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "Clone"
-	case *ast.Ident:
-		return fun.Name == "Clone"
-	}
-	return false
+// operation: a method named Clone.
+func isCloneCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Clone"
 }
 
-// workloadInterfaces resolves workload.Workload and workload.Cloner
-// from the analyzed package's imports, or nil if the package does not
-// import workload (then there is nothing workload-typed to misuse).
-// Workload matters as well as Cloner because the shared value is
-// usually held as the Workload interface (system.Compare's parameter),
-// which does not statically implement Cloner.
-func workloadInterfaces(pkg *Package) []*types.Interface {
-	var out []*types.Interface
+// workloadInterface resolves workload.Workload from the analyzed
+// package's imports, or nil if the package does not import workload
+// (then there is nothing workload-typed to misuse).
+func workloadInterface(pkg *Package) *types.Interface {
 	for _, imp := range pkg.Types.Imports() {
 		if !strings.HasSuffix(imp.Path(), "internal/workload") {
 			continue
 		}
-		for _, name := range []string{"Workload", "Cloner"} {
-			if obj, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
-				if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
-					out = append(out, iface)
-				}
-			}
+		if obj, ok := imp.Scope().Lookup("Workload").(*types.TypeName); ok {
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
 		}
-		break
+		return nil
 	}
-	return out
+	return nil
 }

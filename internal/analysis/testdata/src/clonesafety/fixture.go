@@ -34,7 +34,7 @@ func sharedWorkload(w workload.Workload, envs []*workload.Env) error {
 // Negative: clone inside the thunk, then use the clone.
 func clonedWorkload(w workload.Workload, envs []*workload.Env) error {
 	return parallel.Do(func() error {
-		wk := workload.Clone(w)
+		wk := w.Clone()
 		return wk.Setup(envs[0])
 	})
 }

@@ -18,11 +18,10 @@ var (
 // Negative: obs fast-path calls inside an annotated body stay silent.
 //
 //sdam:noalloc
-func instrumentedHotLoop(w, n int) {
+func instrumentedHotLoop(n int) {
 	sp := obs.StartSpan("fixture:loop")
 	for i := 0; i < n; i++ {
 		fixCounter.Add(1)
-		fixCounter.AddWorker(w, 1)
 		fixGauge.Set(int64(i))
 		fixHist.Observe(float64(i))
 	}

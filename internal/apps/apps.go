@@ -132,7 +132,7 @@ func newKernelBase(name string, opts Options) kernelBase {
 // Name implements workload.Workload.
 func (k *kernelBase) Name() string { return k.name }
 
-// TapeKey implements workload.TapeKeyer: every kernel is constructed
+// TapeKey implements workload.Workload: every kernel is constructed
 // from Options alone and runs its algorithm on synthetic data derived
 // deterministically from (options, seed), so the name plus the
 // defaulted options fully identify the emitted reference streams

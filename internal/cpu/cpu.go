@@ -24,42 +24,53 @@ import (
 	"repro/internal/vm"
 )
 
-// Stream produces one thread's virtual-address reference stream.
+// Stream produces one thread's virtual-address reference stream. The
+// set of producers is closed (SliceStream, the proxies' mix streams and
+// tape replay views), and every one of them fills batches and knows its
+// length, so both are part of the contract rather than optional
+// extensions the engine would have to probe for.
 type Stream interface {
-	// Next returns the next reference. ok=false ends the stream.
+	// NextBatch fills buf from the front and returns how many
+	// references were produced. It may return fewer than len(buf) at
+	// any time; 0 means the stream is exhausted.
+	NextBatch(buf []Ref) int
+	// Remaining reports exactly how many references the stream has
+	// left to emit, so a consumer that drains it can size its buffers
+	// once up front.
+	Remaining() int
+	// Next returns the next reference; ok=false ends the stream. Every
+	// producer implements it as NextOf, so it is the same emission as
+	// NextBatch one reference at a time.
 	Next() (ref Ref, ok bool)
 }
 
-// BatchStream is an optional Stream extension the engine uses to
-// amortize interface dispatch: NextBatch fills buf from the front and
-// returns how many references were produced. It may return fewer than
-// len(buf) at any time; 0 means the stream is exhausted. The emitted
-// sequence must be identical to what repeated Next calls would yield.
-type BatchStream interface {
-	Stream
-	NextBatch(buf []Ref) int
+// BatchStream is Stream under its former name. It is kept only because
+// the benchmark module (bench/) still names it, and goes with the next
+// change to that module.
+type BatchStream = Stream
+
+// NextOf reads one reference through a one-element NextBatch: the one
+// definition of a stream's single-reference read.
+func NextOf(s Stream) (Ref, bool) {
+	var buf [1]Ref
+	if s.NextBatch(buf[:]) == 0 {
+		return Ref{}, false
+	}
+	return buf[0], true
 }
 
-// Sized is an optional Stream extension: Remaining reports exactly how
-// many references the stream has left to emit, so a consumer that
-// drains it can size its buffers once up front.
-type Sized interface {
-	Remaining() int
-}
-
-// LineBatchStream is an optional BatchStream extension for replay
-// streams that already know each reference's physical line address —
-// sealed reference tapes (internal/tape), whose VAs were pre-translated
+// LineBatchStream is an optional Stream extension for replay streams
+// that already know each reference's physical line address — sealed
+// reference tapes (internal/tape), whose VAs were pre-translated
 // against an already-populated address space. NextBatchLines fills refs
 // and lines in lockstep and returns the count; the engine then skips
-// vm.TranslateLine for those references entirely. The contract extends
-// BatchStream's: the ref sequence must match what Next would yield, and
-// lines[i] must equal the owner address space's translation of
-// refs[i].VA at issue time (which is why sealing requires a populated
-// space: a pending demand fault would make that translation
-// time-dependent).
+// vm.TranslateLine for those references entirely. The ref sequence
+// must match NextBatch's, and lines[i] must equal the owner address
+// space's translation of refs[i].VA at issue time (which is why sealing
+// requires a populated space: a pending demand fault would make that
+// translation time-dependent).
 type LineBatchStream interface {
-	BatchStream
+	Stream
 	NextBatchLines(refs []Ref, lines []geom.LineAddr) int
 }
 
@@ -84,23 +95,16 @@ type Ref struct {
 }
 
 // Next implements Stream.
-func (s *SliceStream) Next() (Ref, bool) {
-	if s.pos >= len(s.Refs) {
-		return Ref{}, false
-	}
-	r := s.Refs[s.pos]
-	s.pos++
-	return r, true
-}
+func (s *SliceStream) Next() (Ref, bool) { return NextOf(s) }
 
-// NextBatch implements BatchStream.
+// NextBatch implements Stream.
 func (s *SliceStream) NextBatch(buf []Ref) int {
 	n := copy(buf, s.Refs[s.pos:])
 	s.pos += n
 	return n
 }
 
-// Remaining implements Sized.
+// Remaining implements Stream.
 func (s *SliceStream) Remaining() int { return len(s.Refs) - s.pos }
 
 // Reset rewinds the stream so it can be replayed without re-cloning the
@@ -285,7 +289,6 @@ func (m *mshrRing) evictMin() float64 {
 // setup, so the per-reference path never consults an ownership map.
 type boundStream struct {
 	src       Stream
-	batch     BatchStream     // src, when it implements BatchStream
 	lineBatch LineBatchStream // src, when it carries pre-translated lines
 	as        *vm.AddressSpace
 }
@@ -402,16 +405,11 @@ func (e *Engine) Run(streams []Stream) (Result, error) {
 }
 
 // reserveDeltas sizes the collector's delta sequence for this run: at
-// most one delta per reference, when every stream can say how many it
-// has left.
+// most one delta per reference.
 func (e *Engine) reserveDeltas(bound []boundStream) {
 	n := 0
 	for _, b := range bound {
-		s, ok := b.src.(Sized)
-		if !ok {
-			return
-		}
-		n += s.Remaining()
+		n += b.src.Remaining()
 	}
 	e.Collector.Reserve(n)
 }
@@ -441,9 +439,6 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 		}
 		for _, s := range p.Streams {
 			bs := boundStream{src: s, as: as}
-			if b, ok := s.(BatchStream); ok {
-				bs.batch = b
-			}
 			if lb, ok := s.(LineBatchStream); ok {
 				bs.lineBatch = lb
 			}
@@ -498,25 +493,16 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 				c.bufPos++
 			} else {
 				b := &c.streams[c.streamIdx]
-				got := false
+				var n int
 				if b.lineBatch != nil {
-					if n := b.lineBatch.NextBatchLines(c.buf[:], c.lineBuf[:]); n > 0 {
-						ref = c.buf[0]
-						c.bufPos, c.bufLen, c.bufLines = 1, n, true
-						got = true
-					}
-				} else if b.batch != nil {
-					if n := b.batch.NextBatch(c.buf[:]); n > 0 {
-						ref = c.buf[0]
-						c.bufPos, c.bufLen, c.bufLines = 1, n, false
-						got = true
-					}
-				} else if r, ok := b.src.Next(); ok {
-					ref = r
-					c.bufLines = false
-					got = true
+					n = b.lineBatch.NextBatchLines(c.buf[:], c.lineBuf[:])
+				} else {
+					n = b.src.NextBatch(c.buf[:])
 				}
-				if !got {
+				if n > 0 {
+					ref = c.buf[0]
+					c.bufPos, c.bufLen, c.bufLines = 1, n, b.lineBatch != nil
+				} else {
 					c.streamIdx++
 					if c.streamIdx >= len(c.streams) {
 						// Core retired: it leaves the heap for good.

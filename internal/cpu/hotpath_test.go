@@ -185,9 +185,10 @@ func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestSliceStreamBatchAndReset pins the BatchStream contract on
-// SliceStream: NextBatch emits exactly the Next sequence, mixed calls
-// interleave correctly, and Reset rewinds to the start.
+// TestSliceStreamBatchAndReset pins SliceStream's reads: batches and
+// single references (Next, through NextOf) interleave in order, a
+// short tail batch and an empty one end the stream, and Reset rewinds
+// to the start.
 func TestSliceStreamBatchAndReset(t *testing.T) {
 	refs := make([]Ref, 10)
 	for i := range refs {

@@ -99,7 +99,7 @@ func AblClusters(s Scale) (*Report, error) {
 		if k > 0 {
 			o.Kind, o.Clusters = system.SDMBSMML, k
 		}
-		return system.Run(workload.Clone(w), o)
+		return system.Run(w.Clone(), o)
 	})
 	if err != nil {
 		return nil, err

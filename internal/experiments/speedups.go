@@ -121,7 +121,7 @@ func speedupSweep(r *Report, ws []workload.Workload, cfgs []sdamConfig, engine c
 		}
 	}
 	results, err := parallel.Map(cells, func(_ int, c cellSpec) (system.Result, error) {
-		w := workload.Clone(ws[c.wi])
+		w := ws[c.wi].Clone()
 		if c.ci < 0 {
 			res, err := system.Run(w, system.Options{Kind: system.BSDM, Engine: engine})
 			if err != nil {
@@ -272,7 +272,7 @@ func Fig14(s Scale) (*Report, error) {
 				o = system.Options{Kind: system.SDMBSMML, Clusters: 32, Engine: slowCore}
 			}
 			opt(&o, points[c.pi])
-			return system.Run(workload.Clone(ws[c.wi]), o)
+			return system.Run(ws[c.wi].Clone(), o)
 		})
 		if err != nil {
 			return nil, err

@@ -20,7 +20,6 @@ func TestFastPathAllocs(t *testing.T) {
 	h := r.Histogram("pin.hist", "", "", []float64{1, 10, 100, 1000})
 
 	pinZeroAllocs(t, "Counter.Add disabled", func() { c.Add(1) })
-	pinZeroAllocs(t, "Counter.AddWorker disabled", func() { c.AddWorker(3, 1) })
 	pinZeroAllocs(t, "Gauge.Set disabled", func() { g.Set(7) })
 	pinZeroAllocs(t, "Histogram.Observe disabled", func() { h.Observe(42) })
 	pinZeroAllocs(t, "Span disabled", func() { r.Span("pin.span").End() })
@@ -29,7 +28,6 @@ func TestFastPathAllocs(t *testing.T) {
 
 	r.EnableMetrics()
 	pinZeroAllocs(t, "Counter.Add enabled", func() { c.Add(1) })
-	pinZeroAllocs(t, "Counter.AddWorker enabled", func() { c.AddWorker(3, 1) })
 	pinZeroAllocs(t, "Gauge.Set enabled", func() { g.Set(7) })
 	pinZeroAllocs(t, "Gauge.SetMax enabled", func() { g.SetMax(7) })
 	pinZeroAllocs(t, "Histogram.Observe enabled", func() { h.Observe(42) })
@@ -63,17 +61,14 @@ func BenchmarkCounterAddEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterAddWorkerParallel(b *testing.B) {
+func BenchmarkCounterAddParallel(b *testing.B) {
 	r := NewRegistry()
 	r.EnableMetrics()
 	c := r.Counter("bench.count", "", "")
-	var next int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		w := int(next) // coarse distinct-worker approximation
-		next++
 		for pb.Next() {
-			c.AddWorker(w, 1)
+			c.Add(1)
 		}
 	})
 }

@@ -13,10 +13,9 @@
 //
 //   - Counters, gauges, and histograms register once (package init or
 //     setup paths) and are updated from hot paths through nil-safe,
-//     branch-cheap, zero-allocation methods. Counters are sharded into
-//     cache-line-padded atomic cells so concurrent sweep workers do not
-//     serialize on one line (use AddWorker with the parallel pool's
-//     worker index).
+//     branch-cheap, zero-allocation methods. A counter is one atomic
+//     cell: hot paths count per cell or per tile, never per
+//     reference, so concurrent workers rarely meet on it.
 //
 //   - Spans time phases (tape build, profiling pass, selection,
 //     simulation). When tracing is enabled the events additionally
@@ -52,19 +51,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// counterShards is the number of padded atomic cells per counter.
-// Power of two so AddWorker can mask instead of mod; 8 covers the
-// worker counts the parallel pool typically runs (GOMAXPROCS on the
-// recorded hardware) without making Value() scans expensive.
-const counterShards = 8
-
-// pad64 is one atomic cell padded to a cache line so shards written by
-// different workers never false-share.
-type pad64 struct {
-	v atomic.Int64
-	_ [56]byte
 }
 
 // Registry holds the registered metrics and the span log. The zero
@@ -194,9 +180,9 @@ func (r *Registry) Histogram(name, unit, help string, bounds []float64) *Histogr
 	return h
 }
 
-// Counter is a monotonically increasing sum, sharded across padded
-// atomic cells. The nil counter is a valid no-op, so conditional
-// instrumentation can hold a nil handle.
+// Counter is a monotonically increasing sum in one atomic cell. The
+// nil counter is a valid no-op, so conditional instrumentation can hold
+// a nil handle.
 type Counter struct {
 	on   *atomic.Bool
 	name string
@@ -204,7 +190,7 @@ type Counter struct {
 	help string
 	host bool
 
-	shards [counterShards]pad64
+	v atomic.Int64
 }
 
 // Host marks the counter as host-dependent — its value reflects process
@@ -226,41 +212,21 @@ func (c *Counter) Add(n int64) {
 	if c == nil || !c.on.Load() {
 		return
 	}
-	c.shards[0].v.Add(n)
+	c.v.Add(n)
 }
 
-// AddWorker is Add against the shard for worker index w — the form the
-// parallel pool's instrumentation uses so concurrent workers do not
-// contend on one cache line. Any w is legal (masked into range).
-//
-//sdam:noalloc
-func (c *Counter) AddWorker(w int, n int64) {
-	if c == nil || !c.on.Load() {
-		return
-	}
-	c.shards[w&(counterShards-1)].v.Add(n)
-}
-
-// Value returns the current sum across shards.
+// Value returns the current sum.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
+	return c.v.Load()
 }
 
 // Name returns the counter's registered name.
 func (c *Counter) Name() string { return c.name }
 
-func (c *Counter) reset() {
-	for i := range c.shards {
-		c.shards[i].v.Store(0)
-	}
-}
+func (c *Counter) reset() { c.v.Store(0) }
 
 // Gauge is a last-value (or running-max) metric.
 type Gauge struct {

@@ -17,8 +17,7 @@ func TestCounterDisabledEnabled(t *testing.T) {
 	}
 	r.EnableMetrics()
 	c.Add(5)
-	c.AddWorker(3, 7)
-	c.AddWorker(11, 1) // masked into shard 3
+	c.Add(8)
 	if got := c.Value(); got != 13 {
 		t.Fatalf("Value = %d, want 13", got)
 	}
@@ -34,7 +33,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	c.Add(1)
-	c.AddWorker(2, 3)
 	g.Set(4)
 	g.SetMax(5)
 	h.Observe(6)
@@ -61,12 +59,12 @@ func TestCounterConcurrentShards(t *testing.T) {
 	const workers, per = 16, 1000
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.AddWorker(w, 1)
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*per {

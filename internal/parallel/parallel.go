@@ -28,8 +28,8 @@ import (
 
 // Per-worker utilization counters. The timing wrapper is installed only
 // while metrics are enabled, so a disabled run never consults the host
-// clock; items land in the executing worker's shard (AddWorker) so
-// concurrent workers do not share a cache line.
+// clock. Each counter moves once per item, never per reference, so
+// one atomic cell per counter is all the workers share.
 var (
 	// Host-marked: the item count follows how finely callers split
 	// their work for the worker budget (the DL trainer tiles a batch by
@@ -100,8 +100,8 @@ func MapNWorker[T, R any](jobs int, items []T, fn func(worker, i int, item T) (R
 		fn = func(w, i int, item T) (R, error) {
 			start := wallclock.Now()
 			r, err := inner(w, i, item)
-			statBusyNs.AddWorker(w, wallclock.Since(start).Nanoseconds())
-			statItems.AddWorker(w, 1)
+			statBusyNs.Add(wallclock.Since(start).Nanoseconds())
+			statItems.Add(1)
 			return r, err
 		}
 		statWidth.SetMax(int64(jobs))

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // The paper amortizes profiling cost PGO-style: profile once offline,
@@ -46,25 +45,7 @@ func Load(r io.Reader) (Profile, error) {
 	}
 	p := Profile{App: raw.App, TotalRefs: raw.TotalRefs, Vars: raw.Vars}
 	// Re-derive ordering and major flags so a hand-edited artifact
-	// cannot carry an inconsistent major set (same rule as
-	// FromCollector).
-	sort.Slice(p.Vars, func(i, j int) bool {
-		if p.Vars[i].Refs != p.Vars[j].Refs {
-			return p.Vars[i].Refs > p.Vars[j].Refs
-		}
-		return p.Vars[i].VID < p.Vars[j].VID
-	})
-	var cum uint64
-	threshold := uint64(float64(p.TotalRefs) * MajorShare)
-	for i := range p.Vars {
-		p.Vars[i].Major = false
-	}
-	for i := range p.Vars {
-		if cum >= threshold && cum > 0 {
-			break
-		}
-		p.Vars[i].Major = true
-		cum += p.Vars[i].Refs
-	}
+	// cannot carry an inconsistent major set.
+	rank(p.Vars, p.TotalRefs)
 	return p, nil
 }

@@ -51,23 +51,26 @@ func FromCollector(app string, c *trace.Collector) Profile {
 			Sample: v.Sample,
 		})
 	}
-	sort.Slice(p.Vars, func(i, j int) bool {
-		if p.Vars[i].Refs != p.Vars[j].Refs {
-			return p.Vars[i].Refs > p.Vars[j].Refs
-		}
-		return p.Vars[i].VID < p.Vars[j].VID
-	})
-	// Mark major variables: the smallest prefix covering MajorShare.
-	var cum uint64
-	threshold := uint64(float64(p.TotalRefs) * MajorShare)
-	for i := range p.Vars {
-		if cum >= threshold && cum > 0 {
-			break
-		}
-		p.Vars[i].Major = true
-		cum += p.Vars[i].Refs
-	}
+	rank(p.Vars, p.TotalRefs)
 	return p
+}
+
+// rank applies the major-variable rule (paper §3, Observation 3): order
+// vars by references descending, VID ascending, and mark as major the
+// smallest prefix covering MajorShare of total references.
+func rank(vars []VarProfile, total uint64) {
+	sort.SliceStable(vars, func(i, j int) bool {
+		if vars[i].Refs != vars[j].Refs {
+			return vars[i].Refs > vars[j].Refs
+		}
+		return vars[i].VID < vars[j].VID
+	})
+	threshold := uint64(float64(total) * MajorShare)
+	var cum uint64
+	for i := range vars {
+		vars[i].Major = cum < threshold || cum == 0
+		cum += vars[i].Refs
+	}
 }
 
 // Majors returns the major variables.

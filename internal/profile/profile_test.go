@@ -2,6 +2,8 @@ package profile
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,4 +160,82 @@ func TestLoadRederivesMajors(t *testing.T) {
 	if len(got.Majors()) != len(orig.Majors()) {
 		t.Fatalf("majors not re-derived: %d vs %d", len(got.Majors()), len(orig.Majors()))
 	}
+}
+
+// TestLoadKeepsRankAndDerivesMajors: Load applies the same
+// major-variable rule as FromCollector, so a saved collector profile
+// loads with its order and major set intact, and an artifact whose
+// variables are shuffled and whose Major flags are all flipped by hand
+// loads as the profile it was made from.
+func TestLoadKeepsRankAndDerivesMajors(t *testing.T) {
+	c := buildCollector()
+	// A fourth variable tying "warm" on references exercises the VID
+	// tie-break.
+	c.NoteAlloc("tie", 0x20000000, 8<<20)
+	for i := 0; i < 150; i++ {
+		c.Record(trace.Access{VA: 0x20000000 + vm.VA(i*geom.LineBytes), PA: geom.LineAddr(i)})
+	}
+	orig := FromCollector("rank", c)
+	if n := len(orig.Majors()); n == 0 || n == len(orig.Vars) {
+		t.Fatalf("%d of %d variables major; the test needs both kinds", n, len(orig.Vars))
+	}
+	load := func(p Profile) Profile {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := load(orig); !reflect.DeepEqual(got.Vars, orig.Vars) {
+		t.Fatalf("Load(Save(p)) changed the variables:\n got %+v\nwant %+v", got.Vars, orig.Vars)
+	}
+
+	flipped := orig
+	flipped.Vars = slices.Clone(orig.Vars)
+	slices.Reverse(flipped.Vars)
+	for i := range flipped.Vars {
+		flipped.Vars[i].Major = !flipped.Vars[i].Major
+	}
+	if got := load(flipped); !reflect.DeepEqual(got.Vars, orig.Vars) {
+		t.Fatalf("hand-edited artifact loaded as\n %+v\nwant %+v", got.Vars, orig.Vars)
+	}
+}
+
+// FuzzProfileLoad: profile artifacts arrive from outside the program,
+// so no input may panic Load, and whatever Load accepts must survive
+// Save→Load unchanged.
+func FuzzProfileLoad(f *testing.F) {
+	var buf bytes.Buffer
+	if err := FromCollector("seed", buildCollector()).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"version":1,"app":"x","total_refs":10,"vars":[{"VID":2,"Refs":5},{"VID":1,"Refs":5,"Major":true},{"VID":1,"Refs":5,"Site":"dup"}]}`))
+	f.Add([]byte(`{"version":1,"vars":null}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := p.Save(&first); err != nil {
+			t.Fatalf("Save of a loaded profile: %v", err)
+		}
+		q, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load of a saved profile: %v", err)
+		}
+		if err := q.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save→Load not stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

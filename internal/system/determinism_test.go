@@ -2,8 +2,10 @@ package system
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -173,16 +175,24 @@ func summarize(r Result) map[string]any {
 // fails on every Setup after the first per instance. Cloned per
 // configuration, that means: BSDM and BSHM run one setup (succeed);
 // kinds that profile run two setups (profiling + evaluation) and fail
-// on the second.
+// on the second. Every instance has a TapeKey of its own, so its
+// profiling pass always runs fresh: a pass served from the
+// process-wide memo would skip the first Setup.
 type failOnProfile struct {
 	inner  workload.Workload
+	key    string
 	setups int
 }
 
-func (f *failOnProfile) Name() string { return "failer" }
-func (f *failOnProfile) Clone() workload.Workload {
-	return &failOnProfile{inner: workload.Clone(f.inner)}
+var failers atomic.Int64
+
+func newFailOnProfile(inner workload.Workload) *failOnProfile {
+	return &failOnProfile{inner: inner, key: fmt.Sprintf("failer/%d", failers.Add(1))}
 }
+
+func (f *failOnProfile) Name() string             { return "failer" }
+func (f *failOnProfile) TapeKey() string          { return f.key }
+func (f *failOnProfile) Clone() workload.Workload { return newFailOnProfile(f.inner.Clone()) }
 func (f *failOnProfile) Setup(env *workload.Env) error {
 	f.setups++
 	if f.setups > 1 {
@@ -196,7 +206,7 @@ func (f *failOnProfile) Streams(seed int64) []cpu.Stream { return f.inner.Stream
 // failing configuration is reported by name, and the surviving
 // configurations' results still come back at their stable positions.
 func TestCompareNamesFailingConfig(t *testing.T) {
-	w := &failOnProfile{inner: strideWorkload([]int{1, 1, 1, 1})}
+	w := newFailOnProfile(strideWorkload([]int{1, 1, 1, 1}))
 	kinds := []Kind{BSDM, SDMBSM, BSHM}
 	res, err := Compare(w, Options{}, kinds)
 	if err == nil {
@@ -227,10 +237,7 @@ type panicky struct {
 	seed *int64
 }
 
-func (p *panicky) TapeKey() string { return p.Workload.(workload.TapeKeyer).TapeKey() }
-func (p *panicky) Clone() workload.Workload {
-	return &panicky{workload.Clone(p.Workload), p.seed}
-}
+func (p *panicky) Clone() workload.Workload { return &panicky{p.Workload.Clone(), p.seed} }
 func (p *panicky) Streams(seed int64) []cpu.Stream {
 	if seed == *p.seed {
 		panic("synthetic stream failure")

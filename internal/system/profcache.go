@@ -21,8 +21,7 @@ import (
 // by the pass's own attribution), so concurrent cells may consult
 // Deltas()/GlobalBFRV() without synchronization.
 
-// profKey identifies one profiling pass by content. Workloads without a
-// TapeKey have no content identity and always profile fresh.
+// profKey identifies one profiling pass by content.
 type profKey struct {
 	tapeKey  string
 	seed     int64
@@ -49,12 +48,8 @@ var profiles = memo.New[profKey, profPass](memo.Config[profPass]{
 // most once per process per content key. o must already have defaults
 // applied.
 func cachedProfile(w workload.Workload, o Options) (profile.Profile, *trace.Collector, error) {
-	k, ok := w.(workload.TapeKeyer)
-	if !ok {
-		return profileFresh(w, o)
-	}
 	key := profKey{
-		tapeKey:  k.TapeKey(),
+		tapeKey:  w.TapeKey(),
 		seed:     o.ProfileSeed,
 		engine:   o.Engine,
 		hbmScale: o.HBMScale,

@@ -411,27 +411,19 @@ func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection
 // returns results in order, all sharing the same seeds and engine.
 //
 // The configurations are independent — each builds its own machine and
-// seeded RNGs — so they fan out over the parallel worker pool when the
-// workload supports cloning (every built-in workload does); a workload
-// without Clone runs serially. The simulated results are bit-identical
-// either way. On failure the error names every configuration that
+// seeded RNGs, and runs its own clone of w — so they fan out over the
+// parallel worker pool; the simulated results are bit-identical at any
+// -jobs. On failure the error names every configuration that
 // failed, and the returned slice still has len(kinds) entries with the
 // surviving configurations' results at their stable positions (failed
 // slots hold the partially filled Result of that run).
 func Compare(w workload.Workload, base Options, kinds []Kind) ([]Result, error) {
-	jobs := parallel.Jobs()
-	_, cloneable := w.(workload.Cloner)
-	if !cloneable {
-		// Setup mutates the workload, so a shared instance must run one
-		// configuration at a time.
-		jobs = 1
-	}
 	name := w.Name() // hoisted: the thunks must not touch the shared workload
-	return parallel.MapN(jobs, kinds, func(_ int, k Kind) (Result, error) {
+	return parallel.Map(kinds, func(_ int, k Kind) (Result, error) {
 		defer obs.Span3("cell", name, k.String()).End()
 		o := base
 		o.Kind = k
-		wk := workload.Clone(w)
+		wk := w.Clone()
 		r, err := Run(wk, o)
 		if err != nil {
 			return r, fmt.Errorf("system: %s on %s: %w", k, name, err)

@@ -58,8 +58,7 @@ var (
 type Stats struct {
 	// Builds counts tapes recorded; Hits counts cells served a shared
 	// tape they did not build; Live counts cells that ran without a tape
-	// (no TapeKey, incompatible layout, byte budget reached, or a failed
-	// recording).
+	// (incompatible layout, byte budget reached, or a failed recording).
 	Builds, Hits, Live int64
 	// Bytes is the retained column footprint.
 	Bytes int64
@@ -85,18 +84,16 @@ func ResetCache() {
 
 // StreamsFor returns the reference streams for one cell's run of w at
 // seed, under the cell's allocation layout lay (as captured by
-// Layout.Note during Setup). Cells of tape-keyed workloads share one
-// recording per {key, seed}; anything else — or any layout the tape
-// cannot be replayed under — falls back to live generation, emitting
+// Layout.Note during Setup). Cells share one recording per {TapeKey,
+// seed}; a layout the tape cannot be replayed under, a full byte
+// budget or a failed recording falls back to live generation, emitting
 // the identical sequence either way.
 func StreamsFor(w workload.Workload, seed int64, lay *Layout) []cpu.Stream {
-	if k, ok := w.(workload.TapeKeyer); ok {
-		key := cacheKey{key: k.TapeKey(), seed: seed}
-		t, err := cache.Do(key, func() (*Tape, error) { return record(key, w, seed, lay), nil })
-		if err == nil {
-			if ss, err := t.Streams(lay); err == nil {
-				return ss
-			}
+	key := cacheKey{key: w.TapeKey(), seed: seed}
+	t, err := cache.Do(key, func() (*Tape, error) { return record(key, w, seed, lay), nil })
+	if err == nil {
+		if ss, err := t.Streams(lay); err == nil {
+			return ss
 		}
 	}
 	statLive.Add(1)

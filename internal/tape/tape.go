@@ -2,7 +2,7 @@
 // {workload parameters, seed} into immutable flat columns — a
 // "reference tape" — that every sweep cell replays instead of re-running
 // the stream generator. The legality argument is the same invariant the
-// engine's BatchStream contract already relies on: a stream's reference
+// engine's stream contract already relies on: a stream's reference
 // *sequence* is a pure function of the workload's parameters, its seed,
 // and its allocation base addresses; only issue *times* vary with the
 // memory configuration. Sweeps that compare many configurations over one
@@ -143,43 +143,22 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 	idx := newSlotIndex(&t.layout)
 	var buf [256]cpu.Ref
 	for _, s := range streams {
-		if b, ok := s.(cpu.BatchStream); ok {
-			for {
-				n := b.NextBatch(buf[:])
-				if n == 0 {
-					break
-				}
-				t.append(buf[:n], &idx)
-			}
-		} else {
-			for {
-				r, ok := s.Next()
-				if !ok {
-					break
-				}
-				buf[0] = r
-				t.append(buf[:1], &idx)
-			}
+		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+			t.append(buf[:n], &idx)
 		}
 		t.starts = append(t.starts, len(t.va))
 	}
 	return t
 }
 
-// presize reserves the columns' exact final size when every stream
-// reports how many references it has left (cpu.Sized: the paper
-// kernels' materialized streams and the proxies' mix streams), so
-// recording keeps what it allocates instead of growing each column in
-// ~1.25× steps, which allocates about five times the retained bytes.
-// If any stream cannot say, the columns grow as they fill.
+// presize reserves the columns' exact final size from the streams'
+// Remaining counts, so recording keeps what it allocates instead of
+// growing each column in ~1.25× steps, which allocates about five times
+// the retained bytes.
 func (t *Tape) presize(streams []cpu.Stream) {
 	n := 0
 	for _, s := range streams {
-		ss, ok := s.(cpu.Sized)
-		if !ok {
-			return
-		}
-		n += ss.Remaining()
+		n += s.Remaining()
 	}
 	t.va = make([]uint64, 0, n)
 	t.pc = make([]uint64, 0, n)
@@ -255,22 +234,9 @@ type replayStream struct {
 }
 
 // Next implements cpu.Stream.
-func (r *replayStream) Next() (cpu.Ref, bool) {
-	if r.pos >= r.end {
-		return cpu.Ref{}, false
-	}
-	t, i := r.t, r.pos
-	r.pos++
-	va := t.va[i]
-	if r.delta != nil {
-		if s := t.slot[i]; s >= 0 {
-			va += r.delta[s]
-		}
-	}
-	return cpu.Ref{VA: vm.VA(va), PC: t.pc[i], Write: t.isWrite(i)}, true
-}
+func (r *replayStream) Next() (cpu.Ref, bool) { return cpu.NextOf(r) }
 
-// NextBatch implements cpu.BatchStream.
+// NextBatch implements cpu.Stream.
 func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 	n := r.end - r.pos
 	if n > len(buf) {
@@ -299,7 +265,7 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 	return n
 }
 
-// Remaining implements cpu.Sized.
+// Remaining implements cpu.Stream.
 func (r *replayStream) Remaining() int { return r.end - r.pos }
 
 // Reset rewinds the view for replay.

@@ -39,22 +39,8 @@ func drain(ss []cpu.Stream) [][]cpu.Ref {
 	out := make([][]cpu.Ref, len(ss))
 	var buf [64]cpu.Ref
 	for i, s := range ss {
-		if b, ok := s.(cpu.BatchStream); ok {
-			for {
-				n := b.NextBatch(buf[:])
-				if n == 0 {
-					break
-				}
-				out[i] = append(out[i], buf[:n]...)
-			}
-			continue
-		}
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			out[i] = append(out[i], r)
+		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+			out[i] = append(out[i], buf[:n]...)
 		}
 	}
 	return out
@@ -91,7 +77,7 @@ func TestReplayMatchesLiveSameLayout(t *testing.T) {
 
 	// A fresh clone at the identical layout must see the identical
 	// sequence, and replay must take the zero-copy path.
-	fresh := workload.Clone(w)
+	fresh := w.Clone()
 	flay, _ := setup(t, fresh, 0)
 	ss, err := tp.Streams(&flay)
 	if err != nil {
@@ -111,7 +97,7 @@ func TestReplayRebasesAcrossLayouts(t *testing.T) {
 	// Shift the second cell's heap with a pad allocation: every base
 	// moves, so replay must rebase per slot — and still match a live
 	// clone set up in that shifted space.
-	fresh := workload.Clone(w)
+	fresh := w.Clone()
 	flay, _ := setup(t, fresh, 3*geom.PageBytes)
 	if lay.sameBases(&flay) {
 		t.Fatal("pad allocation did not move the bases; test is vacuous")
@@ -199,7 +185,7 @@ func TestCacheSingleflight(t *testing.T) {
 	lay, _ := setup(t, w, 0)
 	first := drain(StreamsFor(w, 5, &lay))
 
-	fresh := workload.Clone(w)
+	fresh := w.Clone()
 	flay, _ := setup(t, fresh, geom.PageBytes)
 	second := drain(StreamsFor(fresh, 5, &flay))
 
@@ -214,7 +200,7 @@ func TestCacheSingleflight(t *testing.T) {
 	// The shared recording must not leak the first cell's bases into
 	// the second cell's (shifted) replay: compare against a live clone
 	// set up at the same shifted layout.
-	ref := workload.Clone(w)
+	ref := w.Clone()
 	rlay, _ := setup(t, ref, geom.PageBytes)
 	if !flay.sameBases(&rlay) {
 		t.Fatal("reference clone landed at different bases; test is vacuous")
@@ -225,21 +211,27 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-func TestCacheFallsBackWithoutTapeKey(t *testing.T) {
+// TestCacheFallsBackOnIncompatibleLayout: a cell whose layout the
+// shared tape cannot be replayed under runs its streams live, and the
+// cache counts it as such.
+func TestCacheFallsBackOnIncompatibleLayout(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
-	w := opaque{testWorkload()}
+	w := testWorkload()
 	lay, _ := setup(t, w, 0)
-	if ss := StreamsFor(w, 1, &lay); len(ss) == 0 {
-		t.Fatal("no streams for un-keyed workload")
-	}
-	if s := CacheStats(); s.Live != 1 || s.Builds != 0 {
-		t.Fatalf("un-keyed workload stats = %+v, want live-only", s)
+	drain(StreamsFor(w, 1, &lay))
+
+	fresh := w.Clone()
+	flay, _ := setup(t, fresh, 0)
+	short := Layout{Allocs: flay.Allocs[:len(flay.Allocs)-1]}
+	live := drain(StreamsFor(fresh, 1, &short))
+	ref := w.Clone()
+	setup(t, ref, 0)
+	sameRefs(t, live, drain(ref.Streams(1)))
+	if s := CacheStats(); s.Live != 1 || s.Builds != 1 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 build, 1 hit, 1 live", s)
 	}
 }
-
-// opaque hides the embedded workload's TapeKey.
-type opaque struct{ workload.Workload }
 
 // TestConcurrentCellsShareOneTape drives many goroutines through the
 // cache for one {key, seed} at once — the shape of a -jobs 8 sweep —
@@ -261,7 +253,7 @@ func TestConcurrentCellsShareOneTape(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cw := workload.Clone(w)
+			cw := w.Clone()
 			as := vm.NewKernel(geom.Default().Chunks()).NewAddressSpace()
 			var clay Layout
 			env := &workload.Env{AS: as, Heap: heap.New(as), OnAlloc: clay.Note}
@@ -333,14 +325,16 @@ func TestRecordPresizesSliceStreams(t *testing.T) {
 	}
 }
 
-// unsized hides a stream's Remaining, so Record cannot presize and
+// unsized reports no references left, so Record reserves nothing and
 // grows every column batch by batch instead.
-type unsized struct{ cpu.BatchStream }
+type unsized struct{ cpu.Stream }
+
+func (unsized) Remaining() int { return 0 }
 
 func hideSizes(ss []cpu.Stream) []cpu.Stream {
 	out := make([]cpu.Stream, len(ss))
 	for i, s := range ss {
-		out[i] = unsized{s.(cpu.BatchStream)}
+		out[i] = unsized{s}
 	}
 	return out
 }
@@ -362,13 +356,7 @@ func presizeWorkloads(tb testing.TB) []workload.Workload {
 func TestRecordPresizeMatchesGrowth(t *testing.T) {
 	for _, w := range presizeWorkloads(t) {
 		lay, _ := setup(t, w, 0)
-		ss := w.Streams(5)
-		for _, s := range ss {
-			if _, ok := s.(cpu.Sized); !ok {
-				t.Fatalf("%s: stream %T does not report its size", w.Name(), s)
-			}
-		}
-		sized := Record(ss, lay)
+		sized := Record(w.Streams(5), lay)
 		grown := Record(hideSizes(w.Streams(5)), lay)
 		if cap(sized.va) != len(sized.va) || cap(sized.slot) != len(sized.slot) {
 			t.Errorf("%s: presized columns hold %d/%d refs, want exact", w.Name(), len(sized.va), cap(sized.va))

@@ -52,7 +52,7 @@ func profilingPass(t testing.TB, col *trace.Collector, onAlloc func(site string,
 	for live := len(ss); live > 0; {
 		live = 0
 		for _, s := range ss {
-			k := s.(cpu.BatchStream).NextBatch(buf[:])
+			k := s.NextBatch(buf[:])
 			if k > 0 {
 				live++
 			}

@@ -69,18 +69,17 @@ func Record(w workload.Workload, seed int64) (*File, error) {
 		}
 		return i, uint64(va - allocs[i].VA), nil
 	}
+	var buf [256]cpu.Ref
 	for _, s := range w.Streams(seed) {
 		var recs []Rec
-		for {
-			ref, ok := s.Next()
-			if !ok {
-				break
+		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+			for _, ref := range buf[:n] {
+				vi, off, err := find(ref.VA)
+				if err != nil {
+					return nil, err
+				}
+				recs = append(recs, Rec{Var: vi, Off: off, Write: ref.Write, PC: ref.PC})
 			}
-			vi, off, err := find(ref.VA)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, Rec{Var: vi, Off: off, Write: ref.Write, PC: ref.PC})
 		}
 		f.Threads = append(f.Threads, recs)
 	}
@@ -151,10 +150,10 @@ type replay struct {
 // Name implements workload.Workload.
 func (r *replay) Name() string { return r.file.Name + "-trace" }
 
-// TapeKey implements workload.TapeKeyer.
+// TapeKey implements workload.Workload.
 func (r *replay) TapeKey() string { return r.key }
 
-// Clone implements workload.Cloner: the trace itself is read-only after
+// Clone implements workload.Workload: the trace itself is read-only after
 // Load, so clones share it and only carry their own allocation bases.
 func (r *replay) Clone() workload.Workload { return &replay{file: r.file, key: r.key} }
 

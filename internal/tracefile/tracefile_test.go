@@ -141,7 +141,7 @@ func TestReplaySharesOneTape(t *testing.T) {
 	if s := tape.CacheStats(); s.Builds != 1 || s.Hits != 1 || s.Live != 0 {
 		t.Fatalf("tape stats = %+v, want 1 build shared by both cells", s)
 	}
-	key := func(f *File) string { return f.Workload().(workload.TapeKeyer).TapeKey() }
+	key := func(f *File) string { return f.Workload().TapeKey() }
 	g := record(t)
 	if key(f) != key(g) {
 		t.Fatal("equal traces have different keys")

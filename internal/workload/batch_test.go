@@ -17,50 +17,6 @@ func batchedStride(t *testing.T, seed int64) *mixStream {
 	return w.Streams(seed)[0].(*mixStream)
 }
 
-// TestMixStreamNextBatchMatchesNext pins the cpu.BatchStream contract:
-// NextBatch must emit exactly the sequence repeated Next calls would,
-// for any interleaving of the two and any batch size.
-func TestMixStreamNextBatchMatchesNext(t *testing.T) {
-	ref := batchedStride(t, 7)
-	var want []cpu.Ref
-	for {
-		r, ok := ref.Next()
-		if !ok {
-			break
-		}
-		want = append(want, r)
-	}
-
-	for _, bufLen := range []int{1, 3, 64, 4096} {
-		got := make([]cpu.Ref, 0, len(want))
-		ms := batchedStride(t, 7)
-		buf := make([]cpu.Ref, bufLen)
-		for odd := true; ; odd = !odd {
-			if odd {
-				n := ms.NextBatch(buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-				continue
-			}
-			r, ok := ms.Next()
-			if !ok {
-				break
-			}
-			got = append(got, r)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("bufLen %d: %d refs via batches, %d via Next", bufLen, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("bufLen %d: ref %d = %+v via batch, %+v via Next", bufLen, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestMixStreamResetReplaysIdentically pins Reset: a drained generator
 // stream rewound with Reset must re-emit its exact sequence.
 func TestMixStreamResetReplaysIdentically(t *testing.T) {

@@ -124,14 +124,14 @@ func NewProxyByName(name string, opts ProxyOptions) (*Proxy, error) {
 // Name implements Workload.
 func (p *Proxy) Name() string { return p.target.Name }
 
-// Clone implements Cloner: a fresh proxy with the same Table 1 target
+// Clone implements Workload: a fresh proxy with the same Table 1 target
 // and options, ready for an independent Setup.
 func (p *Proxy) Clone() Workload { return NewProxy(p.target, p.opts) }
 
 // Target returns the Table 1 row parameterizing this proxy.
 func (p *Proxy) Target() Table1Target { return p.target }
 
-// TapeKey implements TapeKeyer: a proxy's streams are fully determined
+// TapeKey implements Workload: a proxy's streams are fully determined
 // by its Table 1 row and options (after defaulting) plus the seed.
 func (p *Proxy) TapeKey() string {
 	o := p.opts.withDefaults()
@@ -268,12 +268,12 @@ func NewStrideCopy(strides []int, perCopy int, bytes uint64) *StrideCopy {
 // Name implements Workload.
 func (s *StrideCopy) Name() string { return fmt.Sprintf("stridecopy-%v", s.Strides) }
 
-// Clone implements Cloner.
+// Clone implements Workload.
 func (s *StrideCopy) Clone() Workload {
 	return NewStrideCopy(append([]int(nil), s.Strides...), s.PerCopy, s.Bytes)
 }
 
-// TapeKey implements TapeKeyer: the stream emission is a pure function
+// TapeKey implements Workload: the stream emission is a pure function
 // of the stride vector, per-thread budget, buffer size, and seed.
 func (s *StrideCopy) TapeKey() string {
 	return fmt.Sprintf("stridecopy/%v/p%d/b%d", s.Strides, s.PerCopy, s.Bytes)

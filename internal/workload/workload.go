@@ -67,7 +67,10 @@ func (e *Env) Alloc(site string, bytes uint64) (vm.VA, error) {
 	return va, nil
 }
 
-// Workload is one benchmark program.
+// Workload is one benchmark program. The set of programs is closed
+// (Env is internal, so nothing outside this module can implement it),
+// and every one can clone itself and name its stream content, so both
+// are part of the contract.
 type Workload interface {
 	// Name identifies the benchmark (Table 1 / Fig 12 row name).
 	Name() string
@@ -77,37 +80,20 @@ type Workload interface {
 	// Different seeds model different program inputs (the paper's
 	// train-vs-test cross-validation, §7.3).
 	Streams(seed int64) []cpu.Stream
-}
-
-// Cloner is implemented by workloads that can produce a fresh,
-// independent instance with the same parameters. Setup mutates a
-// workload (it records the run's allocations), so concurrent runs of
-// the same benchmark — the parallel sweep cells of system.Compare and
-// the experiment harness — each need their own clone.
-type Cloner interface {
+	// Clone returns a fresh, independent instance with the same
+	// parameters. Setup mutates a workload (it records the run's
+	// allocations), so concurrent runs of the same benchmark — the
+	// parallel sweep cells of system.Compare and the experiment
+	// harness — each use their own clone.
 	Clone() Workload
-}
-
-// Clone returns an independent instance of w when it supports cloning,
-// and w itself otherwise (callers fall back to serial execution then).
-func Clone(w Workload) Workload {
-	if c, ok := w.(Cloner); ok {
-		return c.Clone()
-	}
-	return w
-}
-
-// TapeKeyer is implemented by workloads whose reference streams are a
-// pure function of (construction parameters, seed) relative to their
-// allocation bases — every built-in workload. TapeKey returns a string
-// that changes whenever those parameters change; two workloads with
-// equal keys and equal seeds emit identical streams modulo allocation
-// base addresses, which is exactly the invariant the reference-tape
-// cache (internal/tape) needs to share one recording across sweep
-// cells. Workloads whose streams depend on anything else (e.g. external
-// file contents) must fold it into the key — a replayed trace file keys
-// on a hash of its contents — or not implement the interface.
-type TapeKeyer interface {
+	// TapeKey returns a string that changes whenever the parameters
+	// the streams depend on change: two workloads with equal keys and
+	// equal seeds emit identical streams modulo allocation base
+	// addresses, which is exactly the invariant the reference-tape
+	// cache (internal/tape) and the profiling-pass cache need to share
+	// one recording across sweep cells. Streams that depend on
+	// anything else (e.g. external file contents) fold it into the
+	// key — a replayed trace file keys on a hash of its contents.
 	TapeKey() string
 }
 
@@ -298,7 +284,7 @@ type varRef struct {
 
 // mixStream interleaves several variables' reference generators
 // according to a deterministic weighted schedule. It generates
-// references incrementally (cpu.BatchStream), so a multi-million-entry
+// references incrementally, a batch at a time, so a multi-million-entry
 // stream is never materialized, and it can Reset for replay because the
 // whole emission is a function of the stored seed.
 type mixStream struct {
@@ -357,24 +343,10 @@ func newMixStream(vars []varRef, n int, seed int64) *mixStream {
 }
 
 // Next implements cpu.Stream.
-func (ms *mixStream) Next() (cpu.Ref, bool) {
-	if ms.remaining <= 0 || len(ms.schedule) == 0 {
-		return cpu.Ref{}, false
-	}
-	ms.remaining--
-	i := ms.schedule[ms.pos%len(ms.schedule)]
-	ms.pos++
-	v := &ms.vars[i]
-	off := ms.states[i].Next()
-	if off >= v.bytes {
-		off = 0
-	}
-	return cpu.Ref{VA: v.base + vm.VA(off), PC: v.pc}, true
-}
+func (ms *mixStream) Next() (cpu.Ref, bool) { return cpu.NextOf(ms) }
 
-// NextBatch implements cpu.BatchStream: the same emission as repeated
-// Next calls, produced with the schedule wrap hoisted out of the
-// per-reference work.
+// NextBatch implements cpu.Stream, with the schedule wrap hoisted out
+// of the per-reference work.
 //
 //sdam:noalloc
 func (ms *mixStream) NextBatch(buf []cpu.Ref) int {
@@ -404,7 +376,7 @@ func (ms *mixStream) NextBatch(buf []cpu.Ref) int {
 	return n
 }
 
-// Remaining implements cpu.Sized.
+// Remaining implements cpu.Stream.
 func (ms *mixStream) Remaining() int {
 	if len(ms.schedule) == 0 {
 		return 0
