@@ -47,12 +47,16 @@ race:
 # fuzz runs every Fuzz* target in the root module's tests for 10 s of
 # coverage-guided fuzzing each. Targets are found by name in each
 # package's _test.go files, so a new one is never left out; the seed
-# corpora already run as ordinary tests under `test`.
+# corpora already run as ordinary tests under `test`. Minimizing each
+# new interesting input may take up to -fuzzminimizetime (default 60 s),
+# during which no new input runs: the JSON loaders' targets found inputs
+# early and then executed nothing for the rest of their 10 s, so each
+# minimization is capped at 1 s.
 fuzz:
 	@set -e; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
 		for n in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$d/*_test.go 2>/dev/null); do \
 			echo "== $$n ($$d)"; \
-			$(GO) test -run='^$$' -fuzz="^$$n\$$" -fuzztime=10s "$$d"; \
+			$(GO) test -run='^$$' -fuzz="^$$n\$$" -fuzztime=10s -fuzzminimizetime=1s "$$d"; \
 		done; \
 	done
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cpu"
+	"repro/internal/lfg"
 	"repro/internal/workload"
 )
 
@@ -15,8 +16,10 @@ const dims = 32
 // clustering/search kernels behave like real embeddings. The points are
 // views into one flat backing slice; each view's capacity ends at its
 // own last coordinate, so appending to a point copies it instead of
-// overwriting the next one.
-func genVectors(r *rand.Rand, n, k int) [][]float32 {
+// overwriting the next one. The normals are math/rand's own, drawn
+// through rand.New(src) from src's stream.
+func genVectors(src *lfg.Source, n, k int) [][]float32 {
+	r := rand.New(src)
 	centers := make([][]float32, k)
 	for c := range centers {
 		centers[c] = make([]float32, dims)
@@ -27,7 +30,7 @@ func genVectors(r *rand.Rand, n, k int) [][]float32 {
 	flat := make([]float32, n*dims)
 	out := make([][]float32, n)
 	for i := range out {
-		c := centers[r.Intn(k)]
+		c := centers[src.Intn(k)]
 		v := flat[i*dims : (i+1)*dims : (i+1)*dims]
 		for d := range v {
 			v[d] = c[d] + float32(r.NormFloat64())*0.3
@@ -153,7 +156,7 @@ func (h *HNSW) Setup(env *workload.Env) error {
 // Streams implements workload.Workload: builds a randomized NSW graph
 // and answers queries with greedy search.
 func (h *HNSW) Streams(seed int64) []cpu.Stream {
-	r := rand.New(rand.NewSource(seed))
+	r := lfg.New(seed)
 	pts := genVectors(r, h.nPoints, 32)
 	// Graph: random long links + a few near links via sampled candidates,
 	// the standard cheap NSW approximation.
@@ -236,7 +239,7 @@ func (v *IVFPQ) Setup(env *workload.Env) error {
 
 // Streams implements workload.Workload.
 func (v *IVFPQ) Streams(seed int64) []cpu.Stream {
-	r := rand.New(rand.NewSource(seed))
+	r := lfg.New(seed)
 	perList := v.nVectors / v.nLists
 	rec := newRecorder(v.opts.Threads, v.opts.MaxRefs)
 

@@ -1,9 +1,10 @@
 package apps
 
 import (
-	"math/rand"
+	"math/bits"
 
 	"repro/internal/cpu"
+	"repro/internal/lfg"
 	"repro/internal/memo"
 	"repro/internal/workload"
 )
@@ -22,40 +23,125 @@ type Graph struct {
 // edges. Half the endpoints concentrate on a hot prefix of vertices,
 // giving the skewed degree distribution of RMAT-style graphs.
 func GenGraph(n, edgeFactor int, seed int64) *Graph {
-	r := rand.New(rand.NewSource(seed))
+	return genGraph(n, edgeFactor, seed, bucketShift(n))
+}
+
+// bucketShift is log2 of the vertices per bucket of genGraph's
+// partition pass: the smallest power of two that splits [0, n) into at
+// most 64 buckets.
+func bucketShift(n int) uint {
+	if vb := vertexBits(n); vb > 6 {
+		return vb - 6
+	}
+	return 0
+}
+
+// vertexBits is the number of bits a vertex ID below n needs.
+func vertexBits(n int) uint { return uint(bits.Len(uint(n - 1))) }
+
+// genGraph is GenGraph with buckets of 1<<shift source vertices. It
+// draws every edge in order, then places each vertex's edges into
+// Edges in draw order (DESIGN.md §27). Scattering straight from the
+// draw columns writes all over Edges; instead a stable partition pass
+// moves the edges into buckets of source vertices, each packed as
+// (u mod bucket)<<vertexBits | v in one uint32, and a placement pass
+// scatters each bucket within its own slice of Edges, small enough to
+// stay in cache. When the packed edge needs more than 32 bits it
+// scatters straight from the draw columns.
+func genGraph(n, edgeFactor int, seed int64, shift uint) *Graph {
 	g := &Graph{N: n, Offsets: make([]uint32, n+1)}
 	m := n * edgeFactor
 	us, vs := make([]uint32, m), make([]uint32, m)
-	hot := n / 16
-	if hot == 0 {
-		hot = 1
-	}
-	for i := range us {
-		u := uint32(r.Intn(n))
-		var v uint32
-		if r.Intn(2) == 0 {
-			v = uint32(r.Intn(hot))
-		} else {
-			v = uint32(r.Intn(n))
-		}
-		us[i], vs[i] = u, v
-		g.Offsets[u]++
-	}
+	drawEdges(lfg.New(seed), n, us, vs, g.Offsets)
 	// Offsets[u] now holds u's out-degree; an inclusive prefix sum turns
 	// it into the end of u's edge range. Placing edges back to front,
 	// each one decrementing its source's cursor, leaves every vertex's
 	// edges in draw order and Offsets[u] at the start of u's range.
+	off := g.Offsets
 	for u := 1; u < n; u++ {
-		g.Offsets[u] += g.Offsets[u-1]
+		off[u] += off[u-1]
 	}
-	g.Offsets[n] = uint32(m)
-	g.Edges = make([]uint32, m)
-	for i := m - 1; i >= 0; i-- {
-		u := us[i]
-		g.Offsets[u]--
-		g.Edges[g.Offsets[u]] = vs[i]
+	off[n] = uint32(m)
+	vb := vertexBits(n)
+	if shift+vb > 32 {
+		g.Edges = make([]uint32, m)
+		for i := m - 1; i >= 0; i-- {
+			u := us[i]
+			off[u]--
+			g.Edges[off[u]] = vs[i]
+		}
+		return g
 	}
+	// Partition: bucket b holds sources [b<<shift, (b+1)<<shift), whose
+	// edges end up in the same index range of Edges as they now take in
+	// packed. ends[b] walks from the range's start to its end.
+	nb := (n-1)>>shift + 1
+	ends := make([]uint32, nb)
+	for b := 1; b < nb; b++ {
+		ends[b] = off[b<<shift-1]
+	}
+	packed := make([]uint32, m)
+	local := uint32(1)<<shift - 1
+	vs = vs[:len(us)]
+	for i, u := range us {
+		b := u >> shift
+		packed[ends[b]] = (u&local)<<vb | vs[i]
+		ends[b]++
+	}
+	// Placement: the draw column us is spent, so Edges takes its array.
+	edges := us
+	vmask := uint32(1)<<vb - 1
+	lo := uint32(0)
+	for b, hi := range ends {
+		base := uint32(b << shift)
+		for i := hi; i > lo; i-- {
+			e := packed[i-1]
+			u := base + e>>vb
+			off[u]--
+			edges[off[u]] = e & vmask
+		}
+		lo = hi
+	}
+	g.Edges = edges
 	return g
+}
+
+// drawEdges draws every edge's endpoints into us and vs in order and
+// counts each source's out-degree into deg. Each edge draws its source
+// u = Intn(n), a coin Intn(2), and its target v = Intn(hot) on heads
+// or Intn(n) on tails, where the hot prefix is the first n/16
+// vertices. When n and hot are powers of two up to 2^30, each Intn is
+// one masked Int31, so that loop reads the draws directly.
+func drawEdges(src *lfg.Source, n int, us, vs, deg []uint32) {
+	hot := n / 16
+	if hot == 0 {
+		hot = 1
+	}
+	vs = vs[:len(us)]
+	if n&(n-1) != 0 || hot&(hot-1) != 0 || n > 1<<30 {
+		for i := range us {
+			u := uint32(src.Intn(n))
+			var v uint32
+			if src.Intn(2) == 0 {
+				v = uint32(src.Intn(hot))
+			} else {
+				v = uint32(src.Intn(n))
+			}
+			us[i], vs[i] = u, v
+			deg[u]++
+		}
+		return
+	}
+	// Int31() is bits 32–62 of a draw; masks[coin] is hot's mask on
+	// heads and n's on tails.
+	masks := [2]uint32{uint32(hot - 1), uint32(n - 1)}
+	for i := range us {
+		u := uint32(src.Uint64()>>32) & masks[1]
+		coin := src.Uint64() >> 32 & 1
+		v := uint32(src.Uint64()>>32) & masks[coin]
+		us[i], vs[i] = u, v
+		deg[u]++
+	}
 }
 
 // graphKey is GenGraph's argument list.
@@ -257,7 +343,7 @@ func (s *SSSP) Setup(env *workload.Env) error {
 // Streams implements workload.Workload.
 func (s *SSSP) Streams(seed int64) []cpu.Stream {
 	g := sharedGraph(s.vertices, s.edgeFactor, seed)
-	r := rand.New(rand.NewSource(seed ^ 0xabcdef))
+	r := lfg.New(seed ^ 0xabcdef)
 	w := make([]uint32, len(g.Edges))
 	for i := range w {
 		w[i] = uint32(1 + r.Intn(100))

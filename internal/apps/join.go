@@ -1,9 +1,8 @@
 package apps
 
 import (
-	"math/rand"
-
 	"repro/internal/cpu"
+	"repro/internal/lfg"
 	"repro/internal/workload"
 )
 
@@ -47,7 +46,7 @@ func (h *HashJoin) Setup(env *workload.Env) error {
 // whole chain whether or not a key matches, so R's keys and the match
 // count are not kept.
 func (h *HashJoin) Streams(seed int64) []cpu.Stream {
-	r := rand.New(rand.NewSource(seed))
+	r := lfg.New(seed)
 	rec := newRecorder(h.opts.Threads, h.opts.MaxRefs)
 
 	nBuckets := uint64(h.rSize)
@@ -130,7 +129,7 @@ func (m *MergeJoin) Setup(env *workload.Env) error {
 
 // Streams implements workload.Workload.
 func (m *MergeJoin) Streams(seed int64) []cpu.Stream {
-	r := rand.New(rand.NewSource(seed))
+	r := lfg.New(seed)
 	rec := newRecorder(m.opts.Threads, m.opts.MaxRefs)
 
 	keysR := make([]uint64, m.rSize)

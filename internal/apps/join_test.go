@@ -47,7 +47,7 @@ func TestSortKeysMatchesSlicesSort(t *testing.T) {
 		// result lands in scratch and must be copied back.
 		{"three passes", keys(5000, func() uint64 { return uint64(r.Int63n(1 << 33)) }), 0},
 		{"MergeJoin keys", keys(1<<15, func() uint64 { return uint64(r.Intn(1 << 21)) }), 0},
-		{"long scratch", keys(3000, func() uint64 { return uint64(r.Intn(1 << 33)) }), 5000},
+		{"long scratch", keys(3000, func() uint64 { return uint64(r.Int63n(1 << 33)) }), 5000},
 		{"sorted", []uint64{1, 2, 3, 1 << 40, 1 << 50}, 0},
 		{"reversed", []uint64{1 << 50, 1 << 40, 3, 2, 1}, 0},
 	} {

@@ -5,11 +5,11 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/lfg"
 	"repro/internal/workload"
 )
 
@@ -169,7 +169,7 @@ func TestGenVectorsMatchesPinnedDigests(t *testing.T) {
 		if testing.Short() && c.n > 1<<12 {
 			continue
 		}
-		r := rand.New(rand.NewSource(c.seed))
+		r := lfg.New(c.seed)
 		pts := genVectors(r, c.n, c.k)
 		f := newFNV()
 		for _, p := range pts {
@@ -188,7 +188,7 @@ func TestGenVectorsMatchesPinnedDigests(t *testing.T) {
 // its capacity at its own last coordinate: appending to one point must
 // copy it, never write into the next point of the shared backing slice.
 func TestGenVectorsPointsAreCapacityClipped(t *testing.T) {
-	pts := genVectors(rand.New(rand.NewSource(1)), 64, 4)
+	pts := genVectors(lfg.New(1), 64, 4)
 	for i, p := range pts {
 		if len(p) != dims || cap(p) != dims {
 			t.Fatalf("point %d: len %d cap %d, want %d and %d", i, len(p), cap(p), dims, dims)

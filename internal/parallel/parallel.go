@@ -69,12 +69,13 @@ func Map[T, R any](items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 
 // MapN is Map with an explicit worker budget. Every item is attempted
 // even when earlier items fail: the result slice always has len(items)
-// entries, holding the zero R at failed indices, and the returned error
-// joins the per-item errors in index order. A panic is not an error: it
-// reaches the calling goroutine at any worker count (see firstPanic), so
-// containing it is the caller's choice. jobs <= 1 (or a single item) runs
-// fully serially on the calling goroutine, which the determinism tests
-// use as the reference execution.
+// entries, each holding what fn returned for its item (at a failed
+// index, whatever partial R fn returned with its error), and the
+// returned error joins the per-item errors in index order. A panic is
+// not an error: it reaches the calling goroutine at any worker count
+// (see firstPanic), so containing it is the caller's choice. jobs <= 1
+// (or a single item) runs fully serially on the calling goroutine,
+// which the determinism tests use as the reference execution.
 func MapN[T, R any](jobs int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
 	return MapNWorker(jobs, items, func(_, i int, item T) (R, error) { return fn(i, item) })
 }

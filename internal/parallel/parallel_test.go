@@ -28,29 +28,32 @@ func TestMapOrderedResults(t *testing.T) {
 
 func TestMapPartialResultsOnError(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4}
-	out, err := MapN(3, items, func(_ int, v int) (string, error) {
-		if v%2 == 1 {
-			return "", fmt.Errorf("item %d failed", v)
+	for _, jobs := range []int{1, 3} {
+		out, err := MapN(jobs, items, func(_ int, v int) (string, error) {
+			if v%2 == 1 {
+				return fmt.Sprintf("partial%d", v), fmt.Errorf("item %d failed", v)
+			}
+			return fmt.Sprintf("ok%d", v), nil
+		})
+		if err == nil {
+			t.Fatal("want error")
 		}
-		return fmt.Sprintf("ok%d", v), nil
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	// Every item was attempted; failures hold the zero value.
-	want := []string{"ok0", "", "ok2", "", "ok4"}
-	for i, v := range out {
-		if v != want[i] {
-			t.Fatalf("out[%d] = %q, want %q", i, v, want[i])
+		// Every item was attempted; failures keep what fn returned with
+		// the error.
+		want := []string{"ok0", "partial1", "ok2", "partial3", "ok4"}
+		for i, v := range out {
+			if v != want[i] {
+				t.Fatalf("jobs %d: out[%d] = %q, want %q", jobs, i, v, want[i])
+			}
 		}
-	}
-	// Both failures are reported, in index order.
-	msg := err.Error()
-	if !strings.Contains(msg, "item 1 failed") || !strings.Contains(msg, "item 3 failed") {
-		t.Fatalf("error %q misses a failure", msg)
-	}
-	if strings.Index(msg, "item 1") > strings.Index(msg, "item 3") {
-		t.Fatalf("error %q not in index order", msg)
+		// Both failures are reported, in index order.
+		msg := err.Error()
+		if !strings.Contains(msg, "item 1 failed") || !strings.Contains(msg, "item 3 failed") {
+			t.Fatalf("jobs %d: error %q misses a failure", jobs, msg)
+		}
+		if strings.Index(msg, "item 1") > strings.Index(msg, "item 3") {
+			t.Fatalf("jobs %d: error %q not in index order", jobs, msg)
+		}
 	}
 }
 

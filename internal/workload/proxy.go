@@ -163,13 +163,14 @@ func (p *Proxy) majorSizes() []uint64 {
 }
 
 // patternFor deterministically picks a variable's pattern so that each
-// app has a stable, distinctive pattern mix.
+// app has a stable, distinctive pattern mix. The name hash is 64-bit on
+// every platform: a 32-bit int overflows to a negative index.
 func (p *Proxy) patternFor(varIdx int) Pattern {
-	h := 0
+	h := int64(0)
 	for _, c := range p.target.Name {
-		h = h*31 + int(c)
+		h = h*31 + int64(c)
 	}
-	return patternPalette[(h+varIdx*5)%len(patternPalette)]
+	return patternPalette[(h+int64(varIdx)*5)%int64(len(patternPalette))]
 }
 
 // Setup implements Workload: allocates major variables (each with its

@@ -20,7 +20,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/geom"
 	"repro/internal/heap"
-	"repro/internal/memo"
+	"repro/internal/lfg"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -158,7 +158,9 @@ func (s *strideState) Next() uint64 {
 
 // Random accesses uniformly distributed cache lines — hash tables,
 // pointer-heavy structures. Its n-th draw is the n-th Uint64 of
-// rand.New(rand.NewSource(seed ^ 0x9e3779b9)).
+// rand.New(rand.NewSource(seed ^ 0x9e3779b9)), read from lfg's shared
+// seeded block: a proxy variable draws only a handful of values, and a
+// sweep seeds the same few hundred seeds tens of thousands of times.
 type Random struct{}
 
 // NewState implements Pattern.
@@ -167,81 +169,21 @@ func (Random) NewState(bytes uint64, seed int64) PatternState {
 	if lines == 0 {
 		lines = 1
 	}
-	return &randomState{lines: lines, block: seededBlock(seed ^ 0x9e3779b9)}
+	s := &randomState{lines: lines}
+	s.src.Seed(seed ^ 0x9e3779b9)
+	return s
 }
 
 // String implements Pattern.
 func (Random) String() string { return "random" }
 
-// math/rand's source is an additive lagged-Fibonacci generator: its
-// n-th Uint64 is y[n] = y[n-lfgLen] + y[n-lfgTap] (mod 2^64), where the
-// y[n] with n < 0 are the state seeding writes. Seeding costs
-// microseconds, a proxy variable draws only a handful of values, and a
-// sweep seeds the same few hundred seeds tens of thousands of times. So
-// each seed's first lfgLen draws are computed once per process and
-// shared read-only; a state that draws past them continues the
-// recurrence, which needs exactly the last lfgLen draws, in a private
-// copy. Go 1 promises rand.NewSource's seeded sequence never changes.
-const (
-	lfgLen = 607
-	lfgTap = 273
-)
-
-// lfgBlock is one seed's first lfgLen draws.
-type lfgBlock [lfgLen]uint64
-
-// seededBlocks holds up to 8 MiB of blocks (about 1700 seeds).
-var seededBlocks = memo.New[int64, *lfgBlock](memo.Config[*lfgBlock]{
-	Name:   "random-block",
-	Budget: 8 << 20,
-	Size:   func(*lfgBlock) int64 { return lfgLen * 8 },
-})
-
-// seededBlock returns seed's block from the memo, computing it uncached
-// once the memo's budget is spent. The result is shared and must not be
-// modified.
-func seededBlock(seed int64) *lfgBlock {
-	gen := func() (*lfgBlock, error) {
-		r := rand.New(rand.NewSource(seed))
-		b := new(lfgBlock)
-		for i := range b {
-			b[i] = r.Uint64()
-		}
-		return b, nil
-	}
-	b, err := seededBlocks.Do(seed, gen)
-	if err != nil {
-		b, _ = gen()
-	}
-	return b
-}
-
 type randomState struct {
 	lines uint64
-	block *lfgBlock // shared: draws 0 … lfgLen-1
-	ring  *lfgBlock // private, once past block: draw k at k mod lfgLen
-	n     int       // draws made
+	src   lfg.Source
 }
 
 func (s *randomState) Next() uint64 {
-	return (s.draw() % s.lines) * geom.LineBytes
-}
-
-// draw returns the next value of the seeded sequence.
-func (s *randomState) draw() uint64 {
-	n := s.n
-	s.n++
-	if n < lfgLen {
-		return s.block[n]
-	}
-	if s.ring == nil {
-		ring := *s.block
-		s.ring = &ring
-	}
-	// ring[n mod lfgLen] still holds y[n-lfgLen].
-	i := n % lfgLen
-	s.ring[i] += s.ring[(n-lfgTap)%lfgLen]
-	return s.ring[i]
+	return (s.src.Uint64() % s.lines) * geom.LineBytes
 }
 
 // Chase models pointer chasing: a pseudo-random permutation walk whose

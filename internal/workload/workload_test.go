@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/heap"
+	"repro/internal/lfg"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -86,7 +87,7 @@ func FuzzRandomPatternMatchesMathRand(f *testing.F) {
 		if lines == 0 {
 			lines = 1
 		}
-		const draws = 3*lfgLen + 17
+		const draws = 3*lfg.Len + 17
 		for pass := 0; pass < 2; pass++ {
 			st := Random{}.NewState(bytes, seed)
 			r := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
@@ -104,7 +105,7 @@ func FuzzRandomPatternMatchesMathRand(f *testing.F) {
 // race detector sees every state's private continuation stay off the
 // block the others are still reading.
 func TestRandomStatesShareBlocksConcurrently(t *testing.T) {
-	const bytes, draws = 1 << 30, 2*lfgLen + 5
+	const bytes, draws = 1 << 30, 2*lfg.Len + 5
 	want := make([][]uint64, 3)
 	for seed := range want {
 		r := rand.New(rand.NewSource(int64(seed) ^ 0x9e3779b9))
