@@ -21,7 +21,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/geom"
@@ -51,11 +50,9 @@ func (o Options) withDefaults() Options {
 
 // array is one allocated variable with element-granularity addressing.
 type array struct {
-	site string
 	base vm.VA
 	elem uint64
 	n    uint64
-	pc   uint64
 }
 
 // va returns the address of element i (clamped, so synthetic index
@@ -93,7 +90,7 @@ func (r *recorder) touch(t int, a *array, i uint64) {
 	if r.full() {
 		return
 	}
-	r.refs[t%len(r.refs)] = append(r.refs[t%len(r.refs)], cpu.Ref{VA: a.va(i), PC: a.pc})
+	r.refs[t%len(r.refs)] = append(r.refs[t%len(r.refs)], cpu.Ref{VA: a.va(i)})
 	r.total++
 }
 
@@ -103,7 +100,7 @@ func (r *recorder) write(t int, a *array, i uint64) {
 	if r.full() {
 		return
 	}
-	r.refs[t%len(r.refs)] = append(r.refs[t%len(r.refs)], cpu.Ref{VA: a.va(i), PC: a.pc, Write: true})
+	r.refs[t%len(r.refs)] = append(r.refs[t%len(r.refs)], cpu.Ref{VA: a.va(i), Write: true})
 	r.total++
 }
 
@@ -119,14 +116,12 @@ func (r *recorder) streams() []cpu.Stream {
 // kernelBase carries the common Workload plumbing: named arrays
 // allocated under the environment's mapping policy.
 type kernelBase struct {
-	name   string
-	opts   Options
-	arrays map[string]*array
-	nextPC uint64
+	name string
+	opts Options
 }
 
 func newKernelBase(name string, opts Options) kernelBase {
-	return kernelBase{name: name, opts: opts.withDefaults(), arrays: make(map[string]*array)}
+	return kernelBase{name: name, opts: opts.withDefaults()}
 }
 
 // Name implements workload.Workload.
@@ -148,20 +143,7 @@ func (k *kernelBase) alloc(env *workload.Env, name string, n, elem uint64) (*arr
 	if err != nil {
 		return nil, fmt.Errorf("apps: %s: %w", site, err)
 	}
-	k.nextPC += 0x40
-	a := &array{site: site, base: va, elem: elem, n: n, pc: 0x400000 + k.nextPC}
-	k.arrays[site] = a
-	return a, nil
-}
-
-// Sites lists every variable the kernel allocated.
-func (k *kernelBase) Sites() []string {
-	out := make([]string, 0, len(k.arrays))
-	for s := range k.arrays {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return &array{base: va, elem: elem, n: n}, nil
 }
 
 // lineElems returns how many elements of size elem share a cache line,

@@ -87,7 +87,6 @@ type SliceStream struct {
 // Ref is one recorded reference.
 type Ref struct {
 	VA vm.VA
-	PC uint64
 	// Write marks a store. The engine treats stores as posted: they
 	// occupy memory bandwidth but never block the core — the write
 	// buffer a real core drains in the background.
@@ -106,10 +105,6 @@ func (s *SliceStream) NextBatch(buf []Ref) int {
 
 // Remaining implements Stream.
 func (s *SliceStream) Remaining() int { return len(s.Refs) - s.pos }
-
-// Reset rewinds the stream so it can be replayed without re-cloning the
-// workload that produced it.
-func (s *SliceStream) Reset() { s.pos = 0 }
 
 // Config sizes one engine.
 type Config struct {
@@ -571,7 +566,7 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 				res.Writes++
 			}
 			if e.Collector != nil {
-				e.Collector.Record(trace.Access{Time: issue, PC: ref.PC, VA: ref.VA, PA: line})
+				e.Collector.Record(trace.Access{VA: ref.VA, PA: line})
 			}
 			if !ref.Write {
 				c.mshr.add(done)

@@ -30,7 +30,7 @@ func rig(t *testing.T, m mapping.Mapping) (*memctrl.Controller, *vm.AddressSpace
 func strideRefs(base vm.VA, n, strideLines int) *SliceStream {
 	s := &SliceStream{}
 	for i := 0; i < n; i++ {
-		s.Refs = append(s.Refs, Ref{VA: base + vm.VA(i*strideLines*geom.LineBytes), PC: 0x400000})
+		s.Refs = append(s.Refs, Ref{VA: base + vm.VA(i*strideLines*geom.LineBytes)})
 	}
 	return s
 }

@@ -70,7 +70,7 @@ func FuzzTapeRecordReplay(f *testing.F) {
 		stray := false
 		for s := range want {
 			for i := 0; i < int(nRefs)%2048; i++ {
-				ref := cpu.Ref{PC: uint64(r.Intn(16)), Write: r.Intn(3) == 0}
+				ref := cpu.Ref{Write: r.Intn(3) == 0}
 				sl := -1
 				if len(sizes) > 0 && r.Intn(256) >= int(strayPer256) {
 					sl = r.Intn(len(sizes))

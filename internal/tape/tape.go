@@ -92,7 +92,6 @@ type Tape struct {
 	layout Layout // the recording cell's allocation layout
 
 	va    []uint64 // virtual address per reference (recording layout)
-	pc    []uint64
 	write []uint64 // bitset, 1 = store
 	slot  []int32  // allocation index the VA fell in; -1 = outside all
 	// starts[i] is the first reference index of stream i;
@@ -118,7 +117,7 @@ func (t *Tape) Rebasable() bool { return t.rebasable }
 
 // Bytes approximates the tape's retained memory, for cache accounting.
 func (t *Tape) Bytes() int {
-	return 8*len(t.va) + 8*len(t.pc) + 8*len(t.write) + 4*len(t.slot) + 8*len(t.starts)
+	return 8*len(t.va) + 8*len(t.write) + 4*len(t.slot) + 8*len(t.starts)
 }
 
 func (t *Tape) isWrite(i int) bool { return t.write[i>>6]>>(uint(i)&63)&1 != 0 }
@@ -161,7 +160,6 @@ func (t *Tape) presize(streams []cpu.Stream) {
 		n += s.Remaining()
 	}
 	t.va = make([]uint64, 0, n)
-	t.pc = make([]uint64, 0, n)
 	t.write = make([]uint64, 0, (n+63)/64)
 	t.slot = make([]int32, 0, n)
 }
@@ -171,7 +169,6 @@ func (t *Tape) presize(streams []cpu.Stream) {
 func (t *Tape) append(refs []cpu.Ref, idx *vaindex.Index) {
 	i0, n := len(t.va), len(refs)
 	t.va = slices.Grow(t.va, n)[:i0+n]
-	t.pc = slices.Grow(t.pc, n)[:i0+n]
 	t.slot = slices.Grow(t.slot, n)[:i0+n]
 	if words := (i0 + n + 63) / 64; words > len(t.write) {
 		w0 := len(t.write)
@@ -181,7 +178,6 @@ func (t *Tape) append(refs []cpu.Ref, idx *vaindex.Index) {
 	for k, r := range refs {
 		i := i0 + k
 		t.va[i] = uint64(r.VA)
-		t.pc[i] = r.PC
 		if r.Write {
 			t.write[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -217,7 +213,7 @@ func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
 	}
 	out := make([]cpu.Stream, t.NumStreams())
 	for i := range out {
-		out[i] = &replayStream{t: t, delta: delta, start: t.starts[i], pos: t.starts[i], end: t.starts[i+1]}
+		out[i] = &replayStream{t: t, delta: delta, pos: t.starts[i], end: t.starts[i+1]}
 	}
 	return out, nil
 }
@@ -228,7 +224,6 @@ func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
 type replayStream struct {
 	t     *Tape
 	delta []uint64
-	start int
 	pos   int
 	end   int
 }
@@ -249,7 +244,7 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 	if r.delta == nil {
 		for k := 0; k < n; k++ {
 			i := r.pos + k
-			buf[k] = cpu.Ref{VA: vm.VA(t.va[i]), PC: t.pc[i], Write: t.isWrite(i)}
+			buf[k] = cpu.Ref{VA: vm.VA(t.va[i]), Write: t.isWrite(i)}
 		}
 	} else {
 		for k := 0; k < n; k++ {
@@ -258,7 +253,7 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 			if s := t.slot[i]; s >= 0 {
 				va += r.delta[s]
 			}
-			buf[k] = cpu.Ref{VA: vm.VA(va), PC: t.pc[i], Write: t.isWrite(i)}
+			buf[k] = cpu.Ref{VA: vm.VA(va), Write: t.isWrite(i)}
 		}
 	}
 	r.pos += n
@@ -267,9 +262,6 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 
 // Remaining implements cpu.Stream.
 func (r *replayStream) Remaining() int { return r.end - r.pos }
-
-// Reset rewinds the view for replay.
-func (r *replayStream) Reset() { r.pos = r.start }
 
 // Sealed is a tape bound to one concrete, fully populated address
 // space: every reference carries its pre-translated physical line
@@ -321,7 +313,7 @@ func (s *Sealed) Streams() []cpu.Stream {
 	out := make([]cpu.Stream, s.t.NumStreams())
 	for i := range out {
 		out[i] = &sealedStream{
-			replayStream: replayStream{t: s.t, delta: s.delta, start: s.t.starts[i], pos: s.t.starts[i], end: s.t.starts[i+1]},
+			replayStream: replayStream{t: s.t, delta: s.delta, pos: s.t.starts[i], end: s.t.starts[i+1]},
 			lines:        s.lines,
 		}
 	}

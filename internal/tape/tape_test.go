@@ -119,21 +119,6 @@ func TestReplayRejectsIncompatibleLayout(t *testing.T) {
 	}
 }
 
-func TestStreamsResetRewinds(t *testing.T) {
-	w := testWorkload()
-	lay, _ := setup(t, w, 0)
-	tp := Record(w.Streams(3), lay)
-	ss, err := tp.Streams(&lay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := drain(ss)
-	for _, s := range ss {
-		s.(*replayStream).Reset()
-	}
-	sameRefs(t, drain(ss), first)
-}
-
 func TestSealPretranslatesLines(t *testing.T) {
 	w := testWorkload()
 	lay, as := setup(t, w, 0)
@@ -304,7 +289,7 @@ func TestRecordPresizesSliceStreams(t *testing.T) {
 	for th := range refs {
 		refs[th] = make([]cpu.Ref, perThread)
 		for i := range refs[th] {
-			refs[th][i] = cpu.Ref{VA: base + vm.VA((i*threads+th)*geom.LineBytes), PC: 0x400000, Write: i%3 == 0}
+			refs[th][i] = cpu.Ref{VA: base + vm.VA((i*threads+th)*geom.LineBytes), Write: i%3 == 0}
 		}
 	}
 	var tp *Tape
@@ -365,7 +350,7 @@ func TestRecordPresizeMatchesGrowth(t *testing.T) {
 			t.Fatalf("%s: presized Refs/Bytes/rebasable = %d/%d/%v, grown %d/%d/%v", w.Name(),
 				sized.Refs(), sized.Bytes(), sized.rebasable, grown.Refs(), grown.Bytes(), grown.rebasable)
 		}
-		if !slices.Equal(sized.va, grown.va) || !slices.Equal(sized.pc, grown.pc) || !slices.Equal(sized.write, grown.write) ||
+		if !slices.Equal(sized.va, grown.va) || !slices.Equal(sized.write, grown.write) ||
 			!slices.Equal(sized.slot, grown.slot) || !slices.Equal(sized.starts, grown.starts) {
 			t.Fatalf("%s: presized and grown tapes differ", w.Name())
 		}

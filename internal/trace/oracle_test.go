@@ -61,7 +61,7 @@ func profilingPass(t testing.TB, col *trace.Collector, onAlloc func(site string,
 				if err != nil {
 					t.Fatal(err)
 				}
-				a := trace.Access{PC: r.PC, VA: r.VA, PA: line}
+				a := trace.Access{VA: r.VA, PA: line}
 				if n++; n%97 == 0 {
 					a.VA = 0x1000
 				}

@@ -26,10 +26,8 @@ import (
 
 // Access is one external (post-cache) memory access.
 type Access struct {
-	Time float64       // issue time, ns
-	PC   uint64        // program counter of the reference
-	VA   vm.VA         // virtual address
-	PA   geom.LineAddr // physical line address after translation
+	VA vm.VA         // virtual address
+	PA geom.LineAddr // physical line address after translation
 }
 
 // Variable aggregates everything known about one allocation site.
@@ -117,7 +115,8 @@ func NewCollector(maxDeltas int) *Collector {
 }
 
 // VIDOf returns the variable ID for an allocation site, creating it on
-// first sight — the PC→variable table gcc emits in the paper's flow.
+// first sight. Accesses reach a variable by address alone (Attribute),
+// never by the instruction that issued them.
 func (c *Collector) VIDOf(site string) int {
 	if vid, ok := c.siteVID[site]; ok {
 		return vid

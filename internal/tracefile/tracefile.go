@@ -32,12 +32,13 @@ type Var struct {
 }
 
 // Rec is one recorded reference: variable index, byte offset within the
-// variable, store flag, and the referencing PC.
+// variable, and store flag. Traces written before references dropped
+// their program counter carry a "pc" key per record; decoding ignores
+// it, so those files still load under the same format version.
 type Rec struct {
 	Var   int    `json:"v"`
 	Off   uint64 `json:"o"`
 	Write bool   `json:"w,omitempty"`
-	PC    uint64 `json:"pc,omitempty"`
 }
 
 // File is a recorded trace.
@@ -78,7 +79,7 @@ func Record(w workload.Workload, seed int64) (*File, error) {
 				if err != nil {
 					return nil, err
 				}
-				recs = append(recs, Rec{Var: vi, Off: off, Write: ref.Write, PC: ref.PC})
+				recs = append(recs, Rec{Var: vi, Off: off, Write: ref.Write})
 			}
 		}
 		f.Threads = append(f.Threads, recs)
@@ -177,11 +178,7 @@ func (r *replay) Streams(int64) []cpu.Stream {
 	for ti, recs := range r.file.Threads {
 		s := &cpu.SliceStream{Refs: make([]cpu.Ref, len(recs))}
 		for i, rec := range recs {
-			s.Refs[i] = cpu.Ref{
-				VA:    r.bases[rec.Var] + vm.VA(rec.Off),
-				PC:    rec.PC,
-				Write: rec.Write,
-			}
+			s.Refs[i] = cpu.Ref{VA: r.bases[rec.Var] + vm.VA(rec.Off), Write: rec.Write}
 		}
 		out[ti] = s
 	}

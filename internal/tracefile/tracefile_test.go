@@ -2,12 +2,16 @@ package tracefile
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/geom"
+	"repro/internal/heap"
 	"repro/internal/system"
 	"repro/internal/tape"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -65,6 +69,45 @@ func TestLoadValidation(t *testing.T) {
 	if _, err := Load(strings.NewReader(
 		`{"version":1,"vars":[{"site":"a","bytes":64}],"threads":[[{"v":0,"o":64}]]}`)); err == nil {
 		t.Fatal("out-of-range offset accepted")
+	}
+}
+
+// TestLoadIgnoresPCKeys: traces written while references still carried
+// a program counter hold a "pc" key per record under the same format
+// version. They must still load and replay the same (variable, offset,
+// store) sequence.
+func TestLoadIgnoresPCKeys(t *testing.T) {
+	f, err := Load(strings.NewReader(`{"version":1,"name":"old","vars":[` +
+		`{"site":"a","bytes":4096},{"site":"b","bytes":8192}],"threads":[` +
+		`[{"v":0,"o":0,"pc":4194368},{"v":1,"o":128,"w":true,"pc":4194432},{"v":0,"o":64,"pc":4194368}],` +
+		`[{"v":1,"o":4032,"w":true,"pc":8388608}]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]Rec{
+		{{Var: 0, Off: 0}, {Var: 1, Off: 128, Write: true}, {Var: 0, Off: 64}},
+		{{Var: 1, Off: 4032, Write: true}},
+	}
+	if !reflect.DeepEqual(f.Threads, want) {
+		t.Fatalf("loaded %+v, want %+v", f.Threads, want)
+	}
+	rw := f.Workload().(*replay)
+	as := vm.NewKernel(geom.Default().Chunks()).NewAddressSpace()
+	if err := rw.Setup(&workload.Env{AS: as, Heap: heap.New(as)}); err != nil {
+		t.Fatal(err)
+	}
+	for ti, s := range rw.Streams(0) {
+		var got []Rec
+		for ref, ok := s.Next(); ok; ref, ok = s.Next() {
+			for vi, base := range rw.bases {
+				if ref.VA >= base && uint64(ref.VA-base) < f.Vars[vi].Bytes {
+					got = append(got, Rec{Var: vi, Off: uint64(ref.VA - base), Write: ref.Write})
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want[ti]) {
+			t.Fatalf("thread %d replayed %+v, want %+v", ti, got, want[ti])
+		}
 	}
 }
 

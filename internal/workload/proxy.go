@@ -128,9 +128,6 @@ func (p *Proxy) Name() string { return p.target.Name }
 // and options, ready for an independent Setup.
 func (p *Proxy) Clone() Workload { return NewProxy(p.target, p.opts) }
 
-// Target returns the Table 1 row parameterizing this proxy.
-func (p *Proxy) Target() Table1Target { return p.target }
-
 // TapeKey implements Workload: a proxy's streams are fully determined
 // by its Table 1 row and options (after defaulting) plus the seed.
 func (p *Proxy) TapeKey() string {
@@ -185,12 +182,7 @@ func (p *Proxy) Setup(env *Env) error {
 		if err != nil {
 			return err
 		}
-		p.vars = append(p.vars, varRef{
-			site: site, base: va, bytes: bytes,
-			pattern: p.patternFor(i),
-			weight:  majorShare,
-			pc:      uint64(0x400000 + i*0x40),
-		})
+		p.vars = append(p.vars, varRef{base: va, bytes: bytes, pattern: p.patternFor(i), weight: majorShare})
 	}
 	minors := p.target.NumVars - p.target.NumMajor
 	if minors > p.opts.MaxMinorVars {
@@ -207,12 +199,7 @@ func (p *Proxy) Setup(env *Env) error {
 			if err != nil {
 				return err
 			}
-			p.vars = append(p.vars, varRef{
-				site: site, base: va, bytes: bytes,
-				pattern: Random{},
-				weight:  minorShare,
-				pc:      uint64(0x800000 + i*0x40),
-			})
+			p.vars = append(p.vars, varRef{base: va, bytes: bytes, pattern: Random{}, weight: minorShare})
 		}
 	}
 	return nil
@@ -229,15 +216,6 @@ func (p *Proxy) Streams(seed int64) []cpu.Stream {
 	out := make([]cpu.Stream, p.opts.Threads)
 	for t := 0; t < p.opts.Threads; t++ {
 		out[t] = newMixStream(p.vars, per, seed*131+int64(t))
-	}
-	return out
-}
-
-// MajorSites lists the allocation sites of the proxy's major variables.
-func (p *Proxy) MajorSites() []string {
-	var out []string
-	for i := 0; i < p.target.NumMajor; i++ {
-		out = append(out, fmt.Sprintf("%s/major%d", p.target.Name, i))
 	}
 	return out
 }
@@ -290,12 +268,7 @@ func (s *StrideCopy) Setup(env *Env) error {
 		if err != nil {
 			return err
 		}
-		s.vars = append(s.vars, varRef{
-			site: site, base: va, bytes: s.Bytes,
-			pattern: Stride{st},
-			weight:  1,
-			pc:      uint64(0x400000 + i*0x40),
-		})
+		s.vars = append(s.vars, varRef{base: va, bytes: s.Bytes, pattern: Stride{st}, weight: 1})
 	}
 	return nil
 }
@@ -306,15 +279,6 @@ func (s *StrideCopy) Streams(seed int64) []cpu.Stream {
 	out := make([]cpu.Stream, len(s.vars))
 	for i := range s.vars {
 		out[i] = newMixStream(s.vars[i:i+1], s.PerCopy, seed*977+int64(i))
-	}
-	return out
-}
-
-// Sites returns the per-thread variable sites.
-func (s *StrideCopy) Sites() []string {
-	var out []string
-	for i, st := range s.Strides {
-		out = append(out, fmt.Sprintf("stridecopy/buf%d-stride%d", i, st))
 	}
 	return out
 }

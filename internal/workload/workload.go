@@ -216,33 +216,28 @@ func (s *chaseState) Next() uint64 {
 
 // varRef is one allocated variable ready to generate references.
 type varRef struct {
-	site    string
 	base    vm.VA
 	bytes   uint64
 	pattern Pattern
 	weight  float64 // share of references
-	pc      uint64
 }
 
 // mixStream interleaves several variables' reference generators
 // according to a deterministic weighted schedule. It generates
 // references incrementally, a batch at a time, so a multi-million-entry
-// stream is never materialized, and it can Reset for replay because the
-// whole emission is a function of the stored seed.
+// stream is never materialized.
 type mixStream struct {
 	vars      []varRef
 	states    []PatternState
 	schedule  []int
 	pos       int
 	remaining int
-	n         int   // total references, for Reset
-	seed      int64 // pattern-state seed, for Reset
 }
 
 // newMixStream builds a stream of n references over the variables,
 // scheduled by weight.
 func newMixStream(vars []varRef, n int, seed int64) *mixStream {
-	ms := &mixStream{vars: vars, remaining: n, n: n, seed: seed}
+	ms := &mixStream{vars: vars, remaining: n}
 	ms.states = make([]PatternState, len(vars))
 	for i, v := range vars {
 		ms.states[i] = v.pattern.NewState(v.bytes, seed+int64(i))
@@ -311,7 +306,7 @@ func (ms *mixStream) NextBatch(buf []cpu.Ref) int {
 		if off >= v.bytes {
 			off = 0
 		}
-		buf[k] = cpu.Ref{VA: v.base + vm.VA(off), PC: v.pc}
+		buf[k] = cpu.Ref{VA: v.base + vm.VA(off)}
 	}
 	ms.pos += n
 	ms.remaining -= n
@@ -324,15 +319,4 @@ func (ms *mixStream) Remaining() int {
 		return 0
 	}
 	return ms.remaining
-}
-
-// Reset rewinds the stream to its initial state: the schedule is
-// already a pure function of the construction seed, and the pattern
-// states are rebuilt from it.
-func (ms *mixStream) Reset() {
-	ms.pos = 0
-	ms.remaining = ms.n
-	for i, v := range ms.vars {
-		ms.states[i] = v.pattern.NewState(v.bytes, ms.seed+int64(i))
-	}
 }
