@@ -65,7 +65,7 @@ fuzz:
 # lane-fused kernels; TrainJoint isolates the training loop, SelectDL
 # times the whole selection pipeline), each paper kernel's input
 # construction (KernelStreams, one sub-benchmark per kernel), tape
-# recording (TapeRecord: one proxy, one kernel) and the profiling
-# collector (CollectorRecord).
+# recording and replay (TapeRecord, TapeReplay: one proxy, one kernel)
+# and the profiling collector (CollectorRecord).
 bench:
-	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams|TapeRecord|CollectorRecord' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps ./internal/tape ./internal/trace
+	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams|TapeRecord|TapeReplay|CollectorRecord' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps ./internal/tape ./internal/trace

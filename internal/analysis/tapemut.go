@@ -10,7 +10,7 @@ import (
 
 // tapeMut implements sdamvet/tapemut: the read-only sharing contract
 // for reference tapes. tape.Tape and tape.Sealed hold the flat
-// recorded columns (va/write-bitset/slot + stream starts) that
+// recorded columns (off/slot/write-bitset/stray + stream starts) that
 // every sweep cell replays concurrently through the tape cache — one
 // writer anywhere and the bit-identity guarantee (and the race
 // detector) goes with it. Once Record returns, a tape is immutable;

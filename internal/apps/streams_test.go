@@ -296,6 +296,15 @@ var streamsSink []cpu.Stream
 // to one kernel rather than hidden in an average over all eight. The
 // graph memo is emptied before every call; otherwise the graph kernels
 // would time only their walks once the four seeds' graphs are built.
+//
+// A few iterations (-benchtime 8x) cannot resolve the kernels that run
+// in under ~10 ms: on a 2-vCPU host, unchanged K-Means code read 0.86×
+// of itself between two sets of runs. Compare per-kernel times with
+//
+//	go test -run '^$' -bench BenchmarkKernelStreams -count 10 -benchtime 1s ./internal/apps
+//
+// run once per tree, and treat differences inside the runs' spread as
+// unresolved.
 func BenchmarkKernelStreams(b *testing.B) {
 	for _, k := range kernels {
 		b.Run(k.name, func(b *testing.B) {

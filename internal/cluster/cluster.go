@@ -287,9 +287,7 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 		if d.VID < 0 {
 			return Selection{}, fmt.Errorf("cluster: delta %d has negative VID %d", i, d.VID)
 		}
-		if d.VID >= numVIDs {
-			numVIDs = d.VID + 1
-		}
+		numVIDs = max(numVIDs, int(d.VID)+1)
 	}
 	spWindow := obs.StartSpan("dl:window")
 	var seqs []nn.Sequence
@@ -300,8 +298,8 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 		for t := 0; t < opts.SeqLen; t++ {
 			d := deltas[base+t]
 			s.Deltas = append(s.Deltas, d.Delta)
-			s.VIDs = append(s.VIDs, d.VID)
-			counts[d.VID]++
+			s.VIDs = append(s.VIDs, int(d.VID))
+			counts[int(d.VID)]++
 		}
 		// Walk VIDs in sorted order so the modal pick — and its
 		// tie-break toward the lowest VID — can never depend on map

@@ -68,7 +68,7 @@ func genProfileAndDeltas(t *testing.T) (profile.Profile, []trace.DeltaSample) {
 		p.TotalRefs += v.Refs
 	}
 	for i := 0; i < 800; i++ {
-		deltas = append(deltas, trace.DeltaSample{Delta: uint32(r.Intn(1 << geom.OffsetBits)), VID: r.Intn(4)})
+		deltas = append(deltas, trace.DeltaSample{Delta: uint32(r.Intn(1 << geom.OffsetBits)), VID: int32(r.Intn(4))})
 	}
 	return p, deltas
 }

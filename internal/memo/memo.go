@@ -1,8 +1,9 @@
 // Package memo is the process-wide singleflight memo behind every cache
 // the simulator keeps across sweep cells. There are five: reference
-// tapes (budget 256 MiB), profiling passes and mapping selections (both
-// unbudgeted), the graph kernels' input graphs (64 MiB) and the random
-// proxy pattern's seeded draw blocks (8 MiB). Each value is a pure
+// tapes (budget 256 MiB, about 44 M references at ~6 bytes each),
+// profiling passes and mapping selections (both unbudgeted), the graph
+// kernels' input graphs (64 MiB) and the random proxy pattern's seeded
+// draw blocks (8 MiB). Each value is a pure
 // function of a content key, so a memoized value is indistinguishable
 // from a fresh computation, and all of them need the same rules:
 //

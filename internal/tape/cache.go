@@ -24,7 +24,8 @@ import (
 // unbounded sweeps over distinct workloads; every built-in sweep fits
 // comfortably).
 
-// maxCacheBytes bounds the total retained column bytes.
+// maxCacheBytes bounds the total retained column bytes: about 44 M
+// references at ~6.1 bytes each (Tape.Bytes).
 const maxCacheBytes = 256 << 20
 
 // cacheKey identifies one recording by content.

@@ -74,9 +74,9 @@ func drainLines(ss []cpu.Stream, n int) [][]cpu.Ref {
 // TestWorkloadContract checks the workload and stream contracts on
 // every in-tree workload: Clone keeps Name and TapeKey and sets up
 // without disturbing the original; other options give another key;
-// every stream's Remaining is exactly what it then emits; and the
-// emission is the same for any NextBatch buffer size — live, replayed
-// from a tape, and from a sealed tape.
+// every stream's Remaining is exactly what it then emits; its tape has
+// no stray references; and the emission is the same for any NextBatch
+// buffer size — live, replayed from a tape, and from a sealed tape.
 func TestWorkloadContract(t *testing.T) {
 	const seed = 5
 	sizes := []int{1, 7, 64, 256}
@@ -99,6 +99,9 @@ func TestWorkloadContract(t *testing.T) {
 		}
 
 		tp := Record(w.Streams(seed), lay)
+		if !tp.Rebasable() {
+			t.Errorf("%s: %d stray references; every in-tree workload addresses its allocations", name, len(tp.stray))
+		}
 		for _, n := range sizes {
 			sameRefs(t, drainBy(t, tp.mustStreams(t, &lay), n), want)
 		}

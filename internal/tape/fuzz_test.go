@@ -22,6 +22,23 @@ func randomLayout(r *rand.Rand, base vm.VA, sizes []uint64) Layout {
 	return lay
 }
 
+// anyVA draws a VA below every allocation, or anywhere from base to a
+// few pages past the last allocation's end, gaps included, and returns
+// the slot it falls in (-1: outside every allocation).
+func anyVA(r *rand.Rand, lay *Layout, base vm.VA) (vm.VA, int) {
+	if len(lay.Allocs) == 0 || r.Intn(2) == 0 {
+		return vm.VA(r.Int63n(int64(base))), -1
+	}
+	last := lay.Allocs[len(lay.Allocs)-1]
+	va := base + vm.VA(r.Int63n(int64(last.Base+vm.VA(last.Bytes)-base)+4*geom.PageBytes))
+	for i, a := range lay.Allocs {
+		if va >= a.Base && va < a.Base+vm.VA(a.Bytes) {
+			return va, i
+		}
+	}
+	return va, -1
+}
+
 // drainBy drains ss with NextBatch buffers of size n, checking that
 // Remaining counts down by exactly what each batch emits.
 func drainBy(t *testing.T, ss []cpu.Stream, n int) [][]cpu.Ref {
@@ -44,11 +61,12 @@ func drainBy(t *testing.T, ss []cpu.Stream, n int) [][]cpu.Ref {
 }
 
 // FuzzTapeRecordReplay records random reference streams over random
-// allocations, some references outside every allocation, and checks
-// replay against the recorded input: verbatim under the recorded
-// layout, shifted by each slot's base delta under a moved layout of
-// the same shape (or refused when any reference was stray), with
-// Remaining exact and the emission independent of the batch size.
+// allocations, some references drawn anywhere from address 0 to past
+// the last allocation (below, between or past the allocations), and
+// checks replay against the recorded input: verbatim under the
+// recorded layout, shifted by each slot's base delta under a moved
+// layout of the same shape (or refused when any reference was stray),
+// with Remaining exact and the emission independent of the batch size.
 func FuzzTapeRecordReplay(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint16(500), uint8(0), uint8(64))
 	f.Add(int64(2), uint8(5), uint8(4), uint16(1000), uint8(20), uint8(1))
@@ -64,7 +82,7 @@ func FuzzTapeRecordReplay(f *testing.F) {
 		lay := randomLayout(r, base, sizes)
 
 		// want[s][i] is the i-th reference of stream s; slot[s][i] the
-		// allocation it lies in, -1 for a stray below every allocation.
+		// allocation it lies in, -1 for a stray outside every one.
 		want := make([][]cpu.Ref, nStreams%8)
 		slot := make([][]int, len(want))
 		stray := false
@@ -76,8 +94,8 @@ func FuzzTapeRecordReplay(f *testing.F) {
 					sl = r.Intn(len(sizes))
 					ref.VA = lay.Allocs[sl].Base + vm.VA(r.Int63n(int64(sizes[sl])))
 				} else {
-					ref.VA = vm.VA(r.Int63n(int64(base)))
-					stray = true
+					ref.VA, sl = anyVA(r, &lay, base)
+					stray = stray || sl < 0
 				}
 				want[s] = append(want[s], ref)
 				slot[s] = append(slot[s], sl)

@@ -13,9 +13,10 @@
 // Because the paper's kernel and proxy workloads address memory as
 // (allocation, offset) — apps index arrays, mix streams draw offsets
 // inside variables — a recorded tape is *rebasable*: each reference is
-// stored with the allocation slot it landed in, and replaying under a
-// different VM layout (a different configuration's chunk groups place
-// the heap differently) just adds that cell's base delta. Physical
+// stored as the allocation slot it landed in and its offset from that
+// allocation's base, and replaying under a different VM layout (a
+// different configuration's chunk groups place the heap differently)
+// just adds that cell's base for the slot. Physical
 // addresses are deliberately NOT shared across configurations: demand
 // paging assigns frames in first-touch order, which depends on the
 // configuration's timing, so pre-translated PAs are only valid for one
@@ -25,6 +26,7 @@ package tape
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cpu"
@@ -56,8 +58,8 @@ func (l *Layout) Note(site string, va vm.VA, bytes uint64) {
 }
 
 // sameShape reports whether the two layouts describe the same
-// allocation sequence — equal sites and sizes in order — so per-slot
-// base deltas are meaningful.
+// allocation sequence — equal sites and sizes in order — so each
+// slot's offsets are meaningful from the other layout's base.
 func (l *Layout) sameShape(o *Layout) bool {
 	if len(l.Allocs) != len(o.Allocs) {
 		return false
@@ -71,7 +73,8 @@ func (l *Layout) sameShape(o *Layout) bool {
 }
 
 // sameBases reports whether o places every allocation at the recorded
-// address, making zero-copy replay valid.
+// address, so replay can reuse the recording's bases, and a tape
+// with stray references can replay at all.
 func (l *Layout) sameBases(o *Layout) bool {
 	if !l.sameShape(o) {
 		return false
@@ -84,25 +87,31 @@ func (l *Layout) sameBases(o *Layout) bool {
 	return true
 }
 
+// straySlot is the slot of a reference with no (slot, offset) form: one
+// outside every allocation, in a slot past the uint16 range, or 4 GiB or
+// more into its allocation. Its off entry indexes the stray column.
+const straySlot = math.MaxUint16
+
 // Tape is one immutable recording: per-reference columns in stream
 // emission order, with stream boundaries in starts. All fields are
 // written once by Record and only read afterwards, so one tape is safe
 // to share across concurrently running cells.
 type Tape struct {
-	layout Layout // the recording cell's allocation layout
+	layout Layout   // the recording cell's allocation layout
+	base   []uint64 // the layout's allocation bases, by slot
 
-	va    []uint64 // virtual address per reference (recording layout)
+	// Reference i is base[slot[i]] + off[i], six bytes plus its write
+	// bit, unless slot[i] == straySlot: then it is stray[off[i]].
+	off   []uint32
+	slot  []uint16
 	write []uint64 // bitset, 1 = store
-	slot  []int32  // allocation index the VA fell in; -1 = outside all
+	// stray holds the full VAs of stray references and stays nil until
+	// the first one. A tape with strays cannot be rebased: only a cell
+	// whose layout matches the recording bit-for-bit replays it.
+	stray []uint64
 	// starts[i] is the first reference index of stream i;
 	// starts[len] == total references.
 	starts []int
-
-	// rebasable is true when every reference landed inside a recorded
-	// allocation, so replay under a same-shape layout is exact. A tape
-	// with stray references can still be replayed zero-copy by cells
-	// whose layout matches the recording bit-for-bit.
-	rebasable bool
 }
 
 // Refs returns the total number of recorded references.
@@ -113,11 +122,11 @@ func (t *Tape) NumStreams() int { return len(t.starts) - 1 }
 
 // Rebasable reports whether the tape can replay under layouts that
 // differ from the recording in allocation bases.
-func (t *Tape) Rebasable() bool { return t.rebasable }
+func (t *Tape) Rebasable() bool { return len(t.stray) == 0 }
 
 // Bytes approximates the tape's retained memory, for cache accounting.
 func (t *Tape) Bytes() int {
-	return 8*len(t.va) + 8*len(t.write) + 4*len(t.slot) + 8*len(t.starts)
+	return 4*len(t.off) + 2*len(t.slot) + 8*len(t.write) + 8*len(t.stray) + 8*len(t.starts)
 }
 
 func (t *Tape) isWrite(i int) bool { return t.write[i>>6]>>(uint(i)&63)&1 != 0 }
@@ -132,11 +141,22 @@ func newSlotIndex(l *Layout) vaindex.Index {
 	return vaindex.New(ranges)
 }
 
+// bases lists l's allocation bases in slot order, up to straySlot of
+// them: any slot past the list, straySlot included, is stray.
+func bases(l *Layout) []uint64 {
+	out := make([]uint64, min(len(l.Allocs), straySlot))
+	for i := range out {
+		out[i] = uint64(l.Allocs[i].Base)
+	}
+	return out
+}
+
 // Record drains the given streams — the value of Workload.Streams(seed)
 // for the cell whose allocation layout is lay — into an immutable tape.
 // The streams are consumed; replay views stand in for them afterwards.
 func Record(streams []cpu.Stream, lay Layout) *Tape {
-	t := &Tape{layout: Layout{Allocs: append([]Alloc(nil), lay.Allocs...)}, rebasable: true}
+	t := &Tape{layout: Layout{Allocs: append([]Alloc(nil), lay.Allocs...)}}
+	t.base = bases(&t.layout)
 	t.starts = make([]int, 1, len(streams)+1)
 	t.presize(streams)
 	idx := newSlotIndex(&t.layout)
@@ -145,7 +165,7 @@ func Record(streams []cpu.Stream, lay Layout) *Tape {
 		for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
 			t.append(buf[:n], &idx)
 		}
-		t.starts = append(t.starts, len(t.va))
+		t.starts = append(t.starts, len(t.off))
 	}
 	return t
 }
@@ -159,16 +179,16 @@ func (t *Tape) presize(streams []cpu.Stream) {
 	for _, s := range streams {
 		n += s.Remaining()
 	}
-	t.va = make([]uint64, 0, n)
+	t.off = make([]uint32, 0, n)
+	t.slot = make([]uint16, 0, n)
 	t.write = make([]uint64, 0, (n+63)/64)
-	t.slot = make([]int32, 0, n)
 }
 
 // append adds one batch of references to the columns. Each column grows
 // once per batch (a no-op when presized) and is then filled by index.
 func (t *Tape) append(refs []cpu.Ref, idx *vaindex.Index) {
-	i0, n := len(t.va), len(refs)
-	t.va = slices.Grow(t.va, n)[:i0+n]
+	i0, n := len(t.off), len(refs)
+	t.off = slices.Grow(t.off, n)[:i0+n]
 	t.slot = slices.Grow(t.slot, n)[:i0+n]
 	if words := (i0 + n + 63) / 64; words > len(t.write) {
 		w0 := len(t.write)
@@ -176,56 +196,59 @@ func (t *Tape) append(refs []cpu.Ref, idx *vaindex.Index) {
 		clear(t.write[w0:])
 	}
 	for k, r := range refs {
-		i := i0 + k
-		t.va[i] = uint64(r.VA)
+		i, va := i0+k, uint64(r.VA)
 		if r.Write {
 			t.write[i>>6] |= 1 << (uint(i) & 63)
 		}
-		s := idx.Find(uint64(r.VA))
-		t.slot[i] = s
-		if s < 0 {
-			t.rebasable = false
+		if s := idx.Find(va); s >= 0 && int(s) < len(t.base) && va-t.base[s] <= math.MaxUint32 {
+			t.slot[i], t.off[i] = uint16(s), uint32(va-t.base[s])
+		} else {
+			t.slot[i], t.off[i] = straySlot, uint32(len(t.stray))
+			t.stray = append(t.stray, va)
 		}
 	}
 }
 
+// basesFor returns the per-slot bases that replay under the cell
+// layout lay adds offsets to: the recording's own when lay matches it,
+// lay's when only the bases differ, and an error (callers fall back to
+// live generation) when the layouts are incompatible or the tape is
+// not rebasable.
+func (t *Tape) basesFor(lay *Layout) ([]uint64, error) {
+	if t.layout.sameBases(lay) {
+		return t.base, nil
+	}
+	if !t.Rebasable() {
+		return nil, fmt.Errorf("tape: recording has stray references; replay requires an identical layout")
+	}
+	if !t.layout.sameShape(lay) {
+		return nil, fmt.Errorf("tape: layout shape differs from the recording (%d vs %d allocations)",
+			len(lay.Allocs), len(t.layout.Allocs))
+	}
+	return bases(lay), nil
+}
+
 // Streams returns replay streams equivalent to the recorded run for a
-// cell whose allocation layout is lay: zero-copy views when the bases
-// match the recording, per-slot-rebased views when only the bases
-// differ, and an error (callers fall back to live generation) when the
-// layouts are incompatible or the tape is not rebasable.
+// cell whose allocation layout is lay, or basesFor's error.
 func (t *Tape) Streams(lay *Layout) ([]cpu.Stream, error) {
-	var delta []uint64
-	if !t.layout.sameBases(lay) {
-		if !t.rebasable {
-			return nil, fmt.Errorf("tape: recording has references outside its allocations; replay requires an identical layout")
-		}
-		if !t.layout.sameShape(lay) {
-			return nil, fmt.Errorf("tape: layout shape differs from the recording (%d vs %d allocations)",
-				len(lay.Allocs), len(t.layout.Allocs))
-		}
-		delta = make([]uint64, len(lay.Allocs))
-		for i := range delta {
-			// Two's-complement wraparound makes the delta valid for
-			// bases that moved down as well as up.
-			delta[i] = uint64(lay.Allocs[i].Base) - uint64(t.layout.Allocs[i].Base)
-		}
+	base, err := t.basesFor(lay)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]cpu.Stream, t.NumStreams())
 	for i := range out {
-		out[i] = &replayStream{t: t, delta: delta, pos: t.starts[i], end: t.starts[i+1]}
+		out[i] = &replayStream{t: t, base: base, pos: t.starts[i], end: t.starts[i+1]}
 	}
 	return out, nil
 }
 
-// replayStream is one thread's read-only view of a tape. delta == nil
-// replays the recorded VAs verbatim; otherwise each VA is rebased by
-// its allocation slot's base delta.
+// replayStream is one thread's read-only view of a tape, placing each
+// slot's allocation at base.
 type replayStream struct {
-	t     *Tape
-	delta []uint64
-	pos   int
-	end   int
+	t    *Tape
+	base []uint64
+	pos  int
+	end  int
 }
 
 // Next implements cpu.Stream.
@@ -240,21 +263,20 @@ func (r *replayStream) NextBatch(buf []cpu.Ref) int {
 	if n <= 0 {
 		return 0
 	}
-	t := r.t
-	if r.delta == nil {
-		for k := 0; k < n; k++ {
-			i := r.pos + k
-			buf[k] = cpu.Ref{VA: vm.VA(t.va[i]), Write: t.isWrite(i)}
+	// Slicing every column to the batch, and testing for a stray as a
+	// slot past base, lets the compiler drop every bounds check but
+	// the write bitset's.
+	t, base, lo := r.t, r.base, r.pos
+	off := t.off[lo : lo+n]
+	slot, buf := t.slot[lo:lo+len(off)], buf[:len(off)]
+	for k, s := range slot {
+		var va uint64
+		if int(s) < len(base) {
+			va = base[s] + uint64(off[k])
+		} else {
+			va = t.stray[off[k]]
 		}
-	} else {
-		for k := 0; k < n; k++ {
-			i := r.pos + k
-			va := t.va[i]
-			if s := t.slot[i]; s >= 0 {
-				va += r.delta[s]
-			}
-			buf[k] = cpu.Ref{VA: vm.VA(va), Write: t.isWrite(i)}
-		}
+		buf[k] = cpu.Ref{VA: vm.VA(va), Write: t.isWrite(lo + k)}
 	}
 	r.pos += n
 	return n
@@ -271,7 +293,7 @@ func (r *replayStream) Remaining() int { return r.end - r.pos }
 // is why Seal refuses to fault pages in.
 type Sealed struct {
 	t     *Tape
-	delta []uint64
+	base  []uint64
 	lines []geom.LineAddr
 }
 
@@ -280,31 +302,23 @@ type Sealed struct {
 // run on the same space); an unpopulated page is an error, never a
 // fault.
 func (t *Tape) Seal(lay *Layout, as *vm.AddressSpace) (*Sealed, error) {
-	var delta []uint64
-	if !t.layout.sameBases(lay) {
-		if !t.rebasable || !t.layout.sameShape(lay) {
-			return nil, fmt.Errorf("tape: cannot seal under an incompatible layout")
-		}
-		delta = make([]uint64, len(lay.Allocs))
-		for i := range delta {
-			delta[i] = uint64(lay.Allocs[i].Base) - uint64(t.layout.Allocs[i].Base)
-		}
+	base, err := t.basesFor(lay)
+	if err != nil {
+		return nil, err
 	}
-	s := &Sealed{t: t, delta: delta, lines: make([]geom.LineAddr, t.Refs())}
-	for i := range s.lines {
-		va := t.va[i]
-		if delta != nil {
-			if sl := t.slot[i]; sl >= 0 {
-				va += delta[sl]
+	lines := make([]geom.LineAddr, 0, t.Refs())
+	all := replayStream{t: t, base: base, end: t.Refs()}
+	var buf [256]cpu.Ref
+	for n := all.NextBatch(buf[:]); n > 0; n = all.NextBatch(buf[:]) {
+		for _, r := range buf[:n] {
+			l, ok := as.TranslateLinePeek(r.VA)
+			if !ok {
+				return nil, fmt.Errorf("tape: seal: page of %#x not populated; run the tape live once first", r.VA)
 			}
+			lines = append(lines, l)
 		}
-		l, ok := as.TranslateLinePeek(vm.VA(va))
-		if !ok {
-			return nil, fmt.Errorf("tape: seal: page of %#x not populated; run the tape live once first", va)
-		}
-		s.lines[i] = l
 	}
-	return s, nil
+	return &Sealed{t: t, base: base, lines: lines}, nil
 }
 
 // Streams returns the sealed replay views; they implement
@@ -313,7 +327,7 @@ func (s *Sealed) Streams() []cpu.Stream {
 	out := make([]cpu.Stream, s.t.NumStreams())
 	for i := range out {
 		out[i] = &sealedStream{
-			replayStream: replayStream{t: s.t, delta: s.delta, pos: s.t.starts[i], end: s.t.starts[i+1]},
+			replayStream: replayStream{t: s.t, base: s.base, pos: s.t.starts[i], end: s.t.starts[i+1]},
 			lines:        s.lines,
 		}
 	}

@@ -16,7 +16,7 @@ import (
 // setup runs w.Setup in a fresh address space, capturing the layout.
 // padBytes pre-allocates a throwaway block first (bypassing the layout
 // hook) so a second setup of the same workload lands at shifted bases.
-func setup(t *testing.T, w workload.Workload, padBytes uint64) (Layout, *vm.AddressSpace) {
+func setup(t testing.TB, w workload.Workload, padBytes uint64) (Layout, *vm.AddressSpace) {
 	t.Helper()
 	k := vm.NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
@@ -76,15 +76,15 @@ func TestReplayMatchesLiveSameLayout(t *testing.T) {
 	}
 
 	// A fresh clone at the identical layout must see the identical
-	// sequence, and replay must take the zero-copy path.
+	// sequence, and replay must reuse the recording's bases.
 	fresh := w.Clone()
 	flay, _ := setup(t, fresh, 0)
 	ss, err := tp.Streams(&flay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs := ss[0].(*replayStream); rs.delta != nil {
-		t.Fatal("identical layout did not take the zero-copy path")
+	if rs := ss[0].(*replayStream); &rs.base[0] != &tp.base[0] {
+		t.Fatal("identical layout did not reuse the recording's bases")
 	}
 	sameRefs(t, drain(ss), drain(fresh.Streams(42)))
 }
@@ -119,6 +119,110 @@ func TestReplayRejectsIncompatibleLayout(t *testing.T) {
 	}
 }
 
+// fixedWorkload emits fixed reference streams whatever its layout, so
+// the cache can be driven with references no in-tree workload emits.
+type fixedWorkload struct {
+	key  string
+	refs [][]cpu.Ref
+}
+
+func (w *fixedWorkload) Name() string              { return w.key }
+func (w *fixedWorkload) Setup(*workload.Env) error { return nil }
+func (w *fixedWorkload) Clone() workload.Workload  { return w }
+func (w *fixedWorkload) TapeKey() string           { return w.key }
+func (w *fixedWorkload) Streams(int64) []cpu.Stream {
+	ss := make([]cpu.Stream, len(w.refs))
+	for i, refs := range w.refs {
+		ss[i] = &cpu.SliceStream{Refs: refs}
+	}
+	return ss
+}
+
+// TestStrayReferences: a reference with no (slot, offset) form keeps
+// its full VA, so the tape still replays bit-identically under the
+// recording layout, but it cannot be rebased: the cache runs a cell
+// with moved bases live. Each case pairs one stray with a reference
+// just inside the limit it breaks.
+func TestStrayReferences(t *testing.T) {
+	const base = vm.VA(1 << 32)
+	many := make([]Alloc, straySlot+1)
+	for i := range many {
+		many[i] = Alloc{Site: "v", Base: base + vm.VA(2*i*geom.LineBytes), Bytes: geom.LineBytes}
+	}
+	cases := []struct {
+		name      string
+		allocs    []Alloc
+		in, stray vm.VA
+	}{
+		{"outside every allocation",
+			[]Alloc{{"a", base, geom.PageBytes}, {"b", base + 2*geom.PageBytes, geom.PageBytes}},
+			base + 2*geom.PageBytes + 8, base + geom.PageBytes + 8},
+		{"slot 65535", many, many[straySlot-1].Base + 8, many[straySlot].Base + 8},
+		{"4 GiB into its allocation", []Alloc{{"huge", base, 8 << 30}}, base + 4<<30 - 8, base + 4<<30},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ResetCache()
+			defer ResetCache()
+			want := [][]cpu.Ref{{{VA: c.allocs[0].Base}, {VA: c.stray, Write: true}, {VA: c.in}}}
+			w := &fixedWorkload{key: c.name, refs: want}
+			lay := Layout{Allocs: c.allocs}
+			moved := Layout{Allocs: slices.Clone(c.allocs)}
+			for i := range moved.Allocs {
+				moved.Allocs[i].Base += geom.PageBytes
+			}
+
+			tp := Record(w.Streams(0), lay)
+			if tp.Rebasable() || len(tp.stray) != 1 {
+				t.Fatalf("rebasable %v with %d strays, want one stray", tp.Rebasable(), len(tp.stray))
+			}
+			sameRefs(t, drain(tp.mustStreams(t, &lay)), want)
+			if _, err := tp.Streams(&moved); err == nil {
+				t.Fatal("a tape with a stray reference replayed under a moved layout")
+			}
+
+			sameRefs(t, drain(StreamsFor(w, 0, &lay)), want)
+			sameRefs(t, drain(StreamsFor(w.Clone(), 0, &moved)), want)
+			if s := CacheStats(); s.Builds != 1 || s.Hits != 1 || s.Live != 1 {
+				t.Fatalf("stats = %+v, want 1 build, 1 hit, 1 live", s)
+			}
+		})
+	}
+}
+
+// TestTapeBytesPerRef pins a tape's footprint for one paper kernel and
+// one Table 1 proxy: a 4-byte offset, a 2-byte slot and a write bit per
+// reference, plus the stream starts.
+func TestTapeBytesPerRef(t *testing.T) {
+	for _, w := range presizeWorkloads(t) {
+		lay, _ := setup(t, w, 0)
+		tp := Record(w.Streams(5), lay)
+		if got := float64(tp.Bytes()) / float64(tp.Refs()); got > 6.2 {
+			t.Errorf("%s: %.3f tape bytes per reference, want ≤ 6.2", w.Name(), got)
+		}
+	}
+}
+
+// TestUncappedGCCFitsSlots: gcc with all 49 690 of its variables
+// allocated, the most of any proxy, still gives every allocation a
+// uint16 slot and a uint32 offset range, so none of its references
+// can be stray.
+func TestUncappedGCCFitsSlots(t *testing.T) {
+	gcc, err := workload.NewProxyByName("gcc", workload.ProxyOptions{MaxMinorVars: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, _ := setup(t, gcc, 0)
+	if len(lay.Allocs) < 49_690 || len(lay.Allocs) >= straySlot {
+		t.Fatalf("uncapped gcc allocated %d variables, want 49 690 to %d", len(lay.Allocs), straySlot-1)
+	}
+	for _, a := range lay.Allocs {
+		if a.Bytes > 1<<32 {
+			t.Fatalf("%s: %d bytes, past a uint32 offset", a.Site, a.Bytes)
+		}
+	}
+}
+
 func TestSealPretranslatesLines(t *testing.T) {
 	w := testWorkload()
 	lay, as := setup(t, w, 0)
@@ -131,9 +235,11 @@ func TestSealPretranslatesLines(t *testing.T) {
 
 	// Populate by touching every recorded page live, then seal and
 	// check each batch's lines against the live translation.
-	for i := 0; i < tp.Refs(); i++ {
-		if _, err := as.TranslateLine(vm.VA(tp.va[i])); err != nil {
-			t.Fatal(err)
+	for _, refs := range drain(tp.mustStreams(t, &lay)) {
+		for _, r := range refs {
+			if _, err := as.TranslateLine(r.VA); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	sealed, err := tp.Seal(&lay, as)
@@ -278,7 +384,7 @@ func (t *Tape) mustStreams(tt *testing.T, lay *Layout) []cpu.Stream {
 
 // TestRecordPresizesSliceStreams pins Record's allocation count on a
 // 200k-reference tape of materialized streams, the shape every paper
-// kernel hands it: the four columns are reserved once at their final
+// kernel hands it: the three columns are reserved once at their final
 // size, so recording makes a fixed handful of allocations instead of
 // growing each column by append tens of times.
 func TestRecordPresizesSliceStreams(t *testing.T) {
@@ -343,15 +449,16 @@ func TestRecordPresizeMatchesGrowth(t *testing.T) {
 		lay, _ := setup(t, w, 0)
 		sized := Record(w.Streams(5), lay)
 		grown := Record(hideSizes(w.Streams(5)), lay)
-		if cap(sized.va) != len(sized.va) || cap(sized.slot) != len(sized.slot) {
-			t.Errorf("%s: presized columns hold %d/%d refs, want exact", w.Name(), len(sized.va), cap(sized.va))
+		if cap(sized.off) != len(sized.off) || cap(sized.slot) != len(sized.slot) {
+			t.Errorf("%s: presized columns hold %d/%d refs, want exact", w.Name(), len(sized.off), cap(sized.off))
 		}
-		if sized.Refs() != grown.Refs() || sized.Bytes() != grown.Bytes() || sized.rebasable != grown.rebasable {
-			t.Fatalf("%s: presized Refs/Bytes/rebasable = %d/%d/%v, grown %d/%d/%v", w.Name(),
-				sized.Refs(), sized.Bytes(), sized.rebasable, grown.Refs(), grown.Bytes(), grown.rebasable)
+		if sized.Refs() != grown.Refs() || sized.Bytes() != grown.Bytes() || sized.Rebasable() != grown.Rebasable() {
+			t.Fatalf("%s: presized Refs/Bytes/Rebasable = %d/%d/%v, grown %d/%d/%v", w.Name(),
+				sized.Refs(), sized.Bytes(), sized.Rebasable(), grown.Refs(), grown.Bytes(), grown.Rebasable())
 		}
-		if !slices.Equal(sized.va, grown.va) || !slices.Equal(sized.write, grown.write) ||
-			!slices.Equal(sized.slot, grown.slot) || !slices.Equal(sized.starts, grown.starts) {
+		if !slices.Equal(sized.off, grown.off) || !slices.Equal(sized.write, grown.write) ||
+			!slices.Equal(sized.slot, grown.slot) || !slices.Equal(sized.stray, grown.stray) ||
+			!slices.Equal(sized.starts, grown.starts) {
 			t.Fatalf("%s: presized and grown tapes differ", w.Name())
 		}
 	}
@@ -376,5 +483,42 @@ func BenchmarkTapeRecord(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
 		})
+	}
+}
+
+// BenchmarkTapeReplay times draining one proxy's and one kernel's tape
+// through replay streams, under the recording layout and under a
+// layout whose bases moved.
+func BenchmarkTapeReplay(b *testing.B) {
+	for _, w := range presizeWorkloads(b) {
+		for _, pad := range []uint64{0, geom.PageBytes} {
+			name := w.Name() + "/recorded"
+			if pad > 0 {
+				name = w.Name() + "/moved"
+			}
+			b.Run(name, func(b *testing.B) {
+				rec := w.Clone()
+				lay, _ := setup(b, rec, 0)
+				tp := Record(rec.Streams(5), lay)
+				if pad > 0 {
+					lay, _ = setup(b, w.Clone(), pad)
+				}
+				var buf [256]cpu.Ref
+				refs := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ss, err := tp.Streams(&lay)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, s := range ss {
+						for n := s.NextBatch(buf[:]); n > 0; n = s.NextBatch(buf[:]) {
+							refs += n
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
+			})
+		}
 	}
 }

@@ -71,10 +71,11 @@ func (v *Variable) BFRV() mapping.BFRV {
 
 // DeltaSample is one element of the DL training sequence: the XOR of two
 // consecutive physical line addresses and the variable of the latter
-// access (paper Fig 9's (Δ, VID) input pairs).
+// access (paper Fig 9's (Δ, VID) input pairs). Eight bytes: the
+// profile memo keeps up to a million per pass.
 type DeltaSample struct {
 	Delta uint32 // XOR of consecutive chunk offsets
-	VID   int
+	VID   int32
 }
 
 // Collector observes allocations and accesses for one process.
@@ -208,7 +209,7 @@ func (c *Collector) record(a Access, vid int) {
 	if c.prevSet && len(c.deltas) < c.maxDeltas {
 		c.deltas = append(c.deltas, DeltaSample{
 			Delta: uint32(c.prevPA^a.PA) & (1<<geom.OffsetBits - 1),
-			VID:   vid,
+			VID:   int32(vid),
 		})
 	}
 	c.prevPA = a.PA

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/vm"
@@ -128,5 +129,13 @@ func TestReserveTrimKeepsOnlyTheSequence(t *testing.T) {
 	empty.Trim()
 	if empty.deltas != nil {
 		t.Fatalf("Trim of an empty sequence kept cap %d", cap(empty.deltas))
+	}
+}
+
+// TestDeltaSampleIsEightBytes pins the (Δ, VID) pair at eight bytes on
+// every architecture: the profile memo keeps up to a million per pass.
+func TestDeltaSampleIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(DeltaSample{}); got != 8 {
+		t.Fatalf("DeltaSample is %d bytes, want 8", got)
 	}
 }
