@@ -43,10 +43,10 @@ func main() {
 	}
 	flag.Parse()
 
-	analyzers := analysis.NewAnalyzers()
+	analyzers := analysis.Suite()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("sdamvet/%-12s %s\n", a.Rule(), a.Doc())
+			fmt.Printf("sdamvet/%-12s %s\n", a.Rule, a.Doc)
 		}
 		return
 	}
@@ -104,7 +104,7 @@ func main() {
 func filterRules(all []analysis.Analyzer, spec string) ([]analysis.Analyzer, error) {
 	byRule := make(map[string]analysis.Analyzer, len(all))
 	for _, a := range all {
-		byRule[a.Rule()] = a
+		byRule[a.Rule] = a
 	}
 	var out []analysis.Analyzer
 	for _, name := range strings.Split(spec, ",") {

@@ -3,10 +3,8 @@
 // targeting the determinism and concurrency bug classes this repository
 // has actually shipped — map-iteration-order nondeterminism reaching
 // results (the PR-1 DL-selector modal-VID bug), unseeded or wall-clock
-// randomness inside deterministic simulation paths, struct fields
-// accessed both atomically and plainly (the cmt.Table.Reads race), and
-// shared workloads mutated inside parallel.Map thunks without a
-// per-cell Clone.
+// randomness inside deterministic simulation paths, and parallel.Map
+// thunks that write state no cell owns.
 //
 // The engine type-checks every package it analyzes, resolving
 // module-local imports recursively from source (see Loader), so the
@@ -37,29 +35,24 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: sdamvet/%s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
-// Analyzer is one rule. Check is called once per analyzed package (in a
-// deterministic package order); Diagnostics is called once after every
-// package has been checked, so analyzers that need cross-package state
-// (atomicmix) can aggregate before reporting.
-type Analyzer interface {
-	Rule() string
-	Doc() string
-	Check(p *Pass)
-	Diagnostics() []Diagnostic
+// Analyzer is one rule. Check inspects one type-checked package and
+// returns its findings; it keeps no state between calls, so one
+// Analyzer serves any number of packages and runs.
+type Analyzer struct {
+	Rule  string // short rule ID, e.g. "maporder"
+	Doc   string
+	Check func(pkg *Package) []Diagnostic
 }
 
-// NewAnalyzers returns fresh instances of the full suite, in reporting
-// order. Instances are stateful and must not be reused across runs.
-func NewAnalyzers() []Analyzer {
+// Suite returns the full rule suite, in reporting order.
+func Suite() []Analyzer {
 	return []Analyzer{
-		newMapOrder(),
-		newSeededRand(),
-		newAtomicMix(),
-		newCloneSafety(),
-		newSlotWrite(),
-		newNoAlloc(),
-		newTapeMut(),
-		newPkgDoc(),
+		mapOrderAnalyzer,
+		seededRandAnalyzer,
+		slotWriteAnalyzer,
+		noAllocAnalyzer,
+		tapeMutAnalyzer,
+		pkgDocAnalyzer,
 	}
 }
 
@@ -76,21 +69,17 @@ const UnusedIgnoreRule = "unusedignore"
 // rule that was filtered out this run (-rules, or a single-analyzer
 // fixture pass) is not stale, just out of scope.
 func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
-	for _, p := range pkgs {
-		pass := &Pass{Pkg: p}
-		for _, a := range analyzers {
-			a.Check(pass)
-		}
-	}
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		diags = append(diags, a.Diagnostics()...)
+	for _, p := range pkgs {
+		for _, a := range analyzers {
+			diags = append(diags, a.Check(p)...)
+		}
 	}
 	sup := collectSuppressions(pkgs)
 	diags = filterSuppressed(diags, sup)
 	active := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		active[a.Rule()] = true
+		active[a.Rule] = true
 	}
 	diags = append(diags, unusedSuppressions(sup, active)...)
 	sortDiagnostics(diags)
@@ -108,11 +97,6 @@ func dedupDiagnostics(diags []Diagnostic) []Diagnostic {
 		out = append(out, d)
 	}
 	return out
-}
-
-// Pass hands one type-checked package to an analyzer.
-type Pass struct {
-	Pkg *Package
 }
 
 // sortDiagnostics orders findings by file, line, column, rule — the

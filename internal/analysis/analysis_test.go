@@ -18,10 +18,9 @@ import (
 // marker instead of a want and must stay silent — which exercises the
 // suppression path end to end through Run.
 func TestAnalyzersOnFixtures(t *testing.T) {
-	for _, a := range NewAnalyzers() {
-		a := a
-		t.Run(a.Rule(), func(t *testing.T) {
-			runFixture(t, a, filepath.Join("testdata", "src", a.Rule()))
+	for _, a := range Suite() {
+		t.Run(a.Rule, func(t *testing.T) {
+			runFixture(t, a, filepath.Join("testdata", "src", a.Rule))
 		})
 	}
 }
@@ -44,7 +43,7 @@ func TestUnusedSuppressionAudit(t *testing.T) {
 		t.Fatalf("LoadDir: %v", err)
 	}
 	wants := collectWants(pkg)
-	diags := Run(NewAnalyzers(), []*Package{pkg})
+	diags := Run(Suite(), []*Package{pkg})
 	matched := make(map[string]bool)
 	for _, d := range diags {
 		if d.Rule != UnusedIgnoreRule {
@@ -87,7 +86,7 @@ func TestRepoCleanUnderFullSuite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadPatterns: %v", err)
 	}
-	for _, d := range Run(NewAnalyzers(), pkgs) {
+	for _, d := range Run(Suite(), pkgs) {
 		t.Errorf("repo not clean: %s", d)
 	}
 }
@@ -107,8 +106,8 @@ func runFixture(t *testing.T, a Analyzer, dir string) {
 
 	matched := make(map[string]bool) // want key -> seen
 	for _, d := range diags {
-		if d.Rule != a.Rule() {
-			t.Errorf("unexpected rule %q from analyzer %q", d.Rule, a.Rule())
+		if d.Rule != a.Rule {
+			t.Errorf("unexpected rule %q from analyzer %q", d.Rule, a.Rule)
 			continue
 		}
 		ok := false
@@ -126,7 +125,7 @@ func runFixture(t *testing.T, a Analyzer, dir string) {
 		for _, w := range subs {
 			if !matched[wantKey(line, w)] {
 				t.Errorf("%s:%d: expected a %s diagnostic containing %q, got none",
-					dir, line, a.Rule(), w)
+					dir, line, a.Rule, w)
 			}
 		}
 	}
@@ -242,10 +241,10 @@ func TestFixturesNonEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range NewAnalyzers() {
-		pkg, err := l.LoadDir(filepath.Join("testdata", "src", a.Rule()))
+	for _, a := range Suite() {
+		pkg, err := l.LoadDir(filepath.Join("testdata", "src", a.Rule))
 		if err != nil {
-			t.Fatalf("fixture for %s: %v", a.Rule(), err)
+			t.Fatalf("fixture for %s: %v", a.Rule, err)
 		}
 		decls := 0
 		for _, f := range pkg.Files {
@@ -256,7 +255,7 @@ func TestFixturesNonEmpty(t *testing.T) {
 			}
 		}
 		if decls == 0 {
-			t.Errorf("fixture for %s has no function declarations", a.Rule())
+			t.Errorf("fixture for %s has no function declarations", a.Rule)
 		}
 	}
 }

@@ -28,10 +28,8 @@ type Package struct {
 // inside the module resolve recursively from source through the loader
 // itself, everything else (the standard library) resolves through the
 // go/importer source importer. One Loader shares a single FileSet and a
-// single type universe, so a struct field seen while checking package A
-// is the identical types.Object when package B is analyzed — which is
-// what lets atomicmix correlate atomic and plain accesses across
-// package boundaries.
+// single type universe, so each module package is type-checked once,
+// however many analyzed packages import it.
 type Loader struct {
 	ModulePath string
 	ModuleDir  string

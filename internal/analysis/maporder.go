@@ -35,18 +35,17 @@ type mapOrder struct {
 	diags []Diagnostic
 }
 
-func newMapOrder() *mapOrder { return &mapOrder{} }
-
-func (m *mapOrder) Rule() string { return "maporder" }
-
-func (m *mapOrder) Doc() string {
-	return "range over a map whose iteration result reaches output, selection, or accumulation without an intervening sort"
+var mapOrderAnalyzer = Analyzer{
+	Rule: "maporder",
+	Doc:  "range over a map whose iteration result reaches output, selection, or accumulation without an intervening sort",
+	Check: func(pkg *Package) []Diagnostic {
+		var m mapOrder
+		m.check(pkg)
+		return m.diags
+	},
 }
 
-func (m *mapOrder) Diagnostics() []Diagnostic { return m.diags }
-
-func (m *mapOrder) Check(p *Pass) {
-	pkg := p.Pkg
+func (m *mapOrder) check(pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

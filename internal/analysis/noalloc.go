@@ -44,22 +44,21 @@ type noAlloc struct {
 	diags []Diagnostic
 }
 
-func newNoAlloc() *noAlloc { return &noAlloc{} }
-
-func (a *noAlloc) Rule() string { return "noalloc" }
-
-func (a *noAlloc) Doc() string {
-	return "allocating construct inside a function annotated //sdam:noalloc"
+var noAllocAnalyzer = Analyzer{
+	Rule: "noalloc",
+	Doc:  "allocating construct inside a function annotated //sdam:noalloc",
+	Check: func(pkg *Package) []Diagnostic {
+		var a noAlloc
+		a.check(pkg)
+		return a.diags
+	},
 }
-
-func (a *noAlloc) Diagnostics() []Diagnostic { return a.diags }
 
 // noallocDirective is the annotation the analyzer looks for in a
 // function's doc comment group.
 const noallocDirective = "//sdam:noalloc"
 
-func (a *noAlloc) Check(p *Pass) {
-	pkg := p.Pkg
+func (a *noAlloc) check(pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// pkgDoc implements sdamvet/pkgdoc: every package must carry a
+// pkgDocAnalyzer implements sdamvet/pkgdoc: every package must carry a
 // package-level doc comment ("// Package <name> ..." on a library,
 // "// Command <name> ..." on a main package) so `go doc` gives a usable
 // overview. The repository documents each of its internal packages this
@@ -16,41 +16,32 @@ import (
 // to a package clause satisfies it — wording is for review, not the
 // linter — and one documented file carries the whole package (the Go
 // convention: a single doc.go or the package's principal file).
-type pkgDoc struct {
-	diags []Diagnostic
+var pkgDocAnalyzer = Analyzer{
+	Rule:  "pkgdoc",
+	Doc:   "package has no package-level doc comment",
+	Check: checkPkgDoc,
 }
 
-func newPkgDoc() *pkgDoc { return &pkgDoc{} }
-
-func (a *pkgDoc) Rule() string { return "pkgdoc" }
-
-func (a *pkgDoc) Doc() string {
-	return "package has no package-level doc comment"
-}
-
-func (a *pkgDoc) Diagnostics() []Diagnostic { return a.diags }
-
-func (a *pkgDoc) Check(p *Pass) {
-	pkg := p.Pkg
+func checkPkgDoc(pkg *Package) []Diagnostic {
 	if len(pkg.Files) == 0 {
-		return
+		return nil
 	}
 	var name string
 	for _, f := range pkg.Files {
 		name = f.Name.Name
 		if hasPackageDoc(f) {
-			return
+			return nil
 		}
 	}
 	// Report at the package clause of the first file (Files is in
 	// filename order), the conventional place to add the comment.
 	first := pkg.Files[0]
-	a.diags = append(a.diags, Diagnostic{
+	return []Diagnostic{{
 		Pos:  pkg.Fset.Position(first.Name.Pos()),
 		Rule: "pkgdoc",
 		Message: "package " + name + " has no package-level doc comment; document it in one file (// Package " +
 			name + " ...) so go doc gives an overview",
-	})
+	}}
 }
 
 // hasPackageDoc reports whether the file's package clause carries a

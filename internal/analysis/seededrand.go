@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// seededRand implements sdamvet/seededrand: uses of nondeterministic
-// entropy inside deterministic simulation paths.
+// seededRandAnalyzer implements sdamvet/seededrand: uses of
+// nondeterministic entropy inside deterministic simulation paths.
 //
 // Two sources are flagged:
 //
@@ -25,19 +25,11 @@ import (
 //
 // Test files are never analyzed, so test-local randomness is exempt by
 // construction.
-type seededRand struct {
-	diags []Diagnostic
+var seededRandAnalyzer = Analyzer{
+	Rule:  "seededrand",
+	Doc:   "global math/rand functions or time.Now/time.Since in deterministic simulation code",
+	Check: checkSeededRand,
 }
-
-func newSeededRand() *seededRand { return &seededRand{} }
-
-func (s *seededRand) Rule() string { return "seededrand" }
-
-func (s *seededRand) Doc() string {
-	return "global math/rand functions or time.Now/time.Since in deterministic simulation code"
-}
-
-func (s *seededRand) Diagnostics() []Diagnostic { return s.diags }
 
 // allowedRand lists the package-level math/rand functions that are
 // deterministic-safe: pure constructors for locally seeded generators.
@@ -46,8 +38,8 @@ var allowedRand = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
-func (s *seededRand) Check(p *Pass) {
-	pkg := p.Pkg
+func checkSeededRand(pkg *Package) []Diagnostic {
+	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -65,7 +57,7 @@ func (s *seededRand) Check(p *Pass) {
 			switch fn.Pkg().Path() {
 			case "math/rand", "math/rand/v2":
 				if !allowedRand[fn.Name()] {
-					s.diags = append(s.diags, Diagnostic{
+					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(sel.Pos()),
 						Rule: "seededrand",
 						Message: fmt.Sprintf("global %s.%s draws from the process-wide generator and is nondeterministic under the parallel harness; use rand.New(rand.NewSource(seed))",
@@ -74,7 +66,7 @@ func (s *seededRand) Check(p *Pass) {
 				}
 			case "time":
 				if fn.Name() == "Now" || fn.Name() == "Since" {
-					s.diags = append(s.diags, Diagnostic{
+					diags = append(diags, Diagnostic{
 						Pos:  pkg.Fset.Position(sel.Pos()),
 						Rule: "seededrand",
 						Message: fmt.Sprintf("time.%s reads the host wall clock inside deterministic simulation code; derive time from the simulated clock, or route profiling-cost measurement through internal/wallclock",
@@ -85,4 +77,5 @@ func (s *seededRand) Check(p *Pass) {
 			return true
 		})
 	}
+	return diags
 }

@@ -8,56 +8,57 @@ import (
 	"strings"
 )
 
-// slotWrite implements sdamvet/slotwrite: the PR-4 slot-ownership
-// contract for parallel stages. Every parallel.Map / MapN / MapNWorker
-// thunk must write only slots it owns — positions derived from the
-// thunk's own parameters (the item index, the worker index, or the item
-// itself) — and leave cross-slot reduction to the serial code after the
-// fan-out. That is what makes sweep results bit-identical at any -jobs
-// count: slot writes commute, everything else does not.
+// slotWrite implements sdamvet/slotwrite: the slot-ownership contract
+// for parallel stages (DESIGN.md §11). Every parallel.Map / MapN /
+// MapNWorker thunk must write only slots it owns — positions derived
+// from the thunk's own parameters (the item index, the worker index, or
+// the item itself) — and leave cross-slot reduction to the serial code
+// after the fan-out. That is what makes sweep results bit-identical at
+// any -jobs count: slot writes commute, everything else does not.
 //
 // Inside a thunk literal passed to parallel.Map/MapN/MapNWorker, the
-// analyzer flags writes through captured variables when:
+// analyzer flags, for variables captured from the enclosing function:
 //
-//   - the write indexes a captured slice/array at a position NOT
-//     derived from a thunk parameter (out[0] = v, out[k] = v with k
-//     captured): two cells then write the same slot and the reduction
-//     order becomes scheduling-dependent;
+//   - a write no slot owns: assignment or ++/-- to the captured
+//     variable itself, or through a selector or pointer without any
+//     index link (total += v, shared.field = v, *p = v);
 //
-//   - the write stores into a captured map (m[k] = v): concurrent map
-//     writes fault, and even "disjoint" keys share the map's internals;
+//   - a write into a captured slice/array at a position NOT derived
+//     from a thunk parameter (out[0] = v, out[k] = v with k captured):
+//     two cells then write the same slot;
 //
-//   - the write stores through a captured selector or pointer without
-//     any index link (shared.field = v, *p = v): a shared-field store
-//     no slot owns;
+//   - a store into a captured map (m[k] = v): concurrent map writes
+//     fault, and even "disjoint" keys share the map's internals;
 //
-//   - the thunk appends to a captured slice (append(out, v) in any
-//     position): append moves the backing array under concurrent
-//     readers and its element order is scheduling-dependent.
+//   - an append to a captured slice, in any position: append moves the
+//     backing array under concurrent cells and orders elements by
+//     scheduling.
+//
+// A mutex or an atomic around such a write removes the data race but
+// not the dependence on scheduling, so the rule flags it all the same:
+// that is the case the race detector cannot see.
 //
 // "Derived from a thunk parameter" is tracked through thunk-local
 // variables: j := i*2 makes j index-derived when i is the index
 // parameter, and span-style thunks (func(_ int, s [2]int) with
 // for i := s[0]; i < s[1]; i++ { out[i] = … }) are sanctioned because
 // the item parameter identifies the cell just as well as its index.
-// parallel.Do thunks are exempt (they carry no index; clonesafety
-// watches their captured writes), as is the parallel package itself.
+// The parallel package itself is exempt: it owns the results slice.
 type slotWrite struct {
 	diags []Diagnostic
 }
 
-func newSlotWrite() *slotWrite { return &slotWrite{} }
-
-func (s *slotWrite) Rule() string { return "slotwrite" }
-
-func (s *slotWrite) Doc() string {
-	return "parallel.Map/MapN thunk writing captured state outside its index-owned slot (non-index-derived positions, map stores, shared appends)"
+var slotWriteAnalyzer = Analyzer{
+	Rule: "slotwrite",
+	Doc:  "parallel.Map/MapN/MapNWorker thunk writing captured state outside its index-owned slot (shared variables and fields, non-index-derived positions, map stores, shared appends)",
+	Check: func(pkg *Package) []Diagnostic {
+		var s slotWrite
+		s.check(pkg)
+		return s.diags
+	},
 }
 
-func (s *slotWrite) Diagnostics() []Diagnostic { return s.diags }
-
-func (s *slotWrite) Check(p *Pass) {
-	pkg := p.Pkg
+func (s *slotWrite) check(pkg *Package) {
 	if strings.HasSuffix(pkg.Path, "internal/parallel") {
 		return
 	}
@@ -67,21 +68,18 @@ func (s *slotWrite) Check(p *Pass) {
 			if !ok {
 				return true
 			}
-			for _, th := range indexedParallelThunks(pkg, call) {
-				if lit, ok := ast.Unparen(th).(*ast.FuncLit); ok {
-					s.checkThunk(pkg, lit, nil)
-				}
+			if lit := parallelThunk(pkg, call); lit != nil {
+				s.checkThunk(pkg, lit, nil)
+				return false // checkThunk walks the nested fan-outs itself
 			}
 			return true
 		})
 	}
 }
 
-// indexedParallelThunks returns the thunk arguments of a Map, MapN, or
-// MapNWorker call — the parallel entry points whose thunks receive an
-// identity (index/worker/item) that defines slot ownership. Do thunks
-// have no index and are not slotwrite's business.
-func indexedParallelThunks(pkg *Package, call *ast.CallExpr) []ast.Expr {
+// parallelThunk returns the function literal passed as the thunk of a
+// Map, MapN or MapNWorker call, or nil if call is something else.
+func parallelThunk(pkg *Package, call *ast.CallExpr) *ast.FuncLit {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil
@@ -90,22 +88,23 @@ func indexedParallelThunks(pkg *Package, call *ast.CallExpr) []ast.Expr {
 	if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/parallel") {
 		return nil
 	}
+	arg := -1
 	switch fn.Name() {
 	case "Map":
-		if len(call.Args) >= 2 {
-			return call.Args[1:2]
-		}
+		arg = 1
 	case "MapN", "MapNWorker":
-		if len(call.Args) >= 3 {
-			return call.Args[2:3]
-		}
+		arg = 2
 	}
-	return nil
+	if arg < 0 || len(call.Args) <= arg {
+		return nil
+	}
+	lit, _ := ast.Unparen(call.Args[arg]).(*ast.FuncLit)
+	return lit
 }
 
-// checkThunk verifies one thunk's writes against the slot-ownership
-// contract. inherited carries the derived set of enclosing parallel
-// thunks, so nested fan-outs keep their outer identity sanctioned.
+// checkThunk verifies one thunk against the slot-ownership contract.
+// inherited carries the derived set of enclosing parallel thunks, so
+// nested fan-outs keep their outer identity sanctioned.
 func (s *slotWrite) checkThunk(pkg *Package, lit *ast.FuncLit, inherited map[types.Object]bool) {
 	derived := make(map[types.Object]bool)
 	for obj := range inherited {
@@ -135,13 +134,11 @@ func (s *slotWrite) checkThunk(pkg *Package, lit *ast.FuncLit, inherited map[typ
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			for _, th := range indexedParallelThunks(pkg, x) {
-				if inner, ok := ast.Unparen(th).(*ast.FuncLit); ok {
-					nestedParallel[inner] = true
-				}
+			if inner := parallelThunk(pkg, x); inner != nil {
+				nestedParallel[inner] = true
 			}
 		case *ast.FuncLit:
-			if x != lit && !nestedParallel[x] {
+			if !nestedParallel[x] {
 				addParams(x)
 			}
 		}
@@ -215,7 +212,10 @@ func (s *slotWrite) checkThunk(pkg *Package, lit *ast.FuncLit, inherited map[typ
 			if x.Tok == token.DEFINE {
 				return true
 			}
-			for _, lhs := range x.Lhs {
+			for i, lhs := range x.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && len(x.Rhs) == len(x.Lhs) && isSelfAppend(pkg, objOf(pkg, id), x.Rhs[i]) {
+					continue // out = append(out, v): checkAppend reports it
+				}
 				s.checkWrite(pkg, lhs, derived, captured)
 			}
 		case *ast.IncDecStmt:
@@ -230,21 +230,12 @@ func (s *slotWrite) checkThunk(pkg *Package, lit *ast.FuncLit, inherited map[typ
 // checkWrite classifies one lvalue written inside a thunk.
 func (s *slotWrite) checkWrite(pkg *Package, lhs ast.Expr, derived map[types.Object]bool, captured func(*ast.Ident) types.Object) {
 	root := rootIdent(lhs)
-	if root == nil || root.Name == "_" {
-		return
-	}
-	obj := captured(root)
-	if obj == nil {
+	if root == nil || root.Name == "_" || captured(root) == nil {
 		return
 	}
 	idx, container, hasIdx := rootmostIndex(lhs)
 	if !hasIdx {
-		// Plain writes to a captured ident (total = v) are clonesafety's
-		// classic case; slotwrite adds the selector/pointer variants.
-		if _, plain := ast.Unparen(lhs).(*ast.Ident); plain {
-			return
-		}
-		s.flag(pkg, lhs.Pos(), "shared-field store through captured %q inside a parallel thunk; no slot owns it, so cells race and the result depends on scheduling — write an index-owned slot and reduce serially", root.Name)
+		s.flag(pkg, lhs.Pos(), "write to %q captured from the enclosing function inside a parallel thunk; no slot owns it, so cells race and the result depends on scheduling — keep per-cell state local, return it, and reduce serially", root.Name)
 		return
 	}
 	if ct := pkg.Info.TypeOf(container); ct != nil {
@@ -270,11 +261,7 @@ func (s *slotWrite) checkAppend(pkg *Package, call *ast.CallExpr, captured func(
 	if _, isBuiltin := objOf(pkg, fn).(*types.Builtin); !isBuiltin {
 		return
 	}
-	root := rootIdent(call.Args[0])
-	if root == nil {
-		return
-	}
-	if obj := captured(root); obj != nil {
+	if root := rootIdent(call.Args[0]); root != nil && captured(root) != nil {
 		s.flag(pkg, call.Pos(), "append to captured slice %q inside a parallel thunk; append reallocates under concurrent cells and orders elements by scheduling — preallocate len(items) slots and write out[i]", root.Name)
 	}
 }

@@ -27,18 +27,17 @@ type tapeMut struct {
 	diags []Diagnostic
 }
 
-func newTapeMut() *tapeMut { return &tapeMut{} }
-
-func (t *tapeMut) Rule() string { return "tapemut" }
-
-func (t *tapeMut) Doc() string {
-	return "store through a tape.Tape/tape.Sealed value outside internal/tape; sealed tapes are shared read-only across sweep cells"
+var tapeMutAnalyzer = Analyzer{
+	Rule: "tapemut",
+	Doc:  "store through a tape.Tape/tape.Sealed value outside internal/tape; sealed tapes are shared read-only across sweep cells",
+	Check: func(pkg *Package) []Diagnostic {
+		var t tapeMut
+		t.check(pkg)
+		return t.diags
+	},
 }
 
-func (t *tapeMut) Diagnostics() []Diagnostic { return t.diags }
-
-func (t *tapeMut) Check(p *Pass) {
-	pkg := p.Pkg
+func (t *tapeMut) check(pkg *Package) {
 	if strings.HasSuffix(pkg.Path, "internal/tape") {
 		return
 	}

@@ -6,6 +6,11 @@ package fixture // want "has no package-level doc comment"
 // reports the first file's package line. Documented packages are
 // exercised by every other fixture package, which all carry doc
 // comments and must stay silent under the full-suite runs.
+//
+// This is the scratch mutation that deleted internal/geom's package
+// comment: it compiled and passed go vet, go test ./..., go test -race
+// -short ./... and go test -race ./internal/experiments; only this rule
+// rejected it (DESIGN.md §30).
 
 func touched() int { return 1 }
 

@@ -32,8 +32,8 @@ func mapStore(items []int, seen map[int]bool) {
 // Shared-field store through a captured pointer: no slot owns it.
 func fieldStore(items []int, acc *shared) {
 	_, _ = parallel.Map(items, func(i, v int) (int, error) {
-		acc.total = v // want "shared-field store"
-		acc.total++   // want "shared-field store"
+		acc.total = v // want "no slot owns it"
+		acc.total++   // want "no slot owns it"
 		return v, nil
 	})
 }
@@ -102,12 +102,14 @@ func localState(items []int) {
 	})
 }
 
-// Negative: Do thunks carry no index; clonesafety owns their captures.
-func doExempt(out []int) {
-	_ = parallel.Do(func() error {
-		out[0] = 1
-		return nil
+// Write to a scalar captured from the enclosing function: cells race.
+func capturedWrite(items []int) int {
+	total := 0
+	_, _ = parallel.Map(items, func(i, v int) (int, error) {
+		total += v // want "no slot owns it"
+		return v, nil
 	})
+	return total
 }
 
 // Suppressed: the marker documents why the write is safe (a reviewed

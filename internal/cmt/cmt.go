@@ -44,9 +44,13 @@ type Table struct {
 	// know when their snapshot of the table went stale.
 	gen atomic.Uint64
 
-	// Reads counts controller-side lookups, Writes OS-side updates.
-	// Reads is updated atomically (lookups hold only the read lock).
-	Reads, Writes uint64
+	// reads counts controller-side lookups. Lookups hold only the read
+	// lock, so concurrent readers bump it together; its type makes every
+	// access atomic.
+	reads atomic.Uint64
+
+	// Writes counts OS-side updates, made under the write lock.
+	Writes uint64
 }
 
 // New creates a table covering nChunks chunks, with every chunk bound to
@@ -122,16 +126,12 @@ func (t *Table) Lookup(chunk int) (amu.Config, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	atomic.AddUint64(&t.Reads, 1)
+	t.reads.Add(1)
 	return t.configs[t.chunkToIdx[chunk]], nil
 }
 
 // ReadCount returns the number of controller-side lookups so far.
-// Lookup bumps the counter under an RLock, where concurrent readers
-// overlap, so the increment and this load must both be atomic —
-// sdamvet/atomicmix enforces that any other access to Reads stays
-// atomic too.
-func (t *Table) ReadCount() uint64 { return atomic.LoadUint64(&t.Reads) }
+func (t *Table) ReadCount() uint64 { return t.reads.Load() }
 
 // WriteCount returns the number of OS-side updates so far. Writes is
 // only mutated under the write lock, so reading it takes the read lock.

@@ -32,12 +32,12 @@ func AblChunkSize(Scale) (*Report, error) {
 	}
 	var first, last row
 	for shift := 18; shift <= 24; shift++ { // 256 KB .. 16 MB
-		chunkBytes := 1 << shift
+		chunkBytes := int64(1) << shift // int64: 128 GB overflows a 32-bit int
 		offsetBits := shift - geom.LineShift
 		cfgBits := offsetBits * bitsFor(offsetBits)
 		nChunks := capacityBytes / chunkBytes
 		l1 := nChunks * cmt.EntryBits
-		l2 := cmt.MaxMappings * cfgBits
+		l2 := int64(cmt.MaxMappings * cfgBits)
 		kb := float64(l1+l2) / 8 / 1000
 		// Worst-case internal fragmentation: one partial chunk per
 		// concurrently used mapping.
@@ -70,7 +70,7 @@ func AblCMT(Scale) (*Report, error) {
 	r.Table.Header = []string{"capacity GB", "chunks", "two-level KB", "flat KB", "ratio"}
 	var worst float64
 	for _, gb := range []int{8, 32, 128, 512} {
-		nChunks := gb << 30 / geom.ChunkBytes
+		nChunks := int(int64(gb) << 30 / geom.ChunkBytes)
 		s := cmt.StorageBits(nChunks)
 		ratio := s.FlatKB / s.TotalKB
 		r.Table.Add(gb, nChunks, s.TotalKB, s.FlatKB, ratio)

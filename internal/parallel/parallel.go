@@ -175,13 +175,3 @@ func (f *firstPanic) run(i int, fn func()) {
 	}()
 	fn()
 }
-
-// Do runs the thunks with at most Jobs() concurrent workers, returning
-// the joined errors. It is Map for work that only side-effects its own
-// captures.
-func Do(thunks ...func() error) error {
-	_, err := Map(thunks, func(_ int, t func() error) (struct{}, error) {
-		return struct{}{}, t()
-	})
-	return err
-}

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -113,19 +112,5 @@ func TestSetJobs(t *testing.T) {
 	}
 	if Jobs() < 1 {
 		t.Fatalf("default Jobs() = %d, want >= 1", Jobs())
-	}
-}
-
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return errors.New("boom") },
-	)
-	if !a.Load() || !b.Load() {
-		t.Fatal("not all thunks ran")
-	}
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v", err)
 	}
 }
