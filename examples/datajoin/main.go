@@ -47,7 +47,9 @@ func main() {
 
 	// The same comparison on the accelerator: no cache in front of
 	// memory, deeper request pipelines — the configuration the paper
-	// found benefits most (§7.4).
+	// found benefits most (§7.4). Each Compare releases the reference
+	// tapes it recorded when it returns, so this loop records the joins'
+	// streams again instead of replaying the first loop's.
 	fmt.Println("\nsame kernels on the near-memory accelerator")
 	fmt.Printf("%-11s", "kernel")
 	for _, k := range kinds[1:] {

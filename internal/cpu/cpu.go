@@ -303,28 +303,45 @@ type coreState struct {
 	lineBuf    [batchSize]geom.LineAddr // pre-translated lines (tape fast path)
 }
 
+// heapSlot is one core's place in the coreHeap: its next ready time,
+// copied from the core's state when it is pushed, and its index.
+type heapSlot struct {
+	nextReady float64
+	core      int
+}
+
 // coreHeap orders cores by next ready time for lockstep interleaving.
 // The sift routines are the standard binary-heap algorithm specialized
-// to []*coreState — comparison-for-comparison and swap-for-swap the
-// same as container/heap with the old Less, so pop order (including
-// tie-break history) is unchanged while the per-operation interface
-// dispatch and interface{} boxing are gone.
-type coreHeap []*coreState
+// to heapSlot — comparison-for-comparison and swap-for-swap the same as
+// container/heap with the old Less, so pop order (including tie-break
+// history) is unchanged while the per-operation interface dispatch and
+// interface{} boxing are gone. The slots are values sized once for
+// every core, and a push or pop moves only n: the engine's innermost
+// loop stores no pointer (no *coreState, no slice header), so it pays
+// no GC write barrier while the collector is marking.
+type coreHeap struct {
+	slots []heapSlot // one per core; slots[:n] is the heap
+	n     int
+}
+
+func newCoreHeap(cores int) coreHeap { return coreHeap{slots: make([]heapSlot, cores)} }
 
 //sdam:noalloc
-func (h coreHeap) up(j int) {
+func (h *coreHeap) up(j int) {
+	s := h.slots
 	for {
 		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].nextReady < h[i].nextReady) {
+		if i == j || !(s[j].nextReady < s[i].nextReady) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		s[i], s[j] = s[j], s[i]
 		j = i
 	}
 }
 
 //sdam:noalloc
-func (h coreHeap) down(i0, n int) {
+func (h *coreHeap) down(i0, n int) {
+	s := h.slots
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -332,31 +349,32 @@ func (h coreHeap) down(i0, n int) {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].nextReady < h[j1].nextReady {
+		if j2 := j1 + 1; j2 < n && s[j2].nextReady < s[j1].nextReady {
 			j = j2 // = 2*i + 2  // right child
 		}
-		if !(h[j].nextReady < h[i].nextReady) {
+		if !(s[j].nextReady < s[i].nextReady) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		s[i], s[j] = s[j], s[i]
 		i = j
 	}
 }
 
-func (h *coreHeap) push(c *coreState) {
-	*h = append(*h, c)
-	h.up(len(*h) - 1)
+//sdam:noalloc
+func (h *coreHeap) push(x heapSlot) {
+	h.slots[h.n] = x
+	h.n++
+	h.up(h.n - 1)
 }
 
 //sdam:noalloc
-func (h *coreHeap) pop() *coreState {
-	s := *h
-	n := len(s) - 1
+func (h *coreHeap) pop() heapSlot {
+	s := h.slots
+	n := h.n - 1
 	s[0], s[n] = s[n], s[0]
-	s.down(0, n)
-	c := s[n]
-	*h = s[:n]
-	return c
+	h.down(0, n)
+	h.n = n
+	return s[n]
 }
 
 // canSkip reports whether pushing a core with the given key and
@@ -371,14 +389,15 @@ func (h *coreHeap) pop() *coreState {
 // so those sizes always take the real round-trip.
 //
 //sdam:noalloc
-func (h coreHeap) canSkip(key float64) bool {
+func (h *coreHeap) canSkip(key float64) bool {
+	s := h.slots
 	switch {
-	case len(h) == 0:
+	case h.n == 0:
 		return true
-	case len(h) <= 2:
-		return key < h[0].nextReady
-	case len(h) <= 4:
-		return key < h[0].nextReady && h[0].nextReady < h[1].nextReady
+	case h.n <= 2:
+		return key < s[0].nextReady
+	case h.n <= 4:
+		return key < s[0].nextReady && s[0].nextReady < s[1].nextReady
 	default:
 		return false
 	}
@@ -458,24 +477,24 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 		e.reserveDeltas(bound)
 		defer e.Collector.Trim()
 	}
-	cores := make([]*coreState, e.cfg.Cores)
+	cores := make([]coreState, e.cfg.Cores)
 	for i := range cores {
-		cores[i] = &coreState{id: i}
+		cores[i].id = i
 		cores[i].mshr.init(e.cfg.MSHRs)
 	}
 	for i, s := range bound {
-		c := cores[i%len(cores)]
+		c := &cores[i%len(cores)]
 		c.streams = append(c.streams, s)
 	}
-	h := &coreHeap{}
-	for _, c := range cores {
-		if len(c.streams) > 0 {
-			h.push(c)
+	h := newCoreHeap(len(cores))
+	for i := range cores {
+		if len(cores[i].streams) > 0 {
+			h.push(heapSlot{core: i})
 		}
 	}
 
-	for len(*h) > 0 {
-		c := h.pop()
+	for h.n > 0 {
+		c := &cores[h.pop().core]
 	core:
 		// The inner loop keeps driving c while it provably remains the
 		// global minimum (canSkip); otherwise it re-enters the heap and
@@ -511,7 +530,7 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 					if h.canSkip(c.nextReady) {
 						continue
 					}
-					h.push(c)
+					h.push(heapSlot{c.nextReady, c.id})
 					break core
 				}
 			}
@@ -546,7 +565,7 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 				if h.canSkip(c.nextReady) {
 					continue
 				}
-				h.push(c)
+				h.push(heapSlot{c.nextReady, c.id})
 				break core
 			}
 			// External access. Loads block on a free MSHR slot; stores
@@ -578,7 +597,7 @@ func (e *Engine) RunProcs(procs []Proc) (Result, error) {
 			if h.canSkip(c.nextReady) {
 				continue
 			}
-			h.push(c)
+			h.push(heapSlot{c.nextReady, c.id})
 			break core
 		}
 	}

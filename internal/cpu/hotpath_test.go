@@ -104,12 +104,12 @@ func TestMSHRRingRandomizedAgainstLinearScan(t *testing.T) {
 
 // refHeap drives container/heap over the same ordering, as the
 // reference for the inlined coreHeap.
-type refHeap []*coreState
+type refHeap []heapSlot
 
 func (h refHeap) Len() int            { return len(h) }
 func (h refHeap) Less(i, j int) bool  { return h[i].nextReady < h[j].nextReady }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(*coreState)) }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(heapSlot)) }
 func (h *refHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -120,41 +120,38 @@ func (h *refHeap) Pop() interface{} {
 
 // TestCoreHeapMatchesContainerHeap verifies the inlined sift routines
 // and the canSkip elision against container/heap element-for-element:
-// after every operation the two arrays must hold the same cores in the
-// same slots, so tie-break history — which decides engine interleaving
-// and therefore bit-identical results — is preserved exactly.
+// after every operation the two arrays must hold the same cores with
+// the same keys in the same slots, so tie-break history — which decides
+// engine interleaving and therefore bit-identical results — is
+// preserved exactly.
 func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(9)
-		mine := &coreHeap{}
+		mine := newCoreHeap(n)
 		ref := &refHeap{}
-		states := make([]*coreState, n)
-		shadow := make([]*coreState, n) // same ids, for the reference heap
-		for i := range states {
-			states[i] = &coreState{id: i}
-			shadow[i] = &coreState{id: i}
-			mine.push(states[i])
-			heap.Push(ref, shadow[i])
+		for i := 0; i < n; i++ {
+			mine.push(heapSlot{core: i})
+			heap.Push(ref, heapSlot{core: i})
 		}
 		check := func(op string) {
 			t.Helper()
-			if len(*mine) != len(*ref) {
-				t.Fatalf("trial %d %s: len %d vs %d", trial, op, len(*mine), len(*ref))
+			if mine.n != len(*ref) {
+				t.Fatalf("trial %d %s: len %d vs %d", trial, op, mine.n, len(*ref))
 			}
-			for i := range *mine {
-				if (*mine)[i].id != (*ref)[i].id || (*mine)[i].nextReady != (*ref)[i].nextReady {
+			for i, got := range mine.slots[:mine.n] {
+				if want := (*ref)[i]; got != want {
 					t.Fatalf("trial %d %s: slot %d holds core %d (t=%v), reference %d (t=%v)",
-						trial, op, i, (*mine)[i].id, (*mine)[i].nextReady, (*ref)[i].id, (*ref)[i].nextReady)
+						trial, op, i, got.core, got.nextReady, want.core, want.nextReady)
 				}
 			}
 		}
 		check("init")
-		for op := 0; op < 200 && len(*mine) > 0; op++ {
+		for op := 0; op < 200 && mine.n > 0; op++ {
 			c := mine.pop()
-			r := heap.Pop(ref).(*coreState)
-			if c.id != r.id {
-				t.Fatalf("trial %d op %d: popped core %d, reference popped %d", trial, op, c.id, r.id)
+			r := heap.Pop(ref).(heapSlot)
+			if c != r {
+				t.Fatalf("trial %d op %d: popped core %d, reference popped %d", trial, op, c.core, r.core)
 			}
 			check("pop")
 			if rng.Intn(8) == 0 {
@@ -167,7 +164,7 @@ func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 			// the array state afterwards is identical; emulate that by
 			// performing the round-trip on BOTH heaps whenever it is not
 			// provable, and on NEITHER when it is — then compare.
-			if !(*mine).canSkip(key) {
+			if !mine.canSkip(key) {
 				mine.push(c)
 				heap.Push(ref, r)
 				check("push")
@@ -175,9 +172,9 @@ func TestCoreHeapMatchesContainerHeap(t *testing.T) {
 				// canSkip claims push+pop is the identity: verify against
 				// the reference by actually doing it there.
 				heap.Push(ref, r)
-				if back := heap.Pop(ref).(*coreState); back.id != r.id {
+				if back := heap.Pop(ref).(heapSlot); back != r {
 					t.Fatalf("trial %d op %d: canSkip elided a round-trip that would pop core %d, not %d",
-						trial, op, back.id, r.id)
+						trial, op, back.core, r.core)
 				}
 				check("skip")
 			}

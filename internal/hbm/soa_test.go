@@ -24,16 +24,28 @@ func TestScalePreservesRefresh(t *testing.T) {
 
 // TestAccessZeroAllocs pins the device hot path at zero steady-state
 // allocations: bank state is flat preallocated planes, and AccessLine
-// fuses decode+issue without materializing intermediates.
+// fuses decode+issue without materializing intermediates. Each measured
+// run makes a thousand calls: AllocsPerRun rounds a run's average down
+// to whole allocations, so at one call per run a slice growing by
+// amortized doubling would read 0.
 func TestAccessZeroAllocs(t *testing.T) {
 	d := New(geom.Default(), DefaultTiming().WithRefresh())
 	stream(d, 1000, 32) // warm up
+	const calls = 1000
 	ha := geom.HardwareAddress{Channel: 3, Bank: 2, Row: 7, Column: 1}
-	if n := testing.AllocsPerRun(200, func() { d.Access(1e9, ha) }); n != 0 {
-		t.Fatalf("Device.Access allocates %.1f per call, want 0", n)
+	if n := testing.AllocsPerRun(4, func() {
+		for i := 0; i < calls; i++ {
+			d.Access(1e9, ha)
+		}
+	}); n != 0 {
+		t.Fatalf("Device.Access allocates %.1f per %d calls, want 0", n, calls)
 	}
-	if n := testing.AllocsPerRun(200, func() { d.AccessLine(2e9, geom.LineAddr(123456)) }); n != 0 {
-		t.Fatalf("Device.AccessLine allocates %.1f per call, want 0", n)
+	if n := testing.AllocsPerRun(4, func() {
+		for i := 0; i < calls; i++ {
+			d.AccessLine(2e9, geom.LineAddr(123456+i))
+		}
+	}); n != 0 {
+		t.Fatalf("Device.AccessLine allocates %.1f per %d calls, want 0", n, calls)
 	}
 }
 

@@ -15,14 +15,23 @@
 //     like any error instead of unwinding through a worker goroutine;
 //   - an optional byte budget: once the retained values reach it, the
 //     memo takes no new keys — Do returns ErrFull without computing and
-//     the caller computes uncached.
+//     the caller computes uncached;
+//   - holds: a caller that knows which keys it will read may Hold them
+//     first. A value computed while its key is held is dropped when the
+//     key's last holder releases it, and its bytes leave the budget; a
+//     value computed with no holder is retained for the life of the
+//     process. system.Compare holds the tapes and the profiling pass its
+//     cells read, so a sweep of Compares keeps one workload's entries at
+//     a time. Selections, graphs and seeded blocks are never held: a
+//     selection is small and lets a repeated Compare skip retraining,
+//     and the other two are budgeted and keyed below the system layer.
 //
 // Hits and misses are counted by the memo itself: a caller served a
 // value it did not compute is a hit, every other caller it serves (the
 // one that computed, and waiters handed a failed flight's error) is a
 // miss, and a call declined by the budget is neither. A later caller of
-// a failed key recomputes and is a miss too, so the totals do not
-// depend on scheduling.
+// a failed or released key recomputes and is a miss too, so the totals
+// do not depend on scheduling.
 package memo
 
 import (
@@ -50,10 +59,10 @@ type Config[V any] struct {
 	Budget int64
 	// Size reports a value's retained bytes; nil counts every value as 0.
 	Size func(V) int64
-	// Hits, Misses and Bytes mirror the memo's own counters into obs
-	// (Bytes as a high-water mark); any may be nil.
-	Hits, Misses *obs.Counter
-	Bytes        *obs.Gauge
+	// Hits and Misses mirror the memo's own counters into obs; Bytes
+	// counts the bytes of every value computed, retained or not. Any may
+	// be nil.
+	Hits, Misses, Bytes *obs.Counter
 }
 
 // Memo maps keys to values computed at most once at a time per key.
@@ -63,15 +72,23 @@ type Memo[K comparable, V any] struct {
 
 	mu      sync.Mutex
 	entries map[K]*entry[V]
+	holds   map[K]int // holders per held key
 
 	hits, misses, bytes atomic.Int64
 }
 
-// entry is one flight: done closes once val/err are final.
+// entry is one flight: done closes once val/err are final. held, size
+// and landed are guarded by the memo's mutex.
 type entry[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	// held marks a flight started while its key was held: the value is
+	// dropped at the key's last release.
+	held bool
+	// landed is set once the value is retained, with size its bytes.
+	landed bool
+	size   int64
 }
 
 // Stats is a snapshot of a memo's counters.
@@ -83,7 +100,7 @@ type Stats struct {
 
 // New returns an empty memo.
 func New[K comparable, V any](cfg Config[V]) *Memo[K, V] {
-	return &Memo[K, V]{cfg: cfg, entries: make(map[K]*entry[V])}
+	return &Memo[K, V]{cfg: cfg, entries: make(map[K]*entry[V]), holds: make(map[K]int)}
 }
 
 // Do returns the value for key, calling fn to compute it unless a
@@ -106,7 +123,7 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 		var zero V
 		return zero, ErrFull
 	}
-	e := &entry[V]{done: make(chan struct{})}
+	e := &entry[V]{done: make(chan struct{}), held: m.holds[key] > 0}
 	m.entries[key] = e
 	m.mu.Unlock()
 	m.count(&m.misses, m.cfg.Misses)
@@ -117,14 +134,42 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 		size = m.cfg.Size(e.val)
 	}
 	m.mu.Lock()
-	if e.err != nil {
+	if e.err != nil || e.held && m.holds[key] == 0 {
+		// Failed, or every holder released the key during the flight.
 		delete(m.entries, key)
-	} else if size > 0 {
-		m.cfg.Bytes.SetMax(m.bytes.Add(size))
+	} else {
+		e.landed, e.size = true, size
+		m.bytes.Add(size)
 	}
 	m.mu.Unlock()
+	m.cfg.Bytes.Add(size)
 	close(e.done)
 	return e.val, e.err
+}
+
+// Hold registers one more holder of key and returns its release. A
+// value computed while key has a holder is dropped when the last holder
+// releases it; one that was already there, or whose flight started with
+// no holder, stays. Each release must be called exactly once.
+func (m *Memo[K, V]) Hold(key K) (release func()) {
+	m.mu.Lock()
+	m.holds[key]++
+	m.mu.Unlock()
+	return func() { m.release(key) }
+}
+
+func (m *Memo[K, V]) release(key K) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.holds[key]--; m.holds[key] > 0 {
+		return
+	}
+	delete(m.holds, key)
+	// A flight still running drops its own value when it lands.
+	if e, ok := m.entries[key]; ok && e.held && e.landed {
+		delete(m.entries, key)
+		m.bytes.Add(-e.size)
+	}
 }
 
 // call runs fn, turning a panic into an error.
@@ -142,13 +187,21 @@ func (m *Memo[K, V]) count(own *atomic.Int64, mirror *obs.Counter) {
 	mirror.Add(1)
 }
 
+// Len returns the number of keys with a retained value or a flight.
+func (m *Memo[K, V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries)
+}
+
 // Stats returns the memo's hit, miss and retained-byte counters.
 func (m *Memo[K, V]) Stats() Stats {
 	return Stats{Hits: m.hits.Load(), Misses: m.misses.Load(), Bytes: m.bytes.Load()}
 }
 
-// Reset forgets every retained value and zeroes the counters. It must
-// not run while a Do is in flight; tests call it between runs.
+// Reset forgets every retained value and zeroes the counters; holds
+// stay with their holders. It must not run while a Do is in flight;
+// tests call it between runs.
 func (m *Memo[K, V]) Reset() {
 	m.mu.Lock()
 	clear(m.entries)

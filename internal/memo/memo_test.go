@@ -182,3 +182,127 @@ func TestReset(t *testing.T) {
 		t.Fatalf("fn ran %d times, want 2 (Reset forgets)", calls)
 	}
 }
+
+// TestHeldEntrySurvivesUntilLastRelease: a value computed under two
+// holds stays until the second holder releases, then leaves the memo
+// and the budget, and the next caller recomputes.
+func TestHeldEntrySurvivesUntilLastRelease(t *testing.T) {
+	m := newTestMemo(10)
+	calls := 0
+	fn := func() (int, error) { calls++; return 8, nil }
+	r1 := m.Hold("k")
+	r2 := m.Hold("k")
+	if _, err := m.Do("k", fn); err != nil {
+		t.Fatal(err)
+	}
+	r1()
+	if m.Len() != 1 || m.Stats().Bytes != 8 {
+		t.Fatalf("after the first release: %d entries, %d bytes; want the value kept for the second holder", m.Len(), m.Stats().Bytes)
+	}
+	if _, err := m.Do("k", fn); err != nil || calls != 1 {
+		t.Fatalf("second holder's read: err %v, %d computations; want a hit", err, calls)
+	}
+	r2()
+	if m.Len() != 0 || m.Stats().Bytes != 0 {
+		t.Fatalf("after the last release: %d entries, %d bytes; want none", m.Len(), m.Stats().Bytes)
+	}
+	// The budget is free again: a new key is computed, not declined.
+	if _, err := m.Do("other", fn); err != nil {
+		t.Fatalf("new key after the release: %v", err)
+	}
+	if _, err := m.Do("k", fn); err != nil || calls != 3 {
+		t.Fatalf("released key: err %v, %d computations; want it recomputed", err, calls)
+	}
+}
+
+// TestUnheldAndEarlierEntriesAreRetained: a value computed with no
+// holder stays for good, and so does one that was there before a hold.
+func TestUnheldAndEarlierEntriesAreRetained(t *testing.T) {
+	m := newTestMemo(0)
+	if _, err := m.Do("free", func() (int, error) { return 2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	release := m.Hold("free")
+	if _, err := m.Do("free", func() (int, error) { return 0, errors.New("recomputed") }); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if m.Len() != 1 || m.Stats().Bytes != 2 {
+		t.Fatalf("%d entries, %d bytes; want the value from before the hold kept", m.Len(), m.Stats().Bytes)
+	}
+}
+
+// TestFailedFlightUnderHoldLeavesNothing: a held key whose computation
+// fails or panics keeps no entry, and its release finds nothing to do.
+func TestFailedFlightUnderHoldLeavesNothing(t *testing.T) {
+	m := newTestMemo(0)
+	release := m.Hold("k")
+	if _, err := m.Do("k", func() (int, error) { return 5, errors.New("boom") }); err == nil {
+		t.Fatal("want the error")
+	}
+	if _, err := m.Do("k", func() (int, error) { panic("kaboom") }); err == nil {
+		t.Fatal("want the panic as an error")
+	}
+	if m.Len() != 0 || m.Stats().Bytes != 0 {
+		t.Fatalf("%d entries, %d bytes after failed flights; want none", m.Len(), m.Stats().Bytes)
+	}
+	release()
+	if m.Len() != 0 || m.Stats().Bytes != 0 {
+		t.Fatalf("%d entries, %d bytes after the release; want none", m.Len(), m.Stats().Bytes)
+	}
+}
+
+// TestReleaseDuringFlight: when the last holder releases while the
+// key's flight still runs, the flight's value is handed to its callers
+// and then dropped.
+func TestReleaseDuringFlight(t *testing.T) {
+	m := newTestMemo(0)
+	release := m.Hold("k")
+	started, finish := make(chan struct{}), make(chan struct{})
+	got := make(chan int, 1)
+	go func() {
+		v, _ := m.Do("k", func() (int, error) {
+			close(started)
+			<-finish
+			return 4, nil
+		})
+		got <- v
+	}()
+	<-started
+	release()
+	close(finish)
+	if v := <-got; v != 4 {
+		t.Fatalf("flight returned %d, want 4", v)
+	}
+	if m.Len() != 0 || m.Stats().Bytes != 0 {
+		t.Fatalf("%d entries, %d bytes; want the released key's value dropped", m.Len(), m.Stats().Bytes)
+	}
+}
+
+// TestConcurrentHolders: eight goroutines hold, read and release a few
+// shared keys under -race; every read sees the key's value, and once
+// every hold is released nothing is retained.
+func TestConcurrentHolders(t *testing.T) {
+	m := newTestMemo(0)
+	keys := []string{"a", "bb", "ccc"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 100; round++ {
+				k := keys[(g+round)%len(keys)]
+				release := m.Hold(k)
+				v, err := m.Do(k, func() (int, error) { return len(k), nil })
+				if err != nil || v != len(k) {
+					t.Errorf("goroutine %d: Do(%s) = %d, %v", g, k, v, err)
+				}
+				release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m.Len() != 0 || m.Stats().Bytes != 0 {
+		t.Fatalf("%d entries, %d bytes after every release; want none", m.Len(), m.Stats().Bytes)
+	}
+}

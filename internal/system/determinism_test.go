@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cpu"
 	"repro/internal/parallel"
+	"repro/internal/tape"
 	"repro/internal/workload"
 )
 
@@ -282,4 +283,44 @@ func TestPanickingCellIsContained(t *testing.T) {
 			t.Fatalf("jobs=%d: err = %v, want the evaluation panic as an error", jobs, err)
 		}
 	}
+}
+
+// TestCompareReleasesWhatItHeld: once a Compare returns, the tape and
+// profile memos are back to what they held before it — its cells'
+// tapes and profiling pass are gone, also when a cell panics — while
+// the entries of a Run made before it stay, and so do its selections.
+func TestCompareReleasesWhatItHeld(t *testing.T) {
+	obsFreshProcess()
+	defer obsFreshProcess()
+	if _, err := Run(strideWorkload([]int{1, 1}), Options{Kind: SDMBSM}); err != nil {
+		t.Fatal(err)
+	}
+	tapeBytes, profs, sels := tape.CacheStats().Bytes, profiles.Len(), selections.Len()
+	if tapeBytes == 0 || profs == 0 {
+		t.Fatalf("the Run retained %d tape bytes and %d profiles; want both", tapeBytes, profs)
+	}
+	check := func(what string) {
+		t.Helper()
+		if b, p := tape.CacheStats().Bytes, profiles.Len(); b != tapeBytes || p != profs {
+			t.Errorf("after %s: %d tape bytes and %d profiles retained, want %d and %d as before it",
+				what, b, p, tapeBytes, profs)
+		}
+	}
+
+	if _, err := Compare(strideWorkload([]int{1, 32}), Options{}, []Kind{BSDM, SDMBSM, SDMBSMML}); err != nil {
+		t.Fatal(err)
+	}
+	check("a Compare")
+	if s := selections.Len(); s != sels+2 {
+		t.Errorf("%d selections retained, want %d: the Compare's two stay cached", s, sels+2)
+	}
+
+	// The evaluation pass panics after the profiling pass recorded its
+	// tape and profile under the Compare's holds.
+	seed := int64(2) // the default EvalSeed
+	w := &panicky{strideWorkload([]int{1, 64}), &seed}
+	if _, err := Compare(w, Options{}, []Kind{BSDM, SDMBSM}); err == nil {
+		t.Fatal("want the evaluation panics as errors")
+	}
+	check("a Compare with panicking cells")
 }

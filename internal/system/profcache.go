@@ -29,15 +29,23 @@ type profKey struct {
 	hbmScale float64
 }
 
+// profKeyOf is the content key of the profiling pass of the workload
+// with TapeKey tapeKey under o, whose defaults are applied.
+func profKeyOf(tapeKey string, o Options) profKey {
+	return profKey{tapeKey: tapeKey, seed: o.ProfileSeed, engine: o.Engine, hbmScale: o.HBMScale}
+}
+
 // profPass is one memoized profiling pass.
 type profPass struct {
 	prof profile.Profile
 	col  *trace.Collector
 }
 
-// profiles is unbudgeted, like the selection cache: a sweep holds one
-// pass per distinct workload and seed, and the collector caps each
-// pass's delta trace.
+// profiles is unbudgeted, like the selection cache: the collector caps
+// each pass's delta trace, and Compare holds the pass its cells share,
+// so a sweep of Compares keeps one workload's pass at a time. Passes
+// run outside a Compare (Run, Profile, the experiments) are retained
+// for the life of the process.
 var profiles = memo.New[profKey, profPass](memo.Config[profPass]{
 	Name:   "profile",
 	Hits:   obs.NewCounter("profile.cache_hits", "hits", "profiling passes served from the process-wide cache"),
@@ -48,13 +56,7 @@ var profiles = memo.New[profKey, profPass](memo.Config[profPass]{
 // most once per process per content key. o must already have defaults
 // applied.
 func cachedProfile(w workload.Workload, o Options) (profile.Profile, *trace.Collector, error) {
-	key := profKey{
-		tapeKey:  w.TapeKey(),
-		seed:     o.ProfileSeed,
-		engine:   o.Engine,
-		hbmScale: o.HBMScale,
-	}
-	p, err := profiles.Do(key, func() (profPass, error) {
+	p, err := profiles.Do(profKeyOf(w.TapeKey(), o), func() (profPass, error) {
 		prof, col, err := profileFresh(w, o)
 		return profPass{prof, col}, err
 	})

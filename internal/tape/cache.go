@@ -22,7 +22,8 @@ import (
 // retained (the cell runs live), and once the retained columns reach
 // maxCacheBytes new keys run live without recording (a safety valve for
 // unbounded sweeps over distinct workloads; every built-in sweep fits
-// comfortably).
+// comfortably). A tape recorded while its key is held (Hold) leaves the
+// cache, and the budget, when its last holder releases it.
 
 // maxCacheBytes bounds the total retained column bytes: about 44 M
 // references at ~6.1 bytes each (Tape.Bytes).
@@ -49,7 +50,7 @@ var (
 		Size:   func(t *Tape) int64 { return int64(t.Bytes()) },
 		Hits:   obs.NewCounter("tape.hits", "cells", "cells served a shared tape they did not build"),
 		Misses: obs.NewCounter("tape.builds", "tapes", "reference tapes recorded"),
-		Bytes:  obs.NewGauge("tape.bytes", "bytes", "high-water retained tape column footprint"),
+		Bytes:  obs.NewCounter("tape.bytes", "bytes", "tape column bytes recorded"),
 	})
 
 	statLive atomic.Int64
@@ -74,6 +75,13 @@ func CacheStats() Stats {
 		Live:   statLive.Load(),
 		Bytes:  s.Bytes,
 	}
+}
+
+// Hold holds the tape of w's TapeKey key at seed until the returned
+// release is called: a tape recorded in the meantime is dropped at the
+// last release instead of staying for the life of the process.
+func Hold(key string, seed int64) (release func()) {
+	return cache.Hold(cacheKey{key: key, seed: seed})
 }
 
 // ResetCache drops every cached tape and zeroes the counters. It must

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -39,10 +40,16 @@ func TestTranslateFastPathZeroAllocs(t *testing.T) {
 // amortized growth of the directory and the chunk group), so faulting
 // fresh pages allocates at most one leaf per 512 of them, and the other
 // 511 faults of a leaf allocate nothing.
+//
+// runtime.MemStats counts the whole process, and another goroutine (the
+// test framework finishing the previous test, say) can allocate inside
+// one leaf's window. The address space's own allocations are the same
+// in every leaf's window, so the test counts them as the fewest any
+// window saw: a fault path that allocates shows in all of them.
 func TestTranslateFaultPathBounded(t *testing.T) {
 	k := NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
-	const nLeaves = 4
+	const nLeaves = 8
 	start, err := as.Mmap(nLeaves*leafPages*geom.PageBytes, 0, "fault")
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +58,7 @@ func TestTranslateFaultPathBounded(t *testing.T) {
 		t.Fatalf("area starts at %#x, not on a leaf boundary", uint64(start))
 	}
 	var before, after runtime.MemStats
+	fewest := uint64(math.MaxUint64)
 	for n := 0; n < nLeaves; n++ {
 		base := start + VA(n*leafPages*geom.PageBytes)
 		if _, err := as.Translate(base); err != nil {
@@ -63,12 +71,13 @@ func TestTranslateFaultPathBounded(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d != 0 {
-			t.Errorf("leaf %d: faulting pages 1..%d allocated %d objects, want 0", n, leafPages-1, d)
-		}
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
 		if got := as.leaves(); got != n+1 {
 			t.Errorf("after faulting %d pages: %d leaves, want %d (one per %d pages)", (n+1)*leafPages, got, n+1, leafPages)
 		}
+	}
+	if fewest != 0 {
+		t.Errorf("faulting pages 1..%d of every leaf allocated at least %d objects, want 0", leafPages-1, fewest)
 	}
 }
 
