@@ -94,7 +94,10 @@ func DefaultTiming() Timing { return hbm.DefaultTiming() }
 func RunBenchmark(w Workload, opts Options) (Result, error) { return system.Run(w, opts) }
 
 // Compare runs the workload under several configurations with shared
-// settings and returns the results in order.
+// settings and returns the results in order. The configurations share
+// one recording of the workload's reference streams and one profiling
+// pass, which Compare releases when it returns; mapping selections stay
+// cached, so comparing the same workload again retrains nothing.
 func Compare(w Workload, base Options, kinds []Kind) ([]Result, error) {
 	return system.Compare(w, base, kinds)
 }
