@@ -59,10 +59,10 @@ type Config[V any] struct {
 	Budget int64
 	// Size reports a value's retained bytes; nil counts every value as 0.
 	Size func(V) int64
-	// Hits and Misses mirror the memo's own counters into obs; Bytes
-	// counts the bytes of every value computed, retained or not. Any may
-	// be nil.
-	Hits, Misses, Bytes *obs.Counter
+	// Hits and Misses mirror the memo's own counters into obs. Computed
+	// counts the bytes of every value computed, retained or not, so it
+	// never falls, unlike Stats.Bytes. Any may be nil.
+	Hits, Misses, Computed *obs.Counter
 }
 
 // Memo maps keys to values computed at most once at a time per key.
@@ -94,7 +94,8 @@ type entry[V any] struct {
 // Stats is a snapshot of a memo's counters.
 type Stats struct {
 	Hits, Misses int64
-	// Bytes is the currently retained footprint.
+	// Bytes is the currently retained footprint: it falls when a held
+	// value is released, unlike the Config.Computed counter.
 	Bytes int64
 }
 
@@ -142,7 +143,7 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 		m.bytes.Add(size)
 	}
 	m.mu.Unlock()
-	m.cfg.Bytes.Add(size)
+	m.cfg.Computed.Add(size)
 	close(e.done)
 	return e.val, e.err
 }
@@ -185,13 +186,6 @@ func (m *Memo[K, V]) call(fn func() (V, error)) (v V, err error) {
 func (m *Memo[K, V]) count(own *atomic.Int64, mirror *obs.Counter) {
 	own.Add(1)
 	mirror.Add(1)
-}
-
-// Len returns the number of keys with a retained value or a flight.
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
 }
 
 // Stats returns the memo's hit, miss and retained-byte counters.

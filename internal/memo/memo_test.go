@@ -196,15 +196,15 @@ func TestHeldEntrySurvivesUntilLastRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1()
-	if m.Len() != 1 || m.Stats().Bytes != 8 {
-		t.Fatalf("after the first release: %d entries, %d bytes; want the value kept for the second holder", m.Len(), m.Stats().Bytes)
+	if b := m.Stats().Bytes; b != 8 {
+		t.Fatalf("after the first release: %d bytes retained; want the value's 8 kept for the second holder", b)
 	}
 	if _, err := m.Do("k", fn); err != nil || calls != 1 {
 		t.Fatalf("second holder's read: err %v, %d computations; want a hit", err, calls)
 	}
 	r2()
-	if m.Len() != 0 || m.Stats().Bytes != 0 {
-		t.Fatalf("after the last release: %d entries, %d bytes; want none", m.Len(), m.Stats().Bytes)
+	if b := m.Stats().Bytes; b != 0 {
+		t.Fatalf("after the last release: %d bytes retained; want none", b)
 	}
 	// The budget is free again: a new key is computed, not declined.
 	if _, err := m.Do("other", fn); err != nil {
@@ -227,8 +227,11 @@ func TestUnheldAndEarlierEntriesAreRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	release()
-	if m.Len() != 1 || m.Stats().Bytes != 2 {
-		t.Fatalf("%d entries, %d bytes; want the value from before the hold kept", m.Len(), m.Stats().Bytes)
+	if v, err := m.Do("free", func() (int, error) { return 0, errors.New("recomputed") }); err != nil || v != 2 {
+		t.Fatalf("after the release: Do = %v, %v; want the value from before the hold", v, err)
+	}
+	if b := m.Stats().Bytes; b != 2 {
+		t.Fatalf("%d bytes retained; want the value's 2", b)
 	}
 }
 
@@ -243,12 +246,15 @@ func TestFailedFlightUnderHoldLeavesNothing(t *testing.T) {
 	if _, err := m.Do("k", func() (int, error) { panic("kaboom") }); err == nil {
 		t.Fatal("want the panic as an error")
 	}
-	if m.Len() != 0 || m.Stats().Bytes != 0 {
-		t.Fatalf("%d entries, %d bytes after failed flights; want none", m.Len(), m.Stats().Bytes)
+	if b := m.Stats().Bytes; b != 0 {
+		t.Fatalf("%d bytes retained after failed flights; want none", b)
 	}
 	release()
-	if m.Len() != 0 || m.Stats().Bytes != 0 {
-		t.Fatalf("%d entries, %d bytes after the release; want none", m.Len(), m.Stats().Bytes)
+	if b := m.Stats().Bytes; b != 0 {
+		t.Fatalf("%d bytes retained after the release; want none", b)
+	}
+	if v, err := m.Do("k", func() (int, error) { return 3, nil }); err != nil || v != 3 {
+		t.Fatalf("after the release: Do = %v, %v; want a fresh computation", v, err)
 	}
 }
 
@@ -274,8 +280,11 @@ func TestReleaseDuringFlight(t *testing.T) {
 	if v := <-got; v != 4 {
 		t.Fatalf("flight returned %d, want 4", v)
 	}
-	if m.Len() != 0 || m.Stats().Bytes != 0 {
-		t.Fatalf("%d entries, %d bytes; want the released key's value dropped", m.Len(), m.Stats().Bytes)
+	if b := m.Stats().Bytes; b != 0 {
+		t.Fatalf("%d bytes retained; want the released key's value dropped", b)
+	}
+	if v, _ := m.Do("k", func() (int, error) { return 6, nil }); v != 6 {
+		t.Fatalf("after the release: Do = %d; want a fresh computation", v)
 	}
 }
 
@@ -302,7 +311,16 @@ func TestConcurrentHolders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if m.Len() != 0 || m.Stats().Bytes != 0 {
-		t.Fatalf("%d entries, %d bytes after every release; want none", m.Len(), m.Stats().Bytes)
+	if b := m.Stats().Bytes; b != 0 {
+		t.Fatalf("%d bytes retained after every release; want none", b)
+	}
+	misses := m.Stats().Misses
+	for _, k := range keys {
+		if _, err := m.Do(k, func() (int, error) { return len(k), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Stats().Misses - misses; got != int64(len(keys)) {
+		t.Fatalf("reading the %d released keys again: %d misses; want each recomputed", len(keys), got)
 	}
 }

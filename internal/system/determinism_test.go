@@ -285,42 +285,62 @@ func TestPanickingCellIsContained(t *testing.T) {
 	}
 }
 
-// TestCompareReleasesWhatItHeld: once a Compare returns, the tape and
-// profile memos are back to what they held before it — its cells'
-// tapes and profiling pass are gone, also when a cell panics — while
-// the entries of a Run made before it stay, and so do its selections.
+// TestCompareReleasesWhatItHeld: once a Compare returns, the tape memo
+// retains the bytes it retained before it, and a Run of the Compare's
+// workload records its tapes and runs its profiling pass again — also
+// after a Compare whose cells panic — while it reuses the Compare's
+// selection, and a Run made before the Compare still finds its entries.
 func TestCompareReleasesWhatItHeld(t *testing.T) {
 	obsFreshProcess()
 	defer obsFreshProcess()
-	if _, err := Run(strideWorkload([]int{1, 1}), Options{Kind: SDMBSM}); err != nil {
-		t.Fatal(err)
-	}
-	tapeBytes, profs, sels := tape.CacheStats().Bytes, profiles.Len(), selections.Len()
-	if tapeBytes == 0 || profs == 0 {
-		t.Fatalf("the Run retained %d tape bytes and %d profiles; want both", tapeBytes, profs)
-	}
-	check := func(what string) {
+	// rerun runs w under SDM+BSM and reports how many tapes it recorded,
+	// profiling passes it ran and selections it trained.
+	rerun := func(w workload.Workload) (tapes, passes, sels int64) {
 		t.Helper()
-		if b, p := tape.CacheStats().Bytes, profiles.Len(); b != tapeBytes || p != profs {
-			t.Errorf("after %s: %d tape bytes and %d profiles retained, want %d and %d as before it",
-				what, b, p, tapeBytes, profs)
+		t0, p0, s0 := tape.CacheStats().Builds, profiles.Stats().Misses, selections.Stats().Misses
+		if _, err := Run(w, Options{Kind: SDMBSM}); err != nil {
+			t.Fatal(err)
+		}
+		return tape.CacheStats().Builds - t0, profiles.Stats().Misses - p0, selections.Stats().Misses - s0
+	}
+	earlier := strideWorkload([]int{1, 1})
+	if tapes, passes, sels := rerun(earlier); tapes != 2 || passes != 1 || sels != 1 {
+		t.Fatalf("a cold Run recorded %d tapes, ran %d passes, trained %d selections; want 2, 1, 1", tapes, passes, sels)
+	}
+	// compare runs a Compare of w over kinds and checks what it left.
+	compare := func(what string, w workload.Workload, kinds []Kind, wantErr bool) {
+		t.Helper()
+		retained := tape.CacheStats().Bytes
+		if _, err := Compare(w, Options{}, kinds); (err != nil) != wantErr {
+			t.Fatalf("%s: err = %v, want an error: %v", what, err, wantErr)
+		}
+		if b := tape.CacheStats().Bytes; b != retained {
+			t.Errorf("after %s: %d tape bytes retained, want %d as before it", what, b, retained)
+		}
+		if tapes, passes, sels := rerun(earlier); tapes != 0 || passes != 0 || sels != 0 {
+			t.Errorf("after %s, the earlier Run recorded %d tapes, ran %d passes, trained %d selections; want its entries kept",
+				what, tapes, passes, sels)
+		}
+	}
+	// checkReleased checks that a Run of a Compare's workload w records
+	// its tapes and profiles again but reuses the Compare's selection.
+	checkReleased := func(what string, w workload.Workload) {
+		t.Helper()
+		if tapes, passes, sels := rerun(w); tapes != 2 || passes != 1 || sels != 0 {
+			t.Errorf("after %s, its workload recorded %d tapes, ran %d passes, trained %d selections; want 2, 1 and the cached selection",
+				what, tapes, passes, sels)
 		}
 	}
 
-	if _, err := Compare(strideWorkload([]int{1, 32}), Options{}, []Kind{BSDM, SDMBSM, SDMBSMML}); err != nil {
-		t.Fatal(err)
-	}
-	check("a Compare")
-	if s := selections.Len(); s != sels+2 {
-		t.Errorf("%d selections retained, want %d: the Compare's two stay cached", s, sels+2)
-	}
+	w := strideWorkload([]int{1, 32})
+	compare("a Compare", w, []Kind{BSDM, SDMBSM, SDMBSMML}, false)
+	checkReleased("a Compare", w)
 
 	// The evaluation pass panics after the profiling pass recorded its
 	// tape and profile under the Compare's holds.
 	seed := int64(2) // the default EvalSeed
-	w := &panicky{strideWorkload([]int{1, 64}), &seed}
-	if _, err := Compare(w, Options{}, []Kind{BSDM, SDMBSM}); err == nil {
-		t.Fatal("want the evaluation panics as errors")
-	}
-	check("a Compare with panicking cells")
+	pw := &panicky{strideWorkload([]int{1, 64}), &seed}
+	compare("a Compare with panicking cells", pw, []Kind{BSDM, SDMBSM}, true)
+	seed = 0
+	checkReleased("a Compare with panicking cells", pw)
 }

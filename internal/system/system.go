@@ -365,21 +365,6 @@ func selectMappings(apps []app, o Options) (mapping.Mapping, time.Duration, erro
 	return nil, wallclock.Since(start), nil
 }
 
-// holdCells holds the tapes and the profiling pass that cells of the
-// workload with TapeKey tapeKey read under o (defaults applied) and
-// kinds, and returns the function that releases them all.
-func holdCells(tapeKey string, o Options, kinds []Kind) (release func()) {
-	releases := []func(){tape.Hold(tapeKey, o.EvalSeed)}
-	if slices.ContainsFunc(kinds, Kind.NeedsProfiling) {
-		releases = append(releases, tape.Hold(tapeKey, o.ProfileSeed), profiles.Hold(profKeyOf(tapeKey, o)))
-	}
-	return func() {
-		for _, r := range releases {
-			r()
-		}
-	}
-}
-
 // containPanic turns a panic in the run that defers it into the run's
 // error, so a failing sweep cell reports like any other failed cell (an
 // error and a partial Result) instead of unwinding through the fan-out
@@ -440,7 +425,12 @@ func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection
 // accumulate every workload's tapes and profiles. Selections stay
 // cached: a repeated Compare of the same workload retrains nothing.
 func Compare(w workload.Workload, base Options, kinds []Kind) ([]Result, error) {
-	defer holdCells(w.TapeKey(), base.withDefaults(), kinds)()
+	o, key := base.withDefaults(), w.TapeKey()
+	defer tape.Hold(key, o.EvalSeed)()
+	if slices.ContainsFunc(kinds, Kind.NeedsProfiling) {
+		defer tape.Hold(key, o.ProfileSeed)()
+		defer profiles.Hold(profKeyOf(key, o))()
+	}
 	name := w.Name() // hoisted: the thunks must not touch the shared workload
 	return parallel.Map(kinds, func(_ int, k Kind) (Result, error) {
 		defer obs.Span3("cell", name, k.String()).End()

@@ -45,12 +45,12 @@ var (
 
 var (
 	cache = memo.New[cacheKey, *Tape](memo.Config[*Tape]{
-		Name:   "tape",
-		Budget: maxCacheBytes,
-		Size:   func(t *Tape) int64 { return int64(t.Bytes()) },
-		Hits:   obs.NewCounter("tape.hits", "cells", "cells served a shared tape they did not build"),
-		Misses: obs.NewCounter("tape.builds", "tapes", "reference tapes recorded"),
-		Bytes:  obs.NewCounter("tape.bytes", "bytes", "tape column bytes recorded"),
+		Name:     "tape",
+		Budget:   maxCacheBytes,
+		Size:     func(t *Tape) int64 { return int64(t.Bytes()) },
+		Hits:     obs.NewCounter("tape.hits", "cells", "cells served a shared tape they did not build"),
+		Misses:   obs.NewCounter("tape.builds", "tapes", "reference tapes recorded"),
+		Computed: obs.NewCounter("tape.bytes", "bytes", "tape column bytes recorded"),
 	})
 
 	statLive atomic.Int64
@@ -62,7 +62,9 @@ type Stats struct {
 	// tape they did not build; Live counts cells that ran without a tape
 	// (incompatible layout, byte budget reached, or a failed recording).
 	Builds, Hits, Live int64
-	// Bytes is the retained column footprint.
+	// Bytes is the retained column footprint. It falls when a held tape
+	// is released, unlike the tape.bytes metric, which counts the bytes
+	// of every tape recorded.
 	Bytes int64
 }
 

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -43,9 +42,10 @@ func TestTranslateFastPathZeroAllocs(t *testing.T) {
 //
 // runtime.MemStats counts the whole process, and another goroutine (the
 // test framework finishing the previous test, say) can allocate inside
-// one leaf's window. The address space's own allocations are the same
-// in every leaf's window, so the test counts them as the fewest any
-// window saw: a fault path that allocates shows in all of them.
+// one leaf's window. So the test forgives one window that allocates and
+// fails when two or more do: a fault path that allocates on every fault
+// shows in all eight windows, and one that grows a slice by append on
+// every fault reallocates in most of them.
 func TestTranslateFaultPathBounded(t *testing.T) {
 	k := NewKernel(geom.Default().Chunks())
 	as := k.NewAddressSpace()
@@ -58,8 +58,9 @@ func TestTranslateFaultPathBounded(t *testing.T) {
 		t.Fatalf("area starts at %#x, not on a leaf boundary", uint64(start))
 	}
 	var before, after runtime.MemStats
-	fewest := uint64(math.MaxUint64)
-	for n := 0; n < nLeaves; n++ {
+	var allocs [nLeaves]uint64
+	allocating := 0
+	for n := range allocs {
 		base := start + VA(n*leafPages*geom.PageBytes)
 		if _, err := as.Translate(base); err != nil {
 			t.Fatal(err)
@@ -71,13 +72,16 @@ func TestTranslateFaultPathBounded(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		fewest = min(fewest, after.Mallocs-before.Mallocs)
+		if allocs[n] = after.Mallocs - before.Mallocs; allocs[n] != 0 {
+			allocating++
+		}
 		if got := as.leaves(); got != n+1 {
 			t.Errorf("after faulting %d pages: %d leaves, want %d (one per %d pages)", (n+1)*leafPages, got, n+1, leafPages)
 		}
 	}
-	if fewest != 0 {
-		t.Errorf("faulting pages 1..%d of every leaf allocated at least %d objects, want 0", leafPages-1, fewest)
+	if allocating > 1 {
+		t.Errorf("faulting pages 1..%d of each leaf allocated %v objects: %d of %d leaves allocated, want at most 1 (a stray allocation)",
+			leafPages-1, allocs, allocating, nLeaves)
 	}
 }
 
