@@ -65,7 +65,8 @@ fuzz:
 # lane-fused kernels; TrainJoint isolates the training loop, SelectDL
 # times the whole selection pipeline), each paper kernel's input
 # construction (KernelStreams, one sub-benchmark per kernel), tape
-# recording and replay (TapeRecord, TapeReplay: one proxy, one kernel)
-# and the profiling collector (CollectorRecord).
+# recording and replay (TapeRecord, TapeReplay: one proxy, one kernel),
+# the profiling collector (CollectorRecord) and the machine every cell
+# boots (MachineBoot: device, kernel, CMT, chunk allocator, controller).
 bench:
-	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams|TapeRecord|TapeReplay|CollectorRecord' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps ./internal/tape ./internal/trace
+	$(GO) test -bench='HotPath|TrainJoint|SelectDL|KernelStreams|TapeRecord|TapeReplay|CollectorRecord|MachineBoot' -benchtime=1x -run='^$$' . ./internal/vm ./internal/nn ./internal/cluster ./internal/apps ./internal/tape ./internal/trace ./internal/system

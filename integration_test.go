@@ -86,14 +86,16 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestExperimentShapeChecksQuick reruns every quick-scale experiment and
-// requires all shape claims to pass — the repository's one-command
-// "does the reproduction still hold" gate.
+// TestExperimentShapeChecksQuick reruns every quick-scale experiment,
+// the paper's and then the ablations (the catalog order of `sdamsim
+// -quick all` and of its hold plan), and requires all shape claims to
+// pass — the repository's one-command "does the reproduction still
+// hold" gate.
 func TestExperimentShapeChecksQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep of quick experiments")
 	}
-	for _, r := range sdam.Experiments() {
+	for _, r := range append(sdam.Experiments(), sdam.AblationExperiments()...) {
 		rep, err := sdam.RunExperiment(r.ID, true)
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)

@@ -31,7 +31,7 @@ func (f Frame) Chunk() int { return int(f >> (geom.ChunkShift - geom.PageShift))
 
 // chunkState tracks one chunk's frame bitmap.
 type chunkState struct {
-	group     int // mapping index, -1 when free
+	group     int // mapping index, -1 when released
 	usedPages int
 	bitmap    [geom.PagesPerChunk / 64]uint64
 }
@@ -54,37 +54,45 @@ type group struct {
 func (g *group) usable() int { return geom.PagesPerChunk - g.guarded }
 
 // Allocator manages the physical chunks of one device.
+//
+// The global free list is split in two. Chunks are handed out 0, 1, 2,
+// … with released chunks reused first, so the chunks ever acquired form
+// a prefix, and only that prefix has a state: chunks[c] for c <
+// len(chunks). Every chunk past it is free and untouched. freeList
+// holds the released chunks of the prefix, LIFO.
 type Allocator struct {
-	table  *cmt.Table
-	chunks []chunkState
-	// freeList holds free chunk numbers LIFO; groups is indexed by
-	// mapping index.
+	table    *cmt.Table
+	n        int // chunks managed
+	chunks   []chunkState
 	freeList []int
-	groups   []group
+	groups   []group // indexed by mapping index
 }
 
 // NewAllocator creates an allocator over nChunks chunks. The CMT may be
 // nil for software-only tests; when present, every group binding is
 // mirrored into it, as the kernel driver does through MMIO.
 func NewAllocator(nChunks int, table *cmt.Table) *Allocator {
-	a := &Allocator{
+	return &Allocator{
 		table:  table,
-		chunks: make([]chunkState, nChunks),
+		n:      nChunks,
 		groups: make([]group, cmt.MaxMappings),
 	}
-	// LIFO from high to low so chunk 0 is handed out first.
-	for c := nChunks - 1; c >= 0; c-- {
-		a.chunks[c].group = -1
-		a.freeList = append(a.freeList, c)
-	}
-	return a
 }
 
 // Chunks returns the number of chunks managed.
-func (a *Allocator) Chunks() int { return len(a.chunks) }
+func (a *Allocator) Chunks() int { return a.n }
 
 // FreeChunks returns how many chunks sit on the global free list.
-func (a *Allocator) FreeChunks() int { return len(a.freeList) }
+func (a *Allocator) FreeChunks() int { return len(a.freeList) + a.n - len(a.chunks) }
+
+// state returns chunk c's state, or nil while c is free: released, or
+// past the acquired prefix.
+func (a *Allocator) state(c int) *chunkState {
+	if c >= len(a.chunks) || a.chunks[c].group == -1 {
+		return nil
+	}
+	return &a.chunks[c]
+}
 
 // GroupSize returns how many chunks are bound to a mapping index.
 func (a *Allocator) GroupSize(mapIdx int) int {
@@ -144,23 +152,33 @@ func (a *Allocator) AllocFrame(mapIdx int) (Frame, error) {
 }
 
 // acquireChunk moves a chunk from the global free list into a group and
-// records the binding in the CMT.
+// records the binding in the CMT: the last released chunk, else the
+// first chunk never acquired.
 func (a *Allocator) acquireChunk(mapIdx int) (int, error) {
-	if len(a.freeList) == 0 {
-		return 0, fmt.Errorf("chunk: out of physical memory (all %d chunks in use)", len(a.chunks))
-	}
-	c := a.freeList[len(a.freeList)-1]
-	a.freeList = a.freeList[:len(a.freeList)-1]
-	if a.chunks[c].group != -1 {
-		return 0, fmt.Errorf("chunk: free-list chunk %d already grouped (corruption)", c)
+	released := len(a.freeList) > 0
+	var c int
+	switch {
+	case released:
+		c = a.freeList[len(a.freeList)-1]
+		if a.chunks[c].group != -1 {
+			return 0, fmt.Errorf("chunk: free-list chunk %d already grouped (corruption)", c)
+		}
+	case len(a.chunks) < a.n:
+		c = len(a.chunks)
+	default:
+		return 0, fmt.Errorf("chunk: out of physical memory (all %d chunks in use)", a.n)
 	}
 	if a.table != nil {
 		if err := a.table.BindChunk(c, mapIdx); err != nil {
-			a.freeList = append(a.freeList, c)
 			return 0, fmt.Errorf("chunk: CMT bind failed: %w", err)
 		}
 	}
-	a.chunks[c].group = mapIdx
+	if released {
+		a.freeList = a.freeList[:len(a.freeList)-1]
+		a.chunks[c].group = mapIdx
+	} else {
+		a.chunks = append(a.chunks, chunkState{group: mapIdx})
+	}
 	a.groups[mapIdx].chunks = append(a.groups[mapIdx].chunks, c)
 	return c, nil
 }
@@ -190,11 +208,11 @@ func (a *Allocator) takePage(c int, guard func(page int) bool) (Frame, error) {
 // default mapping.
 func (a *Allocator) FreeFrame(f Frame) error {
 	c := f.Chunk()
-	if c < 0 || c >= len(a.chunks) {
+	if c < 0 || c >= a.n {
 		return fmt.Errorf("chunk: frame %d outside physical memory", f)
 	}
-	st := &a.chunks[c]
-	if st.group == -1 {
+	st := a.state(c)
+	if st == nil {
 		return fmt.Errorf("chunk: freeing frame %d in unallocated chunk %d", f, c)
 	}
 	page := int(uint64(f) % geom.PagesPerChunk)
@@ -237,13 +255,14 @@ func (a *Allocator) releaseChunk(c int) {
 // error for frames in free chunks.
 func (a *Allocator) MappingOf(f Frame) (int, error) {
 	c := f.Chunk()
-	if c < 0 || c >= len(a.chunks) {
+	if c < 0 || c >= a.n {
 		return 0, fmt.Errorf("chunk: frame %d outside physical memory", f)
 	}
-	if a.chunks[c].group == -1 {
+	st := a.state(c)
+	if st == nil {
 		return 0, fmt.Errorf("chunk: frame %d in free chunk", f)
 	}
-	return a.chunks[c].group, nil
+	return st.group, nil
 }
 
 // Fragmentation describes internal fragmentation at the chunk level: the
@@ -269,7 +288,7 @@ func (a *Allocator) Fragmentation() Fragmentation {
 			f.WastedPages += geom.PagesPerChunk - st.usedPages
 		}
 	}
-	total := len(a.chunks) * geom.PagesPerChunk
+	total := a.n * geom.PagesPerChunk
 	if total > 0 {
 		f.WastedFraction = float64(f.WastedPages) / float64(total)
 	}
@@ -277,8 +296,8 @@ func (a *Allocator) Fragmentation() Fragmentation {
 }
 
 // CheckInvariants verifies the allocator's structural invariants:
-// disjoint group membership, free-list/group partition of all chunks,
-// and CMT agreement.
+// disjoint group membership, free-list/group partition of the acquired
+// prefix, and CMT agreement.
 func (a *Allocator) CheckInvariants() error {
 	// owner[c] records where chunk c was met: 0 not yet, g+1 in group g,
 	// -1 on the free list. Groups are walked in mapping-index order, so

@@ -3,6 +3,8 @@ package chunk
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -336,6 +338,9 @@ func TestTakePageMatchesPerPageScan(t *testing.T) {
 		name, guard := g.name, g.guard
 		for trial := 0; trial < 20; trial++ {
 			a := NewAllocator(1, nil)
+			if _, err := a.acquireChunk(0); err != nil {
+				t.Fatal(err)
+			}
 			st := &a.chunks[0]
 			var ref [geom.PagesPerChunk / 64]uint64
 			density := r.Intn(8) // 0 = empty chunk, 7 = mostly full
@@ -375,8 +380,10 @@ func TestTakePageMatchesPerPageScan(t *testing.T) {
 
 // firstFitRef is the scan AllocFrame must agree with: the group's chunks
 // in acquisition order, each with its allocatable pages counted afresh
-// from the guard, then the chunk the free list hands out next; within
-// the chosen chunk, takePageRef's page. ok is false when memory is out.
+// from the guard, then the chunk the free list hands out next (the last
+// released chunk, else the first never acquired, whose bitmap is empty);
+// within the chosen chunk, takePageRef's page. ok is false when memory
+// is out.
 func firstFitRef(a *Allocator, mapIdx int, guard func(page int) bool) (f Frame, ok bool) {
 	usable := 0
 	for p := 0; p < geom.PagesPerChunk; p++ {
@@ -391,13 +398,19 @@ func firstFitRef(a *Allocator, mapIdx int, guard func(page int) bool) (f Frame, 
 			break
 		}
 	}
-	if pick < 0 {
-		if len(a.freeList) == 0 {
-			return 0, false
-		}
+	switch {
+	case pick >= 0:
+	case len(a.freeList) > 0:
 		pick = a.freeList[len(a.freeList)-1]
+	case len(a.chunks) < a.Chunks():
+		pick = len(a.chunks)
+	default:
+		return 0, false
 	}
-	bitmap := a.chunks[pick].bitmap
+	var bitmap [geom.PagesPerChunk / 64]uint64
+	if pick < len(a.chunks) {
+		bitmap = a.chunks[pick].bitmap
+	}
 	page, _ := takePageRef(&bitmap, guard)
 	return Frame(uint64(pick)*geom.PagesPerChunk + uint64(page)), true
 }
@@ -460,5 +473,70 @@ func TestAllocFrameMatchesFirstFitScan(t *testing.T) {
 		if err := a.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAcquisitionOrderMatchesEagerFreeList acquires and releases whole
+// chunks at random and checks every acquisition against the free list
+// of a boot that fills it eagerly: every chunk number pushed high to
+// low, so chunk 0 pops first, and each released chunk pushed on top.
+func TestAcquisitionOrderMatchesEagerFreeList(t *testing.T) {
+	const n = 16
+	a := NewAllocator(n, nil)
+	var eager []int
+	for c := n - 1; c >= 0; c-- {
+		eager = append(eager, c)
+	}
+	var bound []int
+	r := rand.New(rand.NewSource(17))
+	for op := 0; op < 2000; op++ {
+		if len(bound) == 0 || r.Intn(3) != 0 {
+			c, err := a.acquireChunk(1 + r.Intn(3))
+			if len(eager) == 0 {
+				if err == nil {
+					t.Fatalf("op %d: acquired chunk %d with every chunk bound", op, c)
+				}
+				continue
+			}
+			want := eager[len(eager)-1]
+			eager = eager[:len(eager)-1]
+			if err != nil || c != want {
+				t.Fatalf("op %d: acquired chunk %d, %v; the eager free list pops %d", op, c, err, want)
+			}
+			bound = append(bound, c)
+		} else {
+			i := r.Intn(len(bound))
+			c := bound[i]
+			bound = slices.Delete(bound, i, i+1)
+			a.releaseChunk(c)
+			eager = append(eager, c)
+		}
+		if got := a.FreeChunks(); got != len(eager) {
+			t.Fatalf("op %d: FreeChunks = %d, the eager free list holds %d", op, got, len(eager))
+		}
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewAllocatorAllocs pins a boot at the default geometry (4,096
+// chunks) to the allocator and its per-mapping group table: no state
+// for chunks not yet acquired. The group table is 12 KiB on 64-bit
+// hosts; one 80-byte state per chunk would add 320 KiB.
+func TestNewAllocatorAllocs(t *testing.T) {
+	const boots = 100
+	nChunks := geom.Default().Chunks()
+	var before, after runtime.MemStats
+	sink := make([]*Allocator, boots)
+	runtime.ReadMemStats(&before)
+	for i := range sink {
+		sink[i] = NewAllocator(nChunks, nil)
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / boots
+	bytes := (after.TotalAlloc - before.TotalAlloc) / boots
+	if objects > 2 || bytes > 16<<10 {
+		t.Errorf("NewAllocator(%d) allocates %d objects, %d bytes per boot; want at most 2 objects, 16 KiB", nChunks, objects, bytes)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/hbm"
 	"repro/internal/mapping"
-	"repro/internal/parallel"
 	"repro/internal/rowguard"
 	"repro/internal/stats"
 	"repro/internal/system"
@@ -83,30 +82,36 @@ func AblCMT(Scale) (*Report, error) {
 	return r, nil
 }
 
+// ablClustersKs is the cluster-budget sweep; K = 0 is the BS+DM
+// baseline.
+var ablClustersKs = []int{0, 1, 2, 4, 8}
+
+func ablClustersCells(s Scale) []cell {
+	w := workload.NewStrideCopy([]int{1, 32, 1024, 4096}, s.refs(4_000, 20_000), 512<<20)
+	cells := make([]cell, len(ablClustersKs))
+	for i, k := range ablClustersKs {
+		o := system.Options{Kind: system.BSDM, Engine: cpu.AcceleratorConfig(4)}
+		if k > 0 {
+			o.Kind, o.Clusters = system.SDMBSMML, k
+		}
+		cells[i] = cell{ws: []workload.Workload{w}, o: o}
+	}
+	return cells
+}
+
 // AblClusters sweeps the cluster budget K for the K-Means selector on a
 // mixed-stride workload: more clusters capture more distinct patterns
 // until the pattern count saturates.
 func AblClusters(s Scale) (*Report, error) {
 	r := &Report{ID: "abl-clusters", Title: "mapping-cluster budget: speedup vs K"}
 	r.Table.Header = []string{"K", "speedup vs BS+DM", "mappings used"}
-	refs := s.refs(4_000, 20_000)
-	w := workload.NewStrideCopy([]int{1, 32, 1024, 4096}, refs, 512<<20)
-	// Cell 0 is the BS+DM baseline; cells 1.. are the K sweep. Every cell
-	// clones the workload so Setup never races.
-	ks := []int{0, 1, 2, 4, 8}
-	results, err := parallel.Map(ks, func(_ int, k int) (system.Result, error) {
-		o := system.Options{Kind: system.BSDM, Engine: cpu.AcceleratorConfig(4)}
-		if k > 0 {
-			o.Kind, o.Clusters = system.SDMBSMML, k
-		}
-		return system.Run(w.Clone(), o)
-	})
+	results, err := runCells(ablClustersCells(s))
 	if err != nil {
 		return nil, err
 	}
 	base := results[0]
 	var speedups []float64
-	for i, k := range ks[1:] {
+	for i, k := range ablClustersKs[1:] {
 		res := results[i+1]
 		sp := res.SpeedupOver(base)
 		used := 0
@@ -123,38 +128,36 @@ func AblClusters(s Scale) (*Report, error) {
 	return r, nil
 }
 
+// ablMSHRSweep is the outstanding-miss budgets AblMSHR sweeps.
+var ablMSHRSweep = []int{2, 8, 32, 64}
+
+// ablMSHRCells flattens (MSHR budget × {baseline, SDAM}) into
+// independent cells.
+func ablMSHRCells(s Scale) []cell {
+	w := apps.NewKMeansApp(apps.Options{MaxRefs: s.refs(15_000, 60_000)})
+	var cells []cell
+	for _, m := range ablMSHRSweep {
+		eng := cpu.AcceleratorConfig(4)
+		eng.MSHRs = m
+		cells = append(cells,
+			cell{ws: []workload.Workload{w}, o: system.Options{Kind: system.BSDM, Engine: eng}},
+			cell{ws: []workload.Workload{w}, o: system.Options{Kind: system.SDMBSMML, Clusters: 4, Engine: eng}})
+	}
+	return cells
+}
+
 // AblMSHR sweeps the engine's outstanding-miss budget: SDAM's benefit
 // grows with memory-level parallelism, which is the mechanism behind the
 // accelerator-beats-CPU result (§7.4).
 func AblMSHR(s Scale) (*Report, error) {
 	r := &Report{ID: "abl-mshr", Title: "memory-level parallelism: SDAM gain vs outstanding-miss window"}
 	r.Table.Header = []string{"MSHRs", "BS+DM ns", "SDAM ns", "speedup"}
-	opts := apps.Options{MaxRefs: s.refs(15_000, 60_000)}
-	// Flatten (MSHR budget × {baseline, SDAM}) into independent cells,
-	// each with a fresh workload instance.
-	mshrSweep := []int{2, 8, 32, 64}
-	type mshrCell struct {
-		mshrs int
-		sdam  bool
-	}
-	var specs []mshrCell
-	for _, m := range mshrSweep {
-		specs = append(specs, mshrCell{m, false}, mshrCell{m, true})
-	}
-	results, err := parallel.Map(specs, func(_ int, c mshrCell) (system.Result, error) {
-		eng := cpu.AcceleratorConfig(4)
-		eng.MSHRs = c.mshrs
-		o := system.Options{Kind: system.BSDM, Engine: eng}
-		if c.sdam {
-			o.Kind, o.Clusters = system.SDMBSMML, 4
-		}
-		return system.Run(apps.NewKMeansApp(opts), o)
-	})
+	results, err := runCells(ablMSHRCells(s))
 	if err != nil {
 		return nil, err
 	}
 	var gains []float64
-	for i, mshrs := range mshrSweep {
+	for i, mshrs := range ablMSHRSweep {
 		base, res := results[2*i], results[2*i+1]
 		sp := res.SpeedupOver(base)
 		r.Table.Add(mshrs, base.Run.TimeNs, res.Run.TimeNs, sp)
@@ -165,6 +168,23 @@ func AblMSHR(s Scale) (*Report, error) {
 	return r, nil
 }
 
+// ablGuardCells lists, per kernel, the baseline, the guarded selection
+// and the raw one. The guard is a per-run option, so all cells fan out
+// together.
+func ablGuardCells(s Scale) []cell {
+	opts := apps.Options{MaxRefs: s.refs(15_000, 50_000)}
+	eng := cpu.AcceleratorConfig(4)
+	var cells []cell
+	for _, w := range []workload.Workload{apps.NewPageRank(opts), apps.NewSSSP(opts), apps.NewKMeansApp(opts)} {
+		one := []workload.Workload{w}
+		cells = append(cells,
+			cell{ws: one, o: system.Options{Kind: system.BSDM, Engine: eng}},
+			cell{ws: one, o: system.Options{Kind: system.SDMBSMML, Clusters: 4, Engine: eng}},
+			cell{ws: one, o: system.Options{Kind: system.SDMBSMML, Clusters: 4, Engine: eng, NoGuard: true}})
+	}
+	return cells
+}
+
 // AblGuard quantifies the do-no-harm selection guard: the same
 // per-variable selection with and without the measured replay check.
 // Without the guard, BFRV-derived mappings are installed even when they
@@ -173,43 +193,17 @@ func AblMSHR(s Scale) (*Report, error) {
 func AblGuard(s Scale) (*Report, error) {
 	r := &Report{ID: "abl-guard", Title: "do-no-harm selection guard: guarded vs raw BFRV mappings"}
 	r.Table.Header = []string{"kernel", "guarded speedup", "raw speedup"}
-	opts := apps.Options{MaxRefs: s.refs(15_000, 50_000)}
-	builders := []func() workload.Workload{
-		func() workload.Workload { return apps.NewPageRank(opts) },
-		func() workload.Workload { return apps.NewSSSP(opts) },
-		func() workload.Workload { return apps.NewKMeansApp(opts) },
-	}
-	eng := cpu.AcceleratorConfig(4)
-	// Per kernel: the baseline, the guarded selection, and the raw one.
-	// The guard is a per-run option, so all cells fan out together.
-	type guardCell struct {
-		mk      func() workload.Workload
-		kind    system.Kind
-		noGuard bool
-	}
-	var specs []guardCell
-	for _, mk := range builders {
-		specs = append(specs,
-			guardCell{mk, system.BSDM, false},
-			guardCell{mk, system.SDMBSMML, false},
-			guardCell{mk, system.SDMBSMML, true})
-	}
-	res, err := parallel.Map(specs, func(_ int, c guardCell) (system.Result, error) {
-		o := system.Options{Kind: c.kind, Engine: eng, NoGuard: c.noGuard}
-		if c.kind == system.SDMBSMML {
-			o.Clusters = 4
-		}
-		return system.Run(c.mk(), o)
-	})
+	cells := ablGuardCells(s)
+	res, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
 	var guarded, raw []float64
-	for i, mk := range builders {
-		base, on, off := res[3*i], res[3*i+1], res[3*i+2]
+	for i := 0; i < len(cells); i += 3 {
+		base, on, off := res[i], res[i+1], res[i+2]
 		gOn := on.SpeedupOver(base)
 		gOff := off.SpeedupOver(base)
-		r.Table.Add(mk().Name(), gOn, gOff)
+		r.Table.Add(cells[i].ws[0].Name(), gOn, gOff)
 		guarded = append(guarded, gOn)
 		raw = append(raw, gOff)
 	}
@@ -222,6 +216,27 @@ func AblGuard(s Scale) (*Report, error) {
 	return r, nil
 }
 
+// ablCoRunMixes are the co-run mixes: one stride-copy app per stride.
+var ablCoRunMixes = [][]int{{32}, {32, 128}, {32, 128, 1024}, {32, 128, 1024, 4096}}
+
+// ablCoRunCells flattens (mix × {baseline, SDAM}) into independent
+// co-run cells.
+func ablCoRunCells(s Scale) []cell {
+	refs := s.refs(3_000, 12_000)
+	eng := cpu.AcceleratorConfig(4)
+	var cells []cell
+	for _, strides := range ablCoRunMixes {
+		ws := make([]workload.Workload, len(strides))
+		for i, st := range strides {
+			ws[i] = workload.NewStrideCopy([]int{st, st}, refs, 256<<20)
+		}
+		cells = append(cells,
+			cell{ws: ws, corun: true, o: system.Options{Kind: system.BSDM, Engine: eng}},
+			cell{ws: ws, corun: true, o: system.Options{Kind: system.SDMBSMML, Clusters: 4, Engine: eng}})
+	}
+	return cells
+}
+
 // AblCoRun sweeps the number of co-running applications sharing one
 // machine: per-application SDAM selections install into the single CMT,
 // and the speedup over the co-run BS+DM baseline holds as the mix grows
@@ -229,35 +244,12 @@ func AblGuard(s Scale) (*Report, error) {
 func AblCoRun(s Scale) (*Report, error) {
 	r := &Report{ID: "abl-corun", Title: "co-running applications sharing one CMT"}
 	r.Table.Header = []string{"apps", "mix", "SDAM speedup", "CMT mappings"}
-	refs := s.refs(3_000, 12_000)
-	mixes := [][]int{{32}, {32, 128}, {32, 128, 1024}, {32, 128, 1024, 4096}}
-	// Flatten (mix × {baseline, SDAM}) into independent co-run cells;
-	// each builds its own workload set.
-	type corunCell struct {
-		strides []int
-		sdam    bool
-	}
-	var specs []corunCell
-	for _, strides := range mixes {
-		specs = append(specs, corunCell{strides, false}, corunCell{strides, true})
-	}
-	eng := cpu.AcceleratorConfig(4)
-	results, err := parallel.Map(specs, func(_ int, c corunCell) (system.Result, error) {
-		ws := make([]workload.Workload, len(c.strides))
-		for i, st := range c.strides {
-			ws[i] = workload.NewStrideCopy([]int{st, st}, refs, 256<<20)
-		}
-		o := system.Options{Kind: system.BSDM, Engine: eng}
-		if c.sdam {
-			o.Kind, o.Clusters = system.SDMBSMML, 4
-		}
-		return system.CoRun(ws, o)
-	})
+	results, err := runCells(ablCoRunCells(s))
 	if err != nil {
 		return nil, err
 	}
 	var speedups []float64
-	for i, strides := range mixes {
+	for i, strides := range ablCoRunMixes {
 		base, res := results[2*i], results[2*i+1]
 		labels := make([]string, len(strides))
 		for j, st := range strides {

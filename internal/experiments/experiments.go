@@ -8,11 +8,14 @@
 // (who wins, by roughly what factor, where crossovers fall) as explicit
 // Check results.
 //
-// Every experiment drives its cells through system.Run/Compare/CoRun,
-// so the cross-cell caches underneath — one recorded reference tape
-// per {workload, seed}, one profiling pass per content key (DESIGN.md
-// §12) — apply to all of them without the experiments knowing: a
-// figure's sweep pays stream generation once, not once per cell.
+// Every experiment that simulates drives its cells through
+// system.Run/CoRun, so the cross-cell caches underneath — one recorded
+// reference tape per {workload, seed}, one profiling pass per content
+// key (DESIGN.md §12) — apply to all of them: a figure's sweep pays
+// stream generation once, not once per cell. Each such experiment
+// declares its cells (Runner.cells), and Run uses the declarations to
+// hold every tape and pass until the last experiment in catalog order
+// that reads it returns (plan.go, DESIGN.md §32).
 package experiments
 
 import (
@@ -100,25 +103,29 @@ type Runner struct {
 	ID   string
 	Desc string
 	Run  func(Scale) (*Report, error)
+	// cells declares the runs Run makes through the system layer, for
+	// the catalog's hold plan (plan.go); nil for an experiment that
+	// reads no memo.
+	cells func(Scale) []cell
 }
 
 // All lists every experiment in paper order.
 func All() []Runner {
 	return []Runner{
-		{"fig1", "HBM throughput vs channels and row-hit rate", Fig1},
-		{"fig2", "channel conflicts for stride/mapping combinations", Fig2},
-		{"fig3", "throughput and bit-flip distribution vs stride (default mapping)", Fig3},
-		{"fig4", "single vs per-stride mapping on mixed workloads", Fig4},
-		{"table1", "variable-level statistics of SPEC2006/PARSEC proxies", Table1},
-		{"fig11", "synthetic data-copy: configs vs number of distinct strides; CLP distribution", Fig11},
-		{"fig12a", "CPU speedups on standard benchmarks", Fig12a},
-		{"fig12b", "CPU speedups on data-intensive benchmarks", Fig12b},
-		{"fig13", "profiling time: K-Means vs DL-assisted K-Means", Fig13},
-		{"fig14", "speedup vs HBM frequency and core count", Fig14},
-		{"fig15", "accelerator speedups on data-intensive benchmarks", Fig15},
-		{"table2", "DL training hyper-parameters", Table2},
-		{"table3", "hardware cost model (FPGA-resource analog)", Table3},
-		{"table4", "system-software modification inventory (LOC analog)", Table4},
+		{"fig1", "HBM throughput vs channels and row-hit rate", Fig1, nil},
+		{"fig2", "channel conflicts for stride/mapping combinations", Fig2, nil},
+		{"fig3", "throughput and bit-flip distribution vs stride (default mapping)", Fig3, nil},
+		{"fig4", "single vs per-stride mapping on mixed workloads", Fig4, nil},
+		{"table1", "variable-level statistics of SPEC2006/PARSEC proxies", Table1, nil},
+		{"fig11", "synthetic data-copy: configs vs number of distinct strides; CLP distribution", Fig11, fig11Cells},
+		{"fig12a", "CPU speedups on standard benchmarks", Fig12a, fig12aCells},
+		{"fig12b", "CPU speedups on data-intensive benchmarks", Fig12b, fig12bCells},
+		{"fig13", "profiling time: K-Means vs DL-assisted K-Means", Fig13, nil},
+		{"fig14", "speedup vs HBM frequency and core count", Fig14, fig14Cells},
+		{"fig15", "accelerator speedups on data-intensive benchmarks", Fig15, fig15Cells},
+		{"table2", "DL training hyper-parameters", Table2, nil},
+		{"table3", "hardware cost model (FPGA-resource analog)", Table3, nil},
+		{"table4", "system-software modification inventory (LOC analog)", Table4, nil},
 	}
 }
 
@@ -126,14 +133,14 @@ func All() []Runner {
 // reproduction's design choices (not figures from the paper).
 func Ablations() []Runner {
 	return []Runner{
-		{"abl-chunk", "chunk-size trade-off: CMT storage vs fragmentation", AblChunkSize},
-		{"abl-cmt", "CMT organization: two-level vs flat across capacities", AblCMT},
-		{"abl-clusters", "mapping-cluster budget: speedup vs K", AblClusters},
-		{"abl-mshr", "SDAM gain vs outstanding-miss window", AblMSHR},
-		{"abl-guard", "do-no-harm selection guard on/off", AblGuard},
-		{"abl-corun", "co-running applications sharing one CMT", AblCoRun},
-		{"abl-rowguard", "row-hammer guard-row overhead by mapping class", AblRowGuard},
-		{"abl-refresh", "DRAM refresh bandwidth tax", AblRefresh},
+		{"abl-chunk", "chunk-size trade-off: CMT storage vs fragmentation", AblChunkSize, nil},
+		{"abl-cmt", "CMT organization: two-level vs flat across capacities", AblCMT, nil},
+		{"abl-clusters", "mapping-cluster budget: speedup vs K", AblClusters, ablClustersCells},
+		{"abl-mshr", "SDAM gain vs outstanding-miss window", AblMSHR, ablMSHRCells},
+		{"abl-guard", "do-no-harm selection guard on/off", AblGuard, ablGuardCells},
+		{"abl-corun", "co-running applications sharing one CMT", AblCoRun, ablCoRunCells},
+		{"abl-rowguard", "row-hammer guard-row overhead by mapping class", AblRowGuard, nil},
+		{"abl-refresh", "DRAM refresh bandwidth tax", AblRefresh, nil},
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/workload"
@@ -94,63 +93,60 @@ func dataApps(s Scale) []workload.Workload {
 	}
 }
 
-// speedupSweep runs every workload under the baseline plus each config
-// and fills the report table with speedups over BS+DM. It returns the
-// per-config speedup lists.
+// sweepCells lists a speedup sweep's cells: for each workload, its
+// BS+DM baseline and then each config.
+func sweepCells(ws []workload.Workload, cfgs []sdamConfig, engine cpu.Config, s Scale) []cell {
+	cells := make([]cell, 0, len(ws)*(len(cfgs)+1))
+	for _, w := range ws {
+		one := []workload.Workload{w}
+		cells = append(cells, cell{ws: one, o: system.Options{Kind: system.BSDM, Engine: engine}})
+		for _, cfg := range cfgs {
+			cells = append(cells, cell{ws: one, o: system.Options{
+				Kind: cfg.kind, Clusters: cfg.clusters, Engine: engine, DL: dlBudget(s),
+			}})
+		}
+	}
+	return cells
+}
+
+func fig12aCells(s Scale) []cell {
+	return sweepCells(standardApps(s), configsFor(s), cpu.CPUConfig(4), s)
+}
+
+func fig12bCells(s Scale) []cell {
+	return sweepCells(dataApps(s), configsFor(s), cpu.CPUConfig(4), s)
+}
+
+func fig15Cells(s Scale) []cell {
+	return sweepCells(dataApps(s), configsFor(s), cpu.AcceleratorConfig(4), s)
+}
+
+// speedupSweep runs a sweep's cells (sweepCells over cfgs) and fills
+// the report table with speedups over BS+DM. It returns the per-config
+// speedup lists.
 //
-// The (workload × configuration) cells are independent — each clones
-// its workload and builds its own machine — so they fan out over the
-// parallel worker pool; rows are assembled afterwards in input order,
-// keeping the table and the per-config lists bit-identical to a serial
-// sweep.
-func speedupSweep(r *Report, ws []workload.Workload, cfgs []sdamConfig, engine cpu.Config, s Scale) (map[string][]float64, error) {
+// The cells are independent — each clones its workload and builds its
+// own machine — so they fan out over the parallel worker pool; rows are
+// assembled afterwards in input order, keeping the table and the
+// per-config lists bit-identical to a serial sweep.
+func speedupSweep(r *Report, cells []cell, cfgs []sdamConfig) (map[string][]float64, error) {
 	header := []string{"benchmark"}
 	for _, c := range cfgs {
 		header = append(header, c.label)
 	}
 	r.Table.Header = header
-
-	// Cell ci == -1 is the workload's BS+DM baseline.
-	type cellSpec struct{ wi, ci int }
-	stride := len(cfgs) + 1
-	cells := make([]cellSpec, 0, len(ws)*stride)
-	for wi := range ws {
-		cells = append(cells, cellSpec{wi, -1})
-		for ci := range cfgs {
-			cells = append(cells, cellSpec{wi, ci})
-		}
-	}
-	results, err := parallel.Map(cells, func(_ int, c cellSpec) (system.Result, error) {
-		w := ws[c.wi].Clone()
-		if c.ci < 0 {
-			res, err := system.Run(w, system.Options{Kind: system.BSDM, Engine: engine})
-			if err != nil {
-				return res, fmt.Errorf("%s baseline: %w", w.Name(), err)
-			}
-			return res, nil
-		}
-		cfg := cfgs[c.ci]
-		res, err := system.Run(w, system.Options{
-			Kind:     cfg.kind,
-			Clusters: cfg.clusters,
-			Engine:   engine,
-			DL:       dlBudget(s),
-		})
-		if err != nil {
-			return res, fmt.Errorf("%s %s: %w", w.Name(), cfg.label, err)
-		}
-		return res, nil
-	})
+	results, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
 
 	per := make(map[string][]float64)
-	for wi, w := range ws {
-		base := results[wi*stride]
-		row := []interface{}{w.Name()}
+	stride := len(cfgs) + 1
+	for i := 0; i < len(cells); i += stride {
+		base := results[i]
+		row := []interface{}{cells[i].ws[0].Name()}
 		for ci, c := range cfgs {
-			sp := results[wi*stride+1+ci].SpeedupOver(base)
+			sp := results[i+1+ci].SpeedupOver(base)
 			row = append(row, sp)
 			per[c.label] = append(per[c.label], sp)
 		}
@@ -171,7 +167,7 @@ func bestLabel(cfgs []sdamConfig) string { return cfgs[len(cfgs)-1].label }
 func Fig12a(s Scale) (*Report, error) {
 	r := &Report{ID: "fig12a", Title: "CPU speedup vs BS+DM, standard benchmarks (SPEC2006/PARSEC proxies)"}
 	cfgs := configsFor(s)
-	per, err := speedupSweep(r, standardApps(s), cfgs, cpu.CPUConfig(4), s)
+	per, err := speedupSweep(r, fig12aCells(s), cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +193,7 @@ func Fig12a(s Scale) (*Report, error) {
 func Fig12b(s Scale) (*Report, error) {
 	r := &Report{ID: "fig12b", Title: "CPU speedup vs BS+DM, data-intensive benchmarks"}
 	cfgs := configsFor(s)
-	per, err := speedupSweep(r, dataApps(s), cfgs, cpu.CPUConfig(4), s)
+	per, err := speedupSweep(r, fig12bCells(s), cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +219,7 @@ func Fig12b(s Scale) (*Report, error) {
 func Fig15(s Scale) (*Report, error) {
 	r := &Report{ID: "fig15", Title: "accelerator speedup vs BS+DM (accelerator without SDAM)"}
 	cfgs := configsFor(s)
-	per, err := speedupSweep(r, dataApps(s), cfgs, cpu.AcceleratorConfig(4), s)
+	per, err := speedupSweep(r, fig15Cells(s), cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -236,12 +232,26 @@ func Fig15(s Scale) (*Report, error) {
 	return r, nil
 }
 
-// Fig14 reproduces the sensitivity study: SDAM speedup as the HBM slows
-// down (divided clocks) and as the core count grows.
-func Fig14(s Scale) (*Report, error) {
-	r := &Report{ID: "fig14", Title: "SDAM speedup vs HBM frequency and core count"}
+// fig14Axes are the sensitivity study's two sweeps, each over the same
+// points: the HBM clock divided by p, and p cores.
+var fig14Axes = []struct {
+	name string
+	set  func(o *system.Options, p float64)
+}{
+	{"hbm divide", func(o *system.Options, p float64) { o.HBMScale = p }},
+	{"cores", func(o *system.Options, p float64) {
+		computeNs := o.Engine.ComputeNs
+		o.Engine = cpu.CPUConfig(int(p))
+		o.Engine.ComputeNs = computeNs
+	}},
+}
+
+var fig14Points = []float64{1, 2, 4}
+
+// fig14Cells lists every (axis × point × workload × {baseline, SDAM})
+// cell in sweep order.
+func fig14Cells(Scale) []cell {
 	ws := standardApps(Quick) // the sensitivity sweep uses a subset even at full scale
-	r.Table.Header = []string{"axis", "point", "geomean speedup (ML(32) vs BS+DM)"}
 
 	// The sensitivity sweeps model the prototype's fixed-frequency core
 	// against scaled memory. The compute gap is calibrated so that one
@@ -253,57 +263,50 @@ func Fig14(s Scale) (*Report, error) {
 	slowCore := cpu.CPUConfig(4)
 	slowCore.ComputeNs = 12
 
-	// Every (point × workload × {baseline, SDAM}) cell is independent;
-	// fan them out and reduce to per-point geomeans in sweep order.
-	sweep := func(axis string, points []float64, opt func(*system.Options, float64)) ([]float64, error) {
-		type cellSpec struct {
-			pi, wi int
-			sdam   bool
-		}
-		cells := make([]cellSpec, 0, len(points)*len(ws)*2)
-		for pi := range points {
-			for wi := range ws {
-				cells = append(cells, cellSpec{pi, wi, false}, cellSpec{pi, wi, true})
+	var cells []cell
+	for _, axis := range fig14Axes {
+		for _, p := range fig14Points {
+			for _, w := range ws {
+				for _, o := range []system.Options{
+					{Kind: system.BSDM, Engine: slowCore},
+					{Kind: system.SDMBSMML, Clusters: 32, Engine: slowCore},
+				} {
+					axis.set(&o, p)
+					cells = append(cells, cell{ws: []workload.Workload{w}, o: o})
+				}
 			}
 		}
-		results, err := parallel.Map(cells, func(_ int, c cellSpec) (system.Result, error) {
-			o := system.Options{Kind: system.BSDM, Engine: slowCore}
-			if c.sdam {
-				o = system.Options{Kind: system.SDMBSMML, Clusters: 32, Engine: slowCore}
-			}
-			opt(&o, points[c.pi])
-			return system.Run(ws[c.wi].Clone(), o)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, 0, len(points))
-		for pi, p := range points {
+	}
+	return cells
+}
+
+// Fig14 reproduces the sensitivity study: SDAM speedup as the HBM slows
+// down (divided clocks) and as the core count grows.
+func Fig14(s Scale) (*Report, error) {
+	r := &Report{ID: "fig14", Title: "SDAM speedup vs HBM frequency and core count"}
+	r.Table.Header = []string{"axis", "point", "geomean speedup (ML(32) vs BS+DM)"}
+	cells := fig14Cells(s)
+	results, err := runCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	// Reduce each (axis, point)'s workload pairs to a geomean, in sweep
+	// order.
+	perPoint := len(cells) / (len(fig14Axes) * len(fig14Points))
+	geomeans := make([][]float64, len(fig14Axes))
+	for ai, axis := range fig14Axes {
+		for pi, p := range fig14Points {
 			var sps []float64
-			for wi := range ws {
-				i := (pi*len(ws) + wi) * 2
+			at := (ai*len(fig14Points) + pi) * perPoint
+			for i := at; i < at+perPoint; i += 2 {
 				sps = append(sps, results[i+1].SpeedupOver(results[i]))
 			}
 			g := stats.GeoMean(sps)
-			r.Table.Add(axis, p, g)
-			out = append(out, g)
+			r.Table.Add(axis.name, p, g)
+			geomeans[ai] = append(geomeans[ai], g)
 		}
-		return out, nil
 	}
-
-	freq, err := sweep("hbm divide", []float64{1, 2, 4}, func(o *system.Options, p float64) {
-		o.HBMScale = p
-	})
-	if err != nil {
-		return nil, err
-	}
-	cores, err := sweep("cores", []float64{1, 2, 4}, func(o *system.Options, p float64) {
-		o.Engine = cpu.CPUConfig(int(p))
-		o.Engine.ComputeNs = slowCore.ComputeNs
-	})
-	if err != nil {
-		return nil, err
-	}
+	freq, cores := geomeans[0], geomeans[1]
 	r.AddCheck("speedup grows when HBM slows to quarter frequency (paper: +19%)",
 		freq[2] > freq[0], fmt.Sprintf("%.2fx -> %.2fx", freq[0], freq[2]))
 	r.AddCheck("speedup grows with core count (paper: 1.27x -> 1.32x)",

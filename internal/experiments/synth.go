@@ -17,6 +17,34 @@ import (
 // matching the Fig 4 experiment's strides.
 var fig11Strides = []int{1, 16, 4, 64}
 
+// fig11Kinds are Fig 11(a)'s configurations. "SDM+BSM" there is SDAM
+// with one mapping per access pattern: for the synthetic benchmark the
+// paper derives each stride's mapping directly (no profiling is needed,
+// §7.4), which the per-variable selector reproduces — each thread's
+// buffer is one variable.
+var fig11Kinds = []system.Kind{system.BSDM, system.BSBSM, system.BSHM, system.SDMBSMML}
+
+// fig11Cells flattens Fig 11(a)'s (stride diversity × configuration)
+// matrix: for k = 1..4 distinct strides, one cell per configuration.
+func fig11Cells(s Scale) []cell {
+	refs := s.refs(6_000, 40_000)
+	var cells []cell
+	for k := 1; k <= 4; k++ {
+		strides := make([]int, 4)
+		for t := range strides {
+			strides[t] = fig11Strides[t%k]
+		}
+		w := workload.NewStrideCopy(strides, refs, 64<<20)
+		for _, kind := range fig11Kinds {
+			cells = append(cells, cell{
+				ws: []workload.Workload{w},
+				o:  system.Options{Kind: kind, Clusters: 4, Engine: cpu.AcceleratorConfig(4)},
+			})
+		}
+	}
+	return cells
+}
+
 // Fig11 reproduces the synthetic data-copy evaluation: (a) four-thread
 // throughput, normalized to peak streaming, for BS+DM / BS+BSM / BS+HM /
 // SDM+BSM as the number of distinct strides grows; (b) the distribution
@@ -24,52 +52,19 @@ var fig11Strides = []int{1, 16, 4, 64}
 // non-default configurations.
 func Fig11(s Scale) (*Report, error) {
 	r := &Report{ID: "fig11", Title: "synthetic data copy: config × stride diversity; CLP distribution"}
-	refs := s.refs(6_000, 40_000)
-	// "SDM+BSM" here is SDAM with one mapping per access pattern: for the
-	// synthetic benchmark the paper derives each stride's mapping
-	// directly (no profiling is needed, §7.4), which the per-variable
-	// selector reproduces — each thread's buffer is one variable.
-	kinds := []system.Kind{system.BSDM, system.BSBSM, system.BSHM, system.SDMBSMML}
 	r.Table.Header = []string{"#strides", "config", "norm. throughput", "CLP util"}
 
 	peak := hbm.New(geom.Default(), hbm.DefaultTiming()).PeakGBs()
-	// Flatten the (stride diversity × configuration) matrix into
-	// independent cells; each builds its own workload and machine.
-	type fig11Cell struct {
-		k    int
-		kind system.Kind
-	}
-	var specs []fig11Cell
-	for k := 1; k <= 4; k++ {
-		for _, kind := range kinds {
-			specs = append(specs, fig11Cell{k: k, kind: kind})
-		}
-	}
-	results, err := parallel.Map(specs, func(_ int, c fig11Cell) (system.Result, error) {
-		strides := make([]int, 4)
-		for t := range strides {
-			strides[t] = fig11Strides[t%c.k]
-		}
-		w := workload.NewStrideCopy(strides, refs, 64<<20)
-		res, err := system.Run(w, system.Options{
-			Kind:     c.kind,
-			Clusters: 4,
-			Engine:   cpu.AcceleratorConfig(4),
-		})
-		if err != nil {
-			return res, fmt.Errorf("fig11 k=%d %s: %w", c.k, c.kind, err)
-		}
-		return res, nil
-	})
+	results, err := runCells(fig11Cells(s))
 	if err != nil {
 		return nil, err
 	}
 	norm := make(map[string][]float64)
-	for i, c := range specs {
-		res := results[i]
+	for i, res := range results {
+		kind := fig11Kinds[i%len(fig11Kinds)]
 		tp := float64(res.HBM.Bytes) / res.Run.TimeNs / peak
-		r.Table.Add(c.k, c.kind.String(), tp, res.HBM.CLPUtilization())
-		norm[c.kind.String()] = append(norm[c.kind.String()], tp)
+		r.Table.Add(i/len(fig11Kinds)+1, kind.String(), tp, res.HBM.CLPUtilization())
+		norm[kind.String()] = append(norm[kind.String()], tp)
 	}
 
 	// Shape claims from Fig 11(a).

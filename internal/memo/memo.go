@@ -20,11 +20,17 @@
 //     first. A value computed while its key is held is dropped when the
 //     key's last holder releases it, and its bytes leave the budget; a
 //     value computed with no holder is retained for the life of the
-//     process. system.Compare holds the tapes and the profiling pass its
-//     cells read, so a sweep of Compares keeps one workload's entries at
-//     a time. Selections, graphs and seeded blocks are never held: a
-//     selection is small and lets a repeated Compare skip retraining,
-//     and the other two are budgeted and keyed below the system layer.
+//     process. Two callers hold, both through system.Keys: system.Compare
+//     holds the tapes and the profiling pass its cells read, so a sweep
+//     of Compares keeps one workload's entries at a time, and the
+//     experiment catalog's plan (experiments.Run, behind
+//     sdam.RunExperiment) holds each experiment's tapes and passes until
+//     the last experiment in catalog order that reads them returns.
+//     system.Run, CoRun and Profile and sdam.Machine take no holds.
+//     Selections, graphs and seeded blocks are never held: a selection
+//     is small and lets a repeated Compare or a later experiment skip
+//     retraining, and the other two are budgeted and keyed below the
+//     system layer.
 //
 // Hits and misses are counted by the memo itself: a caller served a
 // value it did not compute is a hit, every other caller it serves (the

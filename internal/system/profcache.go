@@ -42,10 +42,11 @@ type profPass struct {
 }
 
 // profiles is unbudgeted, like the selection cache: the collector caps
-// each pass's delta trace, and Compare holds the pass its cells share,
-// so a sweep of Compares keeps one workload's pass at a time. Passes
-// run outside a Compare (Run, Profile, the experiments) are retained
-// for the life of the process.
+// each pass's delta trace, and Compare and the experiment catalog's plan
+// hold the passes they read (Keys), so a sweep of Compares keeps one
+// workload's pass at a time. Passes computed with no holder (Run,
+// Profile, CoRun called directly) are retained for the life of the
+// process.
 var profiles = memo.New[profKey, profPass](memo.Config[profPass]{
 	Name:   "profile",
 	Hits:   obs.NewCounter("profile.cache_hits", "hits", "profiling passes served from the process-wide cache"),

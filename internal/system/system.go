@@ -20,7 +20,6 @@ package system
 import (
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"time"
 
@@ -408,6 +407,44 @@ func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection
 	return siteID, nil
 }
 
+// Key names one memo entry a run reads that its caller may hold (see
+// memo.Memo.Hold): a reference tape, or the profiling pass under the
+// same content key. Keys are comparable, so a caller can plan holds
+// across runs.
+type Key struct {
+	pass bool    // the profiling pass, not a tape
+	k    profKey // a tape's key sets only tapeKey and seed
+}
+
+// Keys returns the tapes and profiling passes a run of ws under opts
+// reads: Run's for one workload, CoRun's for several. App i's
+// evaluation tape is at EvalSeed+i; an app that profiles reads its
+// profiling tape and pass.
+func Keys(ws []workload.Workload, opts Options) []Key {
+	o := opts.withDefaults()
+	var keys []Key
+	for i, w := range ws {
+		key := w.TapeKey()
+		keys = append(keys, Key{k: profKey{tapeKey: key, seed: o.EvalSeed + int64(i)}})
+		if o.Kind.NeedsProfiling() {
+			keys = append(keys,
+				Key{k: profKey{tapeKey: key, seed: o.ProfileSeed}},
+				Key{pass: true, k: profKeyOf(key, o)})
+		}
+	}
+	return keys
+}
+
+// Hold holds k's entry until the returned release is called: an entry
+// computed in the meantime is dropped at the last release instead of
+// staying for the life of the process.
+func (k Key) Hold() (release func()) {
+	if k.pass {
+		return profiles.Hold(k.k)
+	}
+	return tape.Hold(k.k.tapeKey, k.k.seed)
+}
+
 // Compare runs the workload under every configuration in kinds and
 // returns results in order, all sharing the same seeds and engine.
 //
@@ -419,17 +456,18 @@ func installSelection(k *vm.Kernel, prof profile.Profile, sel *cluster.Selection
 // surviving configurations' results at their stable positions (failed
 // slots hold the partially filled Result of that run).
 //
-// Compare holds the memo entries its cells share — the evaluation
-// tape and, when a configuration profiles, the profiling tape and pass
-// — and releases them when it returns, so a sweep of Compares does not
-// accumulate every workload's tapes and profiles. Selections stay
-// cached: a repeated Compare of the same workload retrains nothing.
+// Compare holds the Keys its cells read — the evaluation tape and, when
+// a configuration profiles, the profiling tape and pass — and releases
+// them when it returns, so a sweep of Compares does not accumulate
+// every workload's tapes and profiles. Selections stay cached: a
+// repeated Compare of the same workload retrains nothing.
 func Compare(w workload.Workload, base Options, kinds []Kind) ([]Result, error) {
-	o, key := base.withDefaults(), w.TapeKey()
-	defer tape.Hold(key, o.EvalSeed)()
-	if slices.ContainsFunc(kinds, Kind.NeedsProfiling) {
-		defer tape.Hold(key, o.ProfileSeed)()
-		defer profiles.Hold(profKeyOf(key, o))()
+	o := base
+	for _, k := range kinds {
+		o.Kind = k
+		for _, key := range Keys([]workload.Workload{w}, o) {
+			defer key.Hold()()
+		}
 	}
 	name := w.Name() // hoisted: the thunks must not touch the shared workload
 	return parallel.Map(kinds, func(_ int, k Kind) (Result, error) {

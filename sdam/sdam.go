@@ -288,7 +288,13 @@ func Experiments() []experiments.Runner { return experiments.All() }
 func AblationExperiments() []experiments.Runner { return experiments.Ablations() }
 
 // RunExperiment regenerates one table or figure by ID. quick trades
-// fidelity for speed (the -short mode of the benches).
+// fidelity for speed (the -short mode of the benches). It holds the
+// reference tapes and profiling passes the experiment reads, and
+// releases each one once no later experiment in catalog order
+// (Experiments, then AblationExperiments) reads it, so running the
+// catalog in that order computes each entry once and keeps none past
+// its last reader. Out of order, an entry may be computed again or
+// kept; a report never changes.
 func RunExperiment(id string, quick bool) (*Report, error) {
 	r, ok := experiments.ByID(id)
 	if !ok {
@@ -299,7 +305,7 @@ func RunExperiment(id string, quick bool) (*Report, error) {
 		scale = experiments.Quick
 	}
 	defer obs.Span2("experiment", id).End()
-	return r.Run(scale)
+	return experiments.Run(r, scale)
 }
 
 // UnknownExperimentError reports a bad experiment ID.
