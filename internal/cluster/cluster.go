@@ -227,11 +227,14 @@ func SelectKMeansAuto(p profile.Profile, maxK int, g geom.Geometry) (Selection, 
 	return sel, nil
 }
 
+// DLSeqLen is the DL selector's window length over the delta trace
+// (paper: 32).
+const DLSeqLen = 16
+
 // DLOptions tunes the DL-assisted selector. Zero values pick scaled-down
 // defaults; the paper's full-size settings are in nn.PaperConfig and
 // Table 2.
 type DLOptions struct {
-	SeqLen int // window length over the delta trace; paper: 32
 	// Steps counts training-sequence presentations (paper: 500k),
 	// consumed dlBatch at a time: ceil(Steps/dlBatch) optimizer steps.
 	Steps      int
@@ -246,9 +249,6 @@ type DLOptions struct {
 const dlBatch = 4
 
 func (o DLOptions) withDefaults() DLOptions {
-	if o.SeqLen <= 0 {
-		o.SeqLen = 16
-	}
 	if o.Steps <= 0 {
 		o.Steps = 300
 	}
@@ -276,8 +276,8 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 	if len(vecs) == 0 {
 		return Selection{}, fmt.Errorf("cluster: profile for %q has no major variables", p.App)
 	}
-	if len(deltas) < opts.SeqLen {
-		return Selection{}, fmt.Errorf("cluster: delta trace too short (%d < %d)", len(deltas), opts.SeqLen)
+	if len(deltas) < DLSeqLen {
+		return Selection{}, fmt.Errorf("cluster: delta trace too short (%d < %d)", len(deltas), DLSeqLen)
 	}
 
 	// Slice the delta trace into non-overlapping windows, tagging each
@@ -292,10 +292,10 @@ func SelectDL(p profile.Profile, deltas []trace.DeltaSample, k int, g geom.Geome
 	spWindow := obs.StartSpan("dl:window")
 	var seqs []nn.Sequence
 	var windowVID []int
-	for base := 0; base+opts.SeqLen <= len(deltas) && len(seqs) < opts.MaxWindows; base += opts.SeqLen {
+	for base := 0; base+DLSeqLen <= len(deltas) && len(seqs) < opts.MaxWindows; base += DLSeqLen {
 		var s nn.Sequence
 		counts := map[int]int{}
-		for t := 0; t < opts.SeqLen; t++ {
+		for t := 0; t < DLSeqLen; t++ {
 			d := deltas[base+t]
 			s.Deltas = append(s.Deltas, d.Delta)
 			s.VIDs = append(s.VIDs, int(d.VID))

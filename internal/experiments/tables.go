@@ -176,10 +176,11 @@ func Table2(Scale) (*Report, error) {
 	r.Table.Add("network size", fmt.Sprintf("%dx%d LSTM", paper.Hidden, paper.Layers), fmt.Sprintf("%dx%d LSTM (x2 supported)", ours.Hidden, ours.Layers))
 	r.Table.Add("embedding size", paper.EmbDim, ours.EmbDim)
 	r.Table.Add("steps", "500k", "400 (default)")
-	r.Table.Add("sequence length", 32, 16)
-	r.Table.Add("learning rate", 0.001, 0.001)
-	r.Table.Add("lambda (joint loss)", 0.01, 0.01)
-	r.AddCheck("learning rate and lambda match Table 2", true, "0.001 / 0.01")
+	r.Table.Add("sequence length", 32, cluster.DLSeqLen)
+	r.Table.Add("learning rate", 0.001, nn.LearningRate)
+	r.Table.Add("lambda (joint loss)", 0.01, nn.Lambda)
+	r.AddCheck("learning rate and lambda match Table 2", nn.LearningRate == 0.001 && nn.Lambda == 0.01,
+		fmt.Sprintf("%g / %g", nn.LearningRate, nn.Lambda))
 	return r, nil
 }
 

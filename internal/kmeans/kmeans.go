@@ -30,17 +30,17 @@ type Result struct {
 
 // Options tunes the algorithm. Zero values select sensible defaults.
 type Options struct {
-	MaxIterations int     // default 100
-	Tolerance     float64 // relative loss improvement to keep going; default 1e-6
-	Seed          int64   // RNG seed for k-means++; default 1
+	MaxIterations int   // default 100
+	Seed          int64 // RNG seed for k-means++; default 1
 }
+
+// tolerance is the relative loss improvement an iteration must make for
+// Cluster to keep going.
+const tolerance = 1e-6
 
 func (o Options) withDefaults() Options {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 100
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -168,7 +168,7 @@ func Cluster(points [][]float64, k int, opts Options) (Result, error) {
 			}
 		}
 		centroids = next
-		if prevLoss-loss <= opts.Tolerance*math.Max(prevLoss, 1) {
+		if prevLoss-loss <= tolerance*math.Max(prevLoss, 1) {
 			break
 		}
 		prevLoss = loss

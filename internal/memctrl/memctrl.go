@@ -38,11 +38,14 @@ type Controller struct {
 
 	// chunkMap memoizes each chunk's compiled mapping so the
 	// steady-state translation is two table loads instead of a CMT lock
-	// round-trip. cachedGen is the CMT generation the cache was filled
-	// against; any OS-side table write advances the generation and
-	// flushes the cache on the next access (the invalidation a real MMIO
-	// write would broadcast). The CMT's 6 ns SRAM read overlaps the
-	// controller front end, so SDAM mode adds no latency.
+	// round-trip. It grows on a miss to the highest chunk filled: the
+	// chunk allocator hands chunks out as a prefix 0, 1, 2, …, so a boot
+	// pays for no per-chunk state. cachedGen is the CMT generation the
+	// cache was filled against; any OS-side table write advances the
+	// generation and flushes the cache on the next access (the
+	// invalidation a real MMIO write would broadcast). The CMT's 6 ns
+	// SRAM read overlaps the controller front end, so SDAM mode adds no
+	// latency.
 	chunkMap  []*mapping.Linear
 	cachedGen uint64
 
@@ -69,7 +72,6 @@ func NewSDAM(dev *hbm.Device, table *cmt.Table, unit *amu.AMU) *Controller {
 	}
 	return &Controller{
 		dev: dev, table: table, amu: unit,
-		chunkMap:  make([]*mapping.Linear, table.Chunks()),
 		cachedGen: table.Generation(),
 	}
 }
@@ -99,8 +101,8 @@ func (c *Controller) Access(at float64, l geom.LineAddr) (float64, error) {
 }
 
 // resolve returns the chunk's compiled mapping, filling the per-chunk
-// cache on a miss and flushing it when the CMT has been written since
-// the last fill.
+// cache on a miss (growing it to the chunk) and flushing it when the CMT
+// has been written since the last fill.
 func (c *Controller) resolve(chunk int) (*mapping.Linear, error) {
 	if gen := c.table.Generation(); gen != c.cachedGen {
 		clear(c.chunkMap)
@@ -120,9 +122,10 @@ func (c *Controller) resolve(chunk int) (*mapping.Linear, error) {
 		return nil, err
 	}
 	c.compiles++
-	if chunk >= 0 && chunk < len(c.chunkMap) {
-		c.chunkMap[chunk] = m
+	if chunk >= len(c.chunkMap) { // Lookup has rejected chunks out of range
+		c.chunkMap = append(c.chunkMap, make([]*mapping.Linear, chunk+1-len(c.chunkMap))...)
 	}
+	c.chunkMap[chunk] = m
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,34 @@ func TestAccessRejectsOutOfRangeChunk(t *testing.T) {
 	ctrl := NewSDAM(dev, cmt.New(4), amu.New(1))
 	if _, err := ctrl.Access(0, geom.Join(10, 0)); err == nil {
 		t.Fatal("out-of-range chunk accepted")
+	}
+}
+
+// TestNewSDAMAllocs pins an SDAM controller's boot at the default
+// geometry's 4,096 chunks to the controller itself: the per-chunk
+// mapping cache starts empty and grows on a miss to the highest chunk
+// filled, which the chunk allocator keeps a short prefix.
+func TestNewSDAMAllocs(t *testing.T) {
+	const boots = 100
+	dev, unit := newDev(), amu.New(1)
+	table := cmt.New(dev.Geometry().Chunks())
+	var before, after runtime.MemStats
+	sink := make([]*Controller, boots)
+	runtime.ReadMemStats(&before)
+	for i := range sink {
+		sink[i] = NewSDAM(dev, table, unit)
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / boots
+	bytes := (after.TotalAlloc - before.TotalAlloc) / boots
+	if objects > 1 || bytes > 128 {
+		t.Errorf("NewSDAM at %d chunks allocates %d objects, %d bytes per boot; want at most 1 object, 128 bytes", table.Chunks(), objects, bytes)
+	}
+
+	c := sink[0]
+	mustAccess(t, c, 0, geom.Join(2, 0))
+	if len(c.chunkMap) != 3 {
+		t.Errorf("after an access to chunk 2 the cache holds %d chunks, want 3", len(c.chunkMap))
 	}
 }
 

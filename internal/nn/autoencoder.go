@@ -236,13 +236,17 @@ type TrainReport struct {
 	Embeddings [][]float64
 }
 
+// Table 2's optimizer settings, which TrainJoint uses as is.
+const (
+	LearningRate = 0.001 // Adam step size
+	Lambda       = 0.01  // joint-loss weight of the clustering pull
+)
+
 // TrainOptions drives TrainJoint.
 type TrainOptions struct {
-	Steps    int     // optimizer steps; default 400
-	LR       float64 // default 0.001 (Table 2)
-	Lambda   float64 // joint-loss weight; default 0.01 (Table 2)
-	K        int     // clusters; required for the joint phase
-	Reassign int     // recompute K-Means every this many joint steps; default 50
+	Steps    int // optimizer steps; default 400
+	K        int // clusters; required for the joint phase
+	Reassign int // recompute K-Means every this many joint steps; default 50
 	Seed     int64
 	// Batch is the number of sequences per optimizer step; default 1.
 	// Each sequence's gradient is computed into its own slot's buffers
@@ -403,12 +407,6 @@ func (m *Autoencoder) trainJoint(seqs []Sequence, opts TrainOptions, lanes int) 
 	if opts.Steps <= 0 {
 		opts.Steps = 400
 	}
-	if opts.LR <= 0 {
-		opts.LR = 0.001
-	}
-	if opts.Lambda <= 0 {
-		opts.Lambda = 0.01
-	}
 	if opts.K <= 0 {
 		opts.K = 4
 	}
@@ -422,7 +420,7 @@ func (m *Autoencoder) trainJoint(seqs []Sequence, opts TrainOptions, lanes int) 
 		opts.Batch = 1
 	}
 	r := rand.New(rand.NewSource(opts.Seed))
-	opt := NewAdam(m.Params(), opts.LR)
+	opt := NewAdam(m.Params(), LearningRate)
 
 	maxT := 1
 	for _, s := range seqs {
@@ -465,7 +463,7 @@ func (m *Autoencoder) trainJoint(seqs []Sequence, opts TrainOptions, lanes int) 
 	kmFresh := true // no parameter update since the last sweep?
 	for step := phase1; step < opts.Steps; step++ {
 		draw()
-		loss := tr.step(seqs, idx, km.Centroids, km.Assignment, opts.Lambda)
+		loss := tr.step(seqs, idx, km.Centroids, km.Assignment, Lambda)
 		opt.Step()
 		report.FinalLoss = loss
 		kmFresh = false

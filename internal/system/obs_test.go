@@ -66,7 +66,7 @@ func obsTestWorkload() workload.Workload {
 
 var obsTestOptions = Options{
 	Clusters: 3,
-	DL:       cluster.DLOptions{SeqLen: 8, Steps: 24, MaxWindows: 16},
+	DL:       cluster.DLOptions{Steps: 24, MaxWindows: 16},
 }
 
 // TestObsSelectionCacheHitZeroTrainSteps pins the cache contract as a

@@ -12,24 +12,24 @@ import (
 )
 
 // Sweeps re-derive the same selection over and over: every sweep point
-// that varies only evaluation-side knobs (HBM frequency scale, repeated
-// Compare passes) profiles to the same bytes and would retrain the same
-// model to the same mapping. The cache memoizes selections process-wide,
-// keyed strictly by the content the selection is a pure function of —
-// the selector and its tuning, the profile bytes, and (for
-// the DL selector) the delta trace bytes — so a hit returns exactly what
-// a fresh computation would, and anything that could change the result
-// (a different profiling interleaving, the guard ablation) changes the
-// key instead of going stale.
+// that varies only evaluation-side knobs (the evaluation seed, repeated
+// Compare passes) reads the same profiling pass and would retrain the
+// same model to the same mapping. The cache memoizes selections
+// process-wide, keyed by the key of the pass the selection reads (see
+// profKey) plus the selector and its tuning. The pass is a pure function
+// of its key — the profile memo rests on that too — so a hit returns
+// exactly what a fresh computation would, and anything that could change
+// the result (a different profiling interleaving, the guard ablation)
+// changes the key instead of going stale.
 
-// selKey identifies one selection computation by content.
+// selKey identifies one selection computation: the pass it reads and the
+// selector that reads it.
 type selKey struct {
+	pass     profKey
 	kind     Kind
 	clusters int
-	dl       cluster.DLOptions
 	noGuard  bool
-	profFP   uint64
-	deltaFP  uint64
+	dl       cluster.DLOptions // set only for SDMBSMDL
 }
 
 // selections is unbudgeted: a Selection is a few maps of shared
@@ -40,20 +40,14 @@ var selections = memo.New[selKey, *cluster.Selection](memo.Config[*cluster.Selec
 	Misses: obs.NewCounter("select.cache_misses", "misses", "mapping selections computed fresh"),
 })
 
-// cachedSelection returns the selection for o.Kind on the given profile
-// and delta trace, computing it at most once per process per content
-// key. The returned Selection is shared — callers must treat it as
-// immutable (installSelection only reads it).
-func cachedSelection(o Options, prof profile.Profile, deltas []trace.DeltaSample) (*cluster.Selection, error) {
-	key := selKey{
-		kind:     o.Kind,
-		clusters: o.Clusters,
-		noGuard:  o.NoGuard,
-		profFP:   prof.Fingerprint(),
-	}
+// cachedSelection returns the selection for o.Kind on the profile and
+// delta trace of the pass with key pass, computing it at most once per
+// process per key. The returned Selection is shared — callers must treat
+// it as immutable (installSelection only reads it).
+func cachedSelection(pass profKey, o Options, prof profile.Profile, deltas []trace.DeltaSample) (*cluster.Selection, error) {
+	key := selKey{pass: pass, kind: o.Kind, clusters: o.Clusters, noGuard: o.NoGuard}
 	if o.Kind == SDMBSMDL {
 		key.dl = o.DL
-		key.deltaFP = profile.FingerprintDeltas(deltas)
 	}
 	return selections.Do(key, func() (*cluster.Selection, error) {
 		defer obs.Span2("select", o.Kind.String()).End()

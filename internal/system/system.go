@@ -217,7 +217,8 @@ func runOn(m *machine, apps []app, o Options, seed int64, col *trace.Collector) 
 // configurations that share profiling inputs share one pass and its
 // collector, read-only.
 func Profile(w workload.Workload, opts Options) (profile.Profile, *trace.Collector, error) {
-	return cachedProfile(w, opts.withDefaults())
+	o := opts.withDefaults()
+	return cachedProfile(profKeyOf(w.TapeKey(), o), w, o)
 }
 
 // profileFresh is the uncached profiling pass.
@@ -337,12 +338,15 @@ func evaluate(res *Result, ws []workload.Workload, o Options, phase string, done
 // averaged flip rates (the workload-mix profiling of §7.3; over one app,
 // exactly its own), otherwise one selection per app. It returns the
 // global mapping (nil for the SDAM configurations) and the selection
-// time, which excludes the profiling passes.
+// time, which excludes the profiling passes. Each app's pass key names
+// both its profiling pass and the selections read from it.
 func selectMappings(apps []app, o Options) (mapping.Mapping, time.Duration, error) {
+	passes := make([]profKey, len(apps))
 	cols := make([]*trace.Collector, len(apps))
 	for i := range apps {
+		passes[i] = profKeyOf(apps[i].w.TapeKey(), o)
 		var err error
-		if apps[i].prof, cols[i], err = cachedProfile(apps[i].w, o); err != nil {
+		if apps[i].prof, cols[i], err = cachedProfile(passes[i], apps[i].w, o); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -357,7 +361,7 @@ func selectMappings(apps []app, o Options) (mapping.Mapping, time.Duration, erro
 	}
 	for i := range apps {
 		var err error
-		if apps[i].sel, err = cachedSelection(o, apps[i].prof, cols[i].Deltas()); err != nil {
+		if apps[i].sel, err = cachedSelection(passes[i], o, apps[i].prof, cols[i].Deltas()); err != nil {
 			return nil, 0, err
 		}
 	}
