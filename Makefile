@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: lint lint-json docs build test race fuzz bench examples loc
 
 # lint is the one gate for static checks: go vet plus the repository's
-# own determinism & concurrency suite (cmd/sdamvet, 6 rules — see
+# own determinism & concurrency suite (cmd/sdamvet, 5 rules — see
 # `go run ./cmd/sdamvet -list`).
 lint:
 	$(GO) vet ./...

@@ -39,11 +39,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot of the sweep to this file (\"-\" for stdout)")
 	tracePath := flag.String("trace", "", "write the sweep's phase spans as Chrome trace_event JSON to this file (opens in Perfetto)")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: sdambench [flags] <benchmark>|standard|data")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
 	sdam.SetJobs(*jobs)
 	if *metricsPath != "" {
 		sdam.EnableMetrics()
@@ -51,15 +46,34 @@ func main() {
 	if *tracePath != "" {
 		sdam.EnableTracing()
 	}
+	// The CPU profile is stopped and the snapshot and trace are written
+	// on every exit path, including failure — a failing sweep is exactly
+	// when the telemetry is most useful. StopCPUProfile is a no-op when
+	// no profile is running.
+	exit := func(code int) {
+		pprof.StopCPUProfile()
+		if err := writeObservability(*metricsPath, *tracePath); err != nil {
+			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+		os.Exit(code)
+	}
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: sdambench [flags] <benchmark>|standard|data")
+		flag.PrintDefaults()
+		exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -71,7 +85,7 @@ func main() {
 		eng = sdam.AcceleratorEngine(*cores)
 	default:
 		fmt.Fprintf(os.Stderr, "sdambench: unknown engine %q\n", *engine)
-		os.Exit(2)
+		exit(2)
 	}
 
 	var names []string
@@ -92,47 +106,50 @@ func main() {
 		w, err := buildBench(name, *refs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		results, err := sdam.Compare(w, base, kinds)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		printRow(name, results)
 	}
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
+	pprof.StopCPUProfile()
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		f.Close()
 	}
-	if *metricsPath != "" {
-		if err := writeTo(*metricsPath, func(f *os.File) error {
+	exit(0)
+}
+
+// writeObservability writes the metrics snapshot and/or phase trace the
+// flags asked for. Empty paths are skipped; "-" means stdout.
+func writeObservability(metricsPath, tracePath string) error {
+	if metricsPath != "" {
+		if err := writeTo(metricsPath, func(f *os.File) error {
 			return sdam.Metrics().WriteJSON(f)
 		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
-	if *tracePath != "" {
-		if err := writeTo(*tracePath, func(f *os.File) error {
+	if tracePath != "" {
+		if err := writeTo(tracePath, func(f *os.File) error {
 			return sdam.WriteTrace(f)
 		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sdambench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 	}
+	return nil
 }
 
 // writeTo streams write's output to path, or stdout for "-".

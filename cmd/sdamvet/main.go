@@ -4,13 +4,11 @@
 // per finding.
 //
 //	go run ./cmd/sdamvet ./...
-//	go run ./cmd/sdamvet -rules slotwrite,noalloc ./...
 //	go run ./cmd/sdamvet -json ./... > findings.json
 //
-// Exit status: 0 clean, 1 findings, 2 load/usage error. Suppress an
-// individual finding with a "//lint:ignore sdamvet/<rule> reason"
-// comment on the flagged line or the line above; a suppression no
-// finding matches is itself reported (rule unusedignore).
+// Exit status: 0 clean, 1 findings, 2 load/usage error. Findings cannot
+// be suppressed: every rule runs on every package, and a rule's
+// sanctioned exceptions live in the rule itself.
 package main
 
 import (
@@ -18,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -35,7 +32,6 @@ type jsonDiagnostic struct {
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzer rules and exit")
-	rules := flag.String("rules", "", "comma-separated rule names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sdamvet [flags] [packages]\n\nAnalyzes the given package patterns (default ./...) with the\ndeterminism & concurrency rule suite.\n\n")
@@ -49,14 +45,6 @@ func main() {
 			fmt.Printf("sdamvet/%-12s %s\n", a.Rule, a.Doc)
 		}
 		return
-	}
-	if *rules != "" {
-		selected, err := filterRules(analyzers, *rules)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdamvet:", err)
-			os.Exit(2)
-		}
-		analyzers = selected
 	}
 
 	loader, err := analysis.NewLoader(".")
@@ -97,29 +85,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdamvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// filterRules resolves a comma-separated -rules value against the suite,
-// rejecting unknown names (a typo must not silently run nothing).
-func filterRules(all []analysis.Analyzer, spec string) ([]analysis.Analyzer, error) {
-	byRule := make(map[string]analysis.Analyzer, len(all))
-	for _, a := range all {
-		byRule[a.Rule] = a
-	}
-	var out []analysis.Analyzer
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimPrefix(strings.TrimSpace(name), "sdamvet/")
-		if name == "" {
-			continue
-		}
-		a, ok := byRule[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown rule %q (use -list to see the suite)", name)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-rules %q selects no analyzers", spec)
-	}
-	return out, nil
 }

@@ -9,10 +9,9 @@
 // The engine type-checks every package it analyzes, resolving
 // module-local imports recursively from source (see Loader), so the
 // analyzers see real types.Info rather than syntax heuristics.
-// Diagnostics carry a stable rule ID and can be suppressed with a
-// trailing or preceding comment:
-//
-//	//lint:ignore sdamvet/<rule> reason
+// Diagnostics carry a stable rule ID and cannot be suppressed: a rule's
+// sanctioned exceptions live in the rule itself (seededrand skips
+// internal/wallclock, slotwrite skips internal/parallel).
 package analysis
 
 import (
@@ -20,7 +19,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding.
@@ -51,23 +49,12 @@ func Suite() []Analyzer {
 		seededRandAnalyzer,
 		slotWriteAnalyzer,
 		noAllocAnalyzer,
-		tapeMutAnalyzer,
 		pkgDocAnalyzer,
 	}
 }
 
-// UnusedIgnoreRule is the pseudo-rule under which the suite reports
-// stale //lint:ignore comments — suppressions that no active analyzer's
-// diagnostic matched, which after a refactor silently stop documenting
-// anything true.
-const UnusedIgnoreRule = "unusedignore"
-
 // Run checks every loaded package with every analyzer and returns the
-// surviving (non-suppressed) diagnostics sorted by position then rule.
-// Suppressions that matched nothing are reported under UnusedIgnoreRule,
-// but only for rules present in the active analyzer set: an ignore for a
-// rule that was filtered out this run (-rules, or a single-analyzer
-// fixture pass) is not stale, just out of scope.
+// diagnostics sorted by position then rule.
 func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
@@ -75,13 +62,6 @@ func Run(analyzers []Analyzer, pkgs []*Package) []Diagnostic {
 			diags = append(diags, a.Check(p)...)
 		}
 	}
-	sup := collectSuppressions(pkgs)
-	diags = filterSuppressed(diags, sup)
-	active := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		active[a.Rule] = true
-	}
-	diags = append(diags, unusedSuppressions(sup, active)...)
 	sortDiagnostics(diags)
 	return dedupDiagnostics(diags)
 }
@@ -115,130 +95,6 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Rule < b.Rule
 	})
-}
-
-// supEntry is one rule named by one //lint:ignore comment, with the
-// comment's position (for stale-suppression reporting) and whether any
-// diagnostic actually matched it this run.
-type supEntry struct {
-	rule string
-	pos  token.Position
-	used bool
-}
-
-// suppressions maps file -> comment line -> the entries registered
-// there. Entries are pointers so filterSuppressed can mark usage in
-// place and unusedSuppressions can audit what remains.
-type suppressions map[string]map[int][]*supEntry
-
-// collectSuppressions scans a package's comments for
-// "//lint:ignore sdamvet/<rule>[,sdamvet/<rule>...] reason" markers. A
-// marker suppresses matching diagnostics on its own line and on the
-// line directly below (so it can trail the offending statement or sit
-// on its own line above it).
-func collectSuppressions(pkgs []*Package) suppressions {
-	sup := make(suppressions)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rules, ok := parseIgnore(c.Text)
-					if !ok {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					if sup[pos.Filename] == nil {
-						sup[pos.Filename] = make(map[int][]*supEntry)
-					}
-					for _, r := range rules {
-						sup[pos.Filename][pos.Line] = append(sup[pos.Filename][pos.Line],
-							&supEntry{rule: r, pos: pos})
-					}
-				}
-			}
-		}
-	}
-	return sup
-}
-
-// unusedSuppressions reports every collected ignore marker no
-// diagnostic matched, restricted to rules in the active set. The map
-// ranges make collection order nondeterministic, so the result is
-// sorted before returning.
-func unusedSuppressions(sup suppressions, active map[string]bool) []Diagnostic {
-	var diags []Diagnostic
-	for _, lines := range sup {
-		for _, entries := range lines {
-			for _, e := range entries {
-				if e.used || !active[e.rule] {
-					continue
-				}
-				diags = append(diags, Diagnostic{
-					Pos:     e.pos,
-					Rule:    UnusedIgnoreRule,
-					Message: fmt.Sprintf("lint:ignore sdamvet/%s suppresses nothing; the finding it once justified is gone — delete the stale comment", e.rule),
-				})
-			}
-		}
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Message < b.Message
-	})
-	return diags
-}
-
-// parseIgnore extracts the rule IDs from one comment, if it is an
-// ignore marker.
-func parseIgnore(text string) ([]string, bool) {
-	text = strings.TrimPrefix(text, "//")
-	text = strings.TrimSpace(text)
-	if !strings.HasPrefix(text, "lint:ignore") {
-		return nil, false
-	}
-	fields := strings.Fields(strings.TrimPrefix(text, "lint:ignore"))
-	if len(fields) == 0 {
-		return nil, false
-	}
-	var rules []string
-	for _, r := range strings.Split(fields[0], ",") {
-		r = strings.TrimPrefix(r, "sdamvet/")
-		if r != "" {
-			rules = append(rules, r)
-		}
-	}
-	return rules, len(rules) > 0
-}
-
-func filterSuppressed(diags []Diagnostic, sup suppressions) []Diagnostic {
-	out := diags[:0]
-	for _, d := range diags {
-		lines := sup[d.Pos.Filename]
-		if markUsed(lines[d.Pos.Line], d.Rule) || markUsed(lines[d.Pos.Line-1], d.Rule) {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// markUsed flags every entry matching rule as used and reports whether
-// any matched.
-func markUsed(entries []*supEntry, rule string) bool {
-	matched := false
-	for _, e := range entries {
-		if e.rule == rule {
-			e.used = true
-			matched = true
-		}
-	}
-	return matched
 }
 
 // rootIdent unwraps selector/index/slice/star/paren chains to the

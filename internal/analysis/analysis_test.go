@@ -3,20 +3,19 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestAnalyzersOnFixtures runs each analyzer over its fixture package
-// under testdata/src/<rule>/ and checks the findings against the
-// `// want "substr"` comments: every want line must get at least one
-// diagnostic containing the substring, and every diagnostic must land
-// on a want line it matches. Suppressed violations carry a lint:ignore
-// marker instead of a want and must stay silent — which exercises the
-// suppression path end to end through Run.
+// TestAnalyzersOnFixtures runs each analyzer over its fixture packages
+// under testdata/src/<rule>/ (the directory and every package below it)
+// and checks the findings against the `// want "substr"` comments:
+// every want line must get at least one diagnostic containing the
+// substring, and every diagnostic must land on a want line it matches.
+// seededrand's fixture nests a package under internal/wallclock, whose
+// host-clock reads carry no want and so must stay silent.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	for _, a := range Suite() {
 		t.Run(a.Rule, func(t *testing.T) {
@@ -27,53 +26,10 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 
 var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 
-// TestUnusedSuppressionAudit runs the FULL suite over the unusedignore
-// fixture: a lint:ignore that suppresses nothing must be reported under
-// the unusedignore pseudo-rule, a working marker and a marker for a
-// rule outside the active set must stay silent. This is the dedicated
-// harness for the audit, since runFixture rejects any rule other than
-// its analyzer's own.
-func TestUnusedSuppressionAudit(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "unusedignore"))
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	wants := collectWants(pkg)
-	diags := Run(Suite(), []*Package{pkg})
-	matched := make(map[string]bool)
-	for _, d := range diags {
-		if d.Rule != UnusedIgnoreRule {
-			t.Errorf("unexpected rule %q on the unusedignore fixture: %s", d.Rule, d)
-			continue
-		}
-		ok := false
-		for _, w := range wants[d.Pos.Line] {
-			if strings.Contains(d.Message, w) {
-				matched[wantKey(d.Pos.Line, w)] = true
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for line, subs := range wants {
-		for _, w := range subs {
-			if !matched[wantKey(line, w)] {
-				t.Errorf("unusedignore fixture line %d: expected a diagnostic containing %q, got none", line, w)
-			}
-		}
-	}
-}
-
 // TestRepoCleanUnderFullSuite pins the acceptance bar the CI lint step
 // enforces: the full suite over the whole module (what
 // `go run ./cmd/sdamvet ./...` runs) reports nothing — zero false
-// positives from the new rules and zero stale suppressions.
+// positives from any rule.
 func TestRepoCleanUnderFullSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
@@ -97,12 +53,16 @@ func runFixture(t *testing.T, a Analyzer, dir string) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkg, err := l.LoadDir(dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
+		t.Fatal(err)
 	}
-	wants := collectWants(pkg)
-	diags := Run([]Analyzer{a}, []*Package{pkg})
+	pkgs, err := l.LoadPatterns([]string{abs + "/..."})
+	if err != nil {
+		t.Fatalf("LoadPatterns(%s): %v", dir, err)
+	}
+	wants := collectWants(pkgs)
+	diags := Run([]Analyzer{a}, pkgs)
 
 	matched := make(map[string]bool) // want key -> seen
 	for _, d := range diags {
@@ -110,10 +70,11 @@ func runFixture(t *testing.T, a Analyzer, dir string) {
 			t.Errorf("unexpected rule %q from analyzer %q", d.Rule, a.Rule)
 			continue
 		}
+		at := lineKey(d.Pos.Filename, d.Pos.Line)
 		ok := false
-		for _, w := range wants[d.Pos.Line] {
+		for _, w := range wants[at] {
 			if strings.Contains(d.Message, w) {
-				matched[wantKey(d.Pos.Line, w)] = true
+				matched[at+":"+w] = true
 				ok = true
 			}
 		}
@@ -121,11 +82,10 @@ func runFixture(t *testing.T, a Analyzer, dir string) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	for line, subs := range wants {
+	for at, subs := range wants {
 		for _, w := range subs {
-			if !matched[wantKey(line, w)] {
-				t.Errorf("%s:%d: expected a %s diagnostic containing %q, got none",
-					dir, line, a.Rule, w)
+			if !matched[at+":"+w] {
+				t.Errorf("%s: expected a %s diagnostic containing %q, got none", at, a.Rule, w)
 			}
 		}
 	}
@@ -136,79 +96,28 @@ func runFixture(t *testing.T, a Analyzer, dir string) {
 	}
 }
 
-func wantKey(line int, sub string) string { return fmt.Sprintf("%d:%s", line, sub) }
+func lineKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
 
-// collectWants maps fixture line numbers to their expected message
-// substrings.
-func collectWants(pkg *Package) map[int][]string {
-	wants := make(map[int][]string)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+// collectWants maps fixture file:line positions to their expected
+// message substrings.
+func collectWants(pkgs []*Package) map[string][]string {
+	wants := make(map[string][]string)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := wantRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					p := pkg.Fset.Position(c.Pos())
+					at := lineKey(p.Filename, p.Line)
+					wants[at] = append(wants[at], m[1])
 				}
-				line := pkg.Fset.Position(c.Pos()).Line
-				wants[line] = append(wants[line], m[1])
 			}
 		}
 	}
 	return wants
-}
-
-// TestSuppressionPlacement pins the two sanctioned marker positions:
-// same line and line above.
-func TestSuppressionPlacement(t *testing.T) {
-	diags := []Diagnostic{
-		{Pos: pos("f.go", 10), Rule: "maporder"},
-		{Pos: pos("f.go", 20), Rule: "maporder"},
-		{Pos: pos("f.go", 30), Rule: "maporder"},
-		{Pos: pos("f.go", 30), Rule: "seededrand"},
-	}
-	sup := suppressions{"f.go": {
-		10: {{rule: "maporder"}},   // same line
-		19: {{rule: "maporder"}},   // line above
-		30: {{rule: "seededrand"}}, // different rule: maporder at 30 survives
-	}}
-	out := filterSuppressed(diags, sup)
-	if len(out) != 1 || out[0].Rule != "maporder" || out[0].Pos.Line != 30 {
-		t.Fatalf("suppression filtering: got %v, want only maporder at line 30", out)
-	}
-	for file, lines := range sup {
-		for line, entries := range lines {
-			for _, e := range entries {
-				if !e.used {
-					t.Errorf("%s:%d: matched suppression for %s not marked used", file, line, e.rule)
-				}
-			}
-		}
-	}
-}
-
-func pos(file string, line int) (p token.Position) {
-	p.Filename = file
-	p.Line = line
-	return p
-}
-
-// TestParseIgnore pins the marker grammar.
-func TestParseIgnore(t *testing.T) {
-	cases := []struct {
-		in    string
-		rules []string
-	}{
-		{"//lint:ignore sdamvet/maporder reason", []string{"maporder"}},
-		{"// lint:ignore sdamvet/maporder,sdamvet/seededrand why", []string{"maporder", "seededrand"}},
-		{"// just a comment", nil},
-		{"//lint:ignore", nil},
-	}
-	for _, c := range cases {
-		got, ok := parseIgnore(c.in)
-		if ok != (c.rules != nil) || strings.Join(got, ",") != strings.Join(c.rules, ",") {
-			t.Errorf("parseIgnore(%q) = %v, %v; want %v", c.in, got, ok, c.rules)
-		}
-	}
 }
 
 // TestExpandPatterns checks the go-tool-style pattern semantics the

@@ -19,8 +19,8 @@ import (
 // most likely to introduce:
 //
 //   - make / new
-//   - append (growth reallocates; an append provably within a fixed
-//     capacity can carry a lint:ignore with its justification)
+//   - append (growth reallocates; write through an index into a
+//     preallocated slice instead)
 //   - function literals (the capture environment allocates)
 //   - &CompositeLit and slice/map composite literals
 //   - string concatenation (+ / +=) and string<->[]byte/[]rune
@@ -152,7 +152,7 @@ func (a *noAlloc) checkCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr) 
 			case "new":
 				a.flag(pkg, call.Pos(), fd, "new allocates")
 			case "append":
-				a.flag(pkg, call.Pos(), fd, "append may grow and reallocate; preallocate the capacity (or justify a fixed-cap append with a lint:ignore)")
+				a.flag(pkg, call.Pos(), fd, "append may grow and reallocate; preallocate the slice and write through an index")
 			}
 			return
 		}

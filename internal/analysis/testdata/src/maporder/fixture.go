@@ -91,11 +91,3 @@ func prune(m map[int]int) {
 		}
 	}
 }
-
-// Suppressed: an acknowledged violation carrying the ignore marker.
-func suppressedPrint(m map[int]int) {
-	for k := range m {
-		//lint:ignore sdamvet/maporder fixture exercises the suppression path
-		fmt.Println(k)
-	}
-}

@@ -34,9 +34,3 @@ func seeded(seed int64) float64 {
 func fixedInstant() time.Time {
 	return time.Unix(0, 0).Add(3 * time.Second)
 }
-
-// Suppressed: an acknowledged wall-clock read.
-func sanctioned() time.Time {
-	//lint:ignore sdamvet/seededrand fixture exercises the suppression path
-	return time.Now()
-}

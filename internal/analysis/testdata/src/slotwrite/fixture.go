@@ -111,13 +111,3 @@ func capturedWrite(items []int) int {
 	})
 	return total
 }
-
-// Suppressed: the marker documents why the write is safe (a reviewed
-// single-writer slot) and must keep the line silent.
-func suppressed(items []int, out []int, k int) {
-	_, _ = parallel.Map(items, func(i, v int) (int, error) {
-		//lint:ignore sdamvet/slotwrite k is a reviewed single-writer slot in this fixture
-		out[k] = v
-		return v, nil
-	})
-}

@@ -313,5 +313,5 @@ type UnknownExperimentError struct{ ID string }
 
 // Error implements error.
 func (e *UnknownExperimentError) Error() string {
-	return "sdam: unknown experiment " + e.ID + " (try fig1…fig15, table1…table4)"
+	return "sdam: unknown experiment " + e.ID + " (try fig1…fig15, table1…table4 or an abl-* ablation; sdamsim list names them all)"
 }

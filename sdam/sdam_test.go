@@ -204,8 +204,8 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	if _, err := RunExperiment("bogus", true); err == nil {
 		t.Fatal("bogus experiment accepted")
-	} else if !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("error = %v", err)
+	} else if !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "abl-") {
+		t.Fatalf("error = %v; want the ID and a hint naming the ablations", err)
 	}
 }
 
